@@ -307,16 +307,6 @@ pub struct BenchArgs {
     pub chrome_trace: Option<String>,
     /// Flight-recorder JSON file path (`--flight FILE`), if requested.
     pub flight: Option<String>,
-    /// Router sweep mode (`--router dense|pruned`, default pruned). The
-    /// dense mode exists for A/B measurement of the reachability pruning —
-    /// outcomes are byte-identical by construction, only the expansion
-    /// counts differ.
-    pub router: rewire_mrrg::RouterMode,
-    /// Fan-out mode (`--router tree|per-edge`, default tree). Tree mode
-    /// routes multi-sink signals as shared route trees; per-edge is the
-    /// independent-path baseline the differential gates compare against.
-    /// Orthogonal to the sweep mode — the `--router` flag is repeatable.
-    pub fanout: rewire_mrrg::FanoutMode,
 }
 
 impl BenchArgs {
@@ -434,17 +424,13 @@ impl BenchArgs {
 /// Parses the common experiment-binary CLI: an optional positional per-II
 /// budget in seconds plus optional `--jobs N` (or `--jobs=N`),
 /// `--trace FILE` (or `--trace=FILE`), `--metrics FILE` (or
-/// `--metrics=FILE`), `--kernels a,b` (or `--kernels=a,b`) and
-/// `--router dense|pruned|tree|per-edge` (or `--router=MODE`) flags. The
-/// `--router` flag is repeatable: `dense|pruned` picks the DP sweep mode,
-/// `tree|per-edge` the fan-out mode, and the two compose.
+/// `--metrics=FILE`), `--kernels a,b` (or `--kernels=a,b`),
+/// `--chrome-trace FILE` and `--flight FILE` flags. Every mapper routes
+/// with the one pruned, tree fan-out router; there is no mode to pick.
 ///
-/// Installs the parsed router and fan-out modes as the process defaults,
-/// so every mapper thread the experiment spawns inherits them.
+/// Enables the requested observability collectors before returning.
 pub fn parse_cli(default_secs: f64) -> BenchArgs {
     let parsed = parse_cli_from(std::env::args().skip(1), default_secs);
-    rewire_mrrg::set_default_router_mode(parsed.router);
-    rewire_mrrg::set_default_fanout_mode(parsed.fanout);
     parsed.enable_collectors();
     parsed
 }
@@ -458,18 +444,7 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
         kernels: None,
         chrome_trace: None,
         flight: None,
-        router: rewire_mrrg::default_router_mode(),
-        fanout: rewire_mrrg::default_fanout_mode(),
     };
-    fn apply_router(parsed: &mut BenchArgs, v: &str) {
-        match v {
-            "dense" => parsed.router = rewire_mrrg::RouterMode::Dense,
-            "pruned" => parsed.router = rewire_mrrg::RouterMode::Pruned,
-            "tree" => parsed.fanout = rewire_mrrg::FanoutMode::Tree,
-            "per-edge" => parsed.fanout = rewire_mrrg::FanoutMode::PerEdge,
-            other => panic!("--router needs dense|pruned|tree|per-edge, got {other:?}"),
-        }
-    }
     let parse_kernels = |v: &str| {
         v.split(',')
             .map(str::trim)
@@ -508,16 +483,11 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
             ));
         } else if let Some(v) = arg.strip_prefix("--kernels=") {
             parsed.kernels = Some(parse_kernels(v));
-        } else if arg == "--router" {
-            let v = args.next().expect("--router needs a mode");
-            apply_router(&mut parsed, &v);
-        } else if let Some(v) = arg.strip_prefix("--router=") {
-            apply_router(&mut parsed, v);
         } else if let Ok(v) = arg.parse::<f64>() {
             parsed.seconds_per_ii = v;
         } else {
             panic!(
-                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--chrome-trace FILE] [--flight FILE] [--kernels a,b] [--router dense|pruned|tree|per-edge])"
+                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--chrome-trace FILE] [--flight FILE] [--kernels a,b])"
             );
         }
     }
@@ -670,46 +640,6 @@ mod tests {
             parse_cli_from([arg("--flight=out/f.json")], 2.0).flight,
             Some("out/f.json".to_string())
         );
-    }
-
-    #[test]
-    fn cli_parsing_accepts_router_mode() {
-        use rewire_mrrg::RouterMode;
-        let arg = |s: &str| s.to_string();
-        assert_eq!(parse_cli_from([], 2.0).router, RouterMode::Pruned);
-        assert_eq!(
-            parse_cli_from([arg("--router"), arg("dense")], 2.0).router,
-            RouterMode::Dense
-        );
-        assert_eq!(
-            parse_cli_from([arg("--router=pruned")], 2.0).router,
-            RouterMode::Pruned
-        );
-    }
-
-    #[test]
-    fn cli_parsing_accepts_fanout_mode_and_composes() {
-        use rewire_mrrg::{FanoutMode, RouterMode};
-        let arg = |s: &str| s.to_string();
-        assert_eq!(parse_cli_from([], 2.0).fanout, FanoutMode::Tree);
-        assert_eq!(
-            parse_cli_from([arg("--router"), arg("per-edge")], 2.0).fanout,
-            FanoutMode::PerEdge
-        );
-        // Repeatable and orthogonal: sweep + fan-out in one invocation.
-        let both = parse_cli_from([arg("--router=dense"), arg("--router=per-edge")], 2.0);
-        assert_eq!(both.router, RouterMode::Dense);
-        assert_eq!(both.fanout, FanoutMode::PerEdge);
-        assert_eq!(
-            parse_cli_from([arg("--router=tree")], 2.0).fanout,
-            FanoutMode::Tree
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--router needs")]
-    fn cli_parsing_rejects_unknown_router_mode() {
-        parse_cli_from(["--router=fast".to_string()], 2.0);
     }
 
     #[test]

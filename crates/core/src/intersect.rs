@@ -308,43 +308,6 @@ pub fn pcandidates(
         }
     }
 
-    if options.is_empty() && std::env::var_os("REWIRE_IDEBUG").is_some() {
-        // Per-requirement diagnosis: how many (pe, cycle) pairs each
-        // requirement admits on its own.
-        for r in reqs {
-            let mut admitted = 0;
-            for pe_ref in cgra.pes_supporting(op) {
-                for c in 0..=horizon {
-                    if satisfied(cgra, mapping, store, pe_ref.id(), c, ii, r) {
-                        admitted += 1;
-                    }
-                }
-            }
-            eprintln!("    req {r:?}: admits {admitted}");
-        }
-        // Joint admission ignoring the FU filter and the cycle-derivation
-        // shortcut: how many (pe, c) satisfy ALL requirements?
-        let mut joint = 0;
-        let mut joint_fu = 0;
-        for pe_ref in cgra.pes_supporting(op) {
-            for c in 0..=horizon {
-                if reqs
-                    .iter()
-                    .all(|r| satisfied(cgra, mapping, store, pe_ref.id(), c, ii, r))
-                {
-                    joint += 1;
-                    let fu = Resource::Fu {
-                        pe: pe_ref.id(),
-                        slot: mapping.mrrg().slot_of(c),
-                    };
-                    if mapping.occupancy().usable_by(fu, v, 0) {
-                        joint_fu += 1;
-                    }
-                }
-            }
-        }
-        eprintln!("    joint={joint} joint+fu={joint_fu}");
-    }
     options.sort_by_key(|&(pe, c)| (c, pe));
     options.truncate(config.max_candidates_per_node);
     PlacementCandidates { node: v, options }

@@ -447,25 +447,10 @@ impl RewireMapper {
         stats.tuples_generated += store.num_tuples();
 
         let horizon = self.exec_horizon(dfg, mapping, ii);
-        let debug = std::env::var_os("REWIRE_DEBUG").is_some();
         let mut candidates = Vec::with_capacity(members.len());
         for (v, rs) in members.iter().zip(&reqs) {
             let c = pcandidates(dfg, cgra, mapping, &store, *v, rs, &self.config, horizon);
-            if debug {
-                eprintln!(
-                    "  member {} reqs={} cands={}",
-                    dfg.node(*v).name(),
-                    rs.len(),
-                    c.options.len()
-                );
-            }
             if c.options.is_empty() {
-                if debug {
-                    eprintln!(
-                        "  -> empty candidates for {}; reqs: {rs:?}",
-                        dfg.node(*v).name()
-                    );
-                }
                 // The requirement sources are the binding anchors.
                 let sources: Vec<NodeId> = rs
                     .iter()
@@ -492,7 +477,6 @@ impl RewireMapper {
         // order-independent.
         candidates.sort_by_key(|c| c.options.len());
 
-        let before = (stats.verifications, stats.verification_successes);
         let mut emptied = None;
         let ok = ClusterPlacer::new(dfg, cgra, &self.config).place_with_diagnosis(
             mapping,
@@ -501,15 +485,6 @@ impl RewireMapper {
             stats,
             &mut emptied,
         );
-        if debug {
-            eprintln!(
-                "  cluster |U|={} -> {} (verif {}/{})",
-                members.len(),
-                ok,
-                stats.verification_successes - before.1,
-                stats.verifications - before.0
-            );
-        }
         // Note: when the arc pass empties a member (`emptied`), growing by
         // that member's anchors turned out to over-rip on large fabrics;
         // nearest-node growth recovers better, so the diagnosis is only

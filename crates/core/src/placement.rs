@@ -290,9 +290,6 @@ impl<'a> ClusterPlacer<'a> {
                         ii: mapping.ii(),
                         reason: err.label(),
                     });
-                    if std::env::var_os("REWIRE_VDEBUG").is_some() && stats.verifications <= 40 {
-                        eprintln!("    verify fail: {err}");
-                    }
                     // Rollback.
                     for r in routed {
                         mapping.clear_route(r);

@@ -1,5 +1,7 @@
-//! Optimality cross-checks: on tiny DFGs where the exhaustive oracle can
-//! determine the true minimum II, Rewire must reach it too.
+//! Cross-checks against the exhaustive mapper on tiny DFGs: Rewire must
+//! reach the II it finds. That II is an upper bound on the minimum, not a
+//! proof of it, because the exhaustive search routes each edge greedily
+//! (see `crates/mappers/src/exhaustive.rs`).
 
 use rewire_arch::{presets, OpKind};
 use rewire_core::RewireMapper;

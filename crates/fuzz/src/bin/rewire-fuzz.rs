@@ -2,12 +2,10 @@
 //!
 //! Usage:
 //! `rewire-fuzz [--seeds A..B] [--budget-ms N] [--exact-budget-ms N]
-//!              [--jobs N] [--corpus DIR] [--metrics FILE] [--replay DIR]
-//!              [--router tree|per-edge]`
+//!              [--jobs N] [--corpus DIR] [--metrics FILE] [--replay DIR]`
 //!
-//! `--router tree|per-edge` (default tree) picks the fan-out routing mode
-//! for the whole run, so CI can fuzz both arms of the Steiner-tree
-//! differential.
+//! Every mapper routes with the one pruned router, fan-out as shared
+//! route trees; there is no routing mode to select.
 //!
 //! `--exact-budget-ms N` (default 0 = off) additionally runs the exact
 //! SAT backend on every scenario with an N-millisecond per-II wall-clock
@@ -36,7 +34,6 @@ struct Args {
     corpus: PathBuf,
     metrics: Option<String>,
     replay: Option<PathBuf>,
-    fanout: rewire_mrrg::FanoutMode,
 }
 
 fn parse_seed_range(v: &str) -> std::ops::Range<u64> {
@@ -58,15 +55,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
         corpus: PathBuf::from("fuzz/corpus"),
         metrics: None,
         replay: None,
-        fanout: rewire_mrrg::default_fanout_mode(),
     };
-    fn parse_fanout(v: &str) -> rewire_mrrg::FanoutMode {
-        match v {
-            "tree" => rewire_mrrg::FanoutMode::Tree,
-            "per-edge" => rewire_mrrg::FanoutMode::PerEdge,
-            other => panic!("--router needs tree or per-edge, got `{other}`"),
-        }
-    }
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         if arg == "--seeds" {
@@ -108,10 +97,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
             ));
         } else if let Some(v) = arg.strip_prefix("--replay=") {
             parsed.replay = Some(PathBuf::from(v));
-        } else if arg == "--router" {
-            parsed.fanout = parse_fanout(&args.next().expect("--router needs tree or per-edge"));
-        } else if let Some(v) = arg.strip_prefix("--router=") {
-            parsed.fanout = parse_fanout(v);
         } else {
             panic!("unrecognised argument `{arg}`");
         }
@@ -169,7 +154,6 @@ fn run_replay(dir: &Path, cfg: &FuzzConfig) -> ExitCode {
 
 fn main() -> ExitCode {
     let args = parse_args(std::env::args().skip(1));
-    rewire_mrrg::set_default_fanout_mode(args.fanout);
     let cfg = FuzzConfig {
         budget_ms: args.budget_ms,
         exact_budget_ms: args.exact_budget_ms,

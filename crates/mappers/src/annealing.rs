@@ -8,10 +8,9 @@
 //! improved for 100 iterations; every accepted-or-rejected move counts as
 //! one single-node remapping iteration (Table I).
 //!
-//! Like the other mappers, SA routes per edge inside its search loop —
-//! move evaluation stays mode-independent, so tree and per-edge runs
-//! explore identical trajectories — and picks up shared fan-out trees
-//! only through the engine's post-success consolidation pass
+//! Like the other mappers, SA routes per edge inside its search loop and
+//! picks up shared fan-out trees only through the engine's post-success
+//! consolidation pass
 //! ([`crate::fanout`], DESIGN.md §6j), which swaps a signal's routes
 //! solely on strict footprint improvement.
 

@@ -397,12 +397,12 @@ impl<'a> IiSearch<'a> {
             if let Some(mut m) = outcome.mapping {
                 debug_assert!(m.is_valid(dfg, cgra), "attempt returned invalid mapping");
                 debug_assert_eq!(m.ii(), ii, "attempt returned mapping at the wrong II");
-                // Steiner consolidation: with tree fan-out routing on,
-                // every successful mapping — whichever mapper produced it —
-                // gets its multi-sink signals re-routed as shared route
-                // trees. Strict-improvement-only commits keep II and
-                // validity untouched (see `crate::fanout`).
-                if rewire_mrrg::default_fanout_mode() == rewire_mrrg::FanoutMode::Tree {
+                // Steiner consolidation: every successful mapping —
+                // whichever mapper produced it — gets its multi-sink
+                // signals re-routed as shared route trees. Strict-
+                // improvement-only commits keep II and validity untouched
+                // (see `crate::fanout`).
+                {
                     let _consolidate_span = obs::span("consolidate_fanout");
                     crate::fanout::consolidate_fanout(dfg, cgra, &mut m);
                     debug_assert!(m.is_valid(dfg, cgra), "consolidation broke the mapping");

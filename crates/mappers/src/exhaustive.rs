@@ -1,10 +1,14 @@
-//! An exhaustive branch-and-bound mapper for tiny DFGs — the optimality
-//! oracle used by tests and ablations.
+//! An exhaustive branch-and-bound mapper for tiny DFGs — the reference
+//! search used by tests and ablations.
 //!
-//! It enumerates placements `(PE, time)` in topological order with
-//! incremental exact routing, so the first II at which it succeeds is the
-//! true minimum achievable II under this workspace's timing model. The
-//! search is exponential; it is deliberately restricted to small graphs.
+//! It enumerates placements `(PE, time)` in topological order within a
+//! finite schedule horizon, but routes each edge once with the router's
+//! single greedy route (no backtracking over routing alternatives). The
+//! first II at which it succeeds is therefore an *upper bound* on the
+//! minimum achievable II, not a proof of it: a heuristic can legitimately
+//! map lower (see `CrossMapperPolicy` in `rewire-fuzz`). Proofs of II
+//! optimality come from [`crate::ExactSatMapper`]. The search is
+//! exponential; it is deliberately restricted to small graphs.
 
 use crate::engine::{
     AttemptCtx, AttemptOutcome, Emitter, EventSink, GiveUpReason, IiAttempt, IiSearch, MapEvent,

@@ -4,8 +4,7 @@
 //!
 //! This is how every mapper gets the Steiner-tree win without touching its
 //! search loop: the engine calls [`consolidate_fanout`] on each successful
-//! mapping (when [`FanoutMode::Tree`](rewire_mrrg::FanoutMode) is the
-//! process default), after the attempt and before the outcome is returned.
+//! mapping, after the attempt and before the outcome is returned.
 //! The pass is *provably safe* by construction:
 //!
 //! * **II never changes** — placements and schedule times are untouched;
@@ -20,8 +19,9 @@
 //!   signal's own routes. Signals are consolidated one at a time so each
 //!   decision sees all earlier commits.
 //!
-//! The differential suite (`tests/route_tree_mappers.rs`) pins these
-//! guarantees across all mappers, kernels and fuzz scenarios.
+//! The unit test below pins these guarantees against an explicitly
+//! per-edge-routed mapping; `tests/route_tree_mappers.rs` checks the
+//! consolidated output of every routable mapper end to end.
 
 use crate::Mapping;
 use rewire_arch::Cgra;
@@ -111,19 +111,17 @@ mod tests {
     use crate::{MapLimits, Mapper, PathFinderMapper};
     use rewire_arch::presets;
     use rewire_dfg::kernels;
-    use rewire_mrrg::{set_default_fanout_mode, FanoutMode};
 
     /// Consolidation keeps the mapping valid, keeps the II, and never
     /// grows any signal's footprint.
     #[test]
     fn consolidation_is_safe_and_monotone() {
-        // Per-edge baseline mapping so the pass has something to improve.
-        let prev = set_default_fanout_mode(FanoutMode::PerEdge);
         let cgra = presets::paper_4x4_r4();
         let dfg = kernels::fir();
         let out = PathFinderMapper::new().map(&dfg, &cgra, &MapLimits::fast());
-        set_default_fanout_mode(prev);
         let mut m = out.mapping.expect("fir maps on 4x4/r4");
+        route_fanout_per_edge(&dfg, &cgra, &mut m);
+        assert!(m.is_valid(&dfg, &cgra), "per-edge input must be valid");
         let ii = m.ii();
 
         let before: Vec<(u64, usize)> = per_signal_footprints(&dfg, &m);
@@ -148,6 +146,46 @@ mod tests {
         let again = consolidate_fanout(&dfg, &cgra, &mut m);
         assert!(m.is_valid(&dfg, &cgra));
         assert!(again.cells_saved <= stats.cells_saved + saved as u64);
+    }
+
+    /// Re-routes every fan-out hub of `m` edge by edge with
+    /// [`Router::route`], each branch claimed before the next is routed,
+    /// so the pass has an unconsolidated input to improve. A hub whose
+    /// branches do not all route keeps its original routes.
+    fn route_fanout_per_edge(dfg: &Dfg, cgra: &Cgra, m: &mut Mapping) {
+        let mrrg = m.mrrg().clone();
+        let router = Router::new(cgra, &mrrg);
+        for u in (0..dfg.num_nodes() as u32).map(NodeId::new) {
+            let edges: Vec<EdgeId> = dfg.out_edges(u).map(|e| e.id()).collect();
+            if edges.len() < 2 {
+                continue;
+            }
+            let old: Vec<_> = edges.iter().map(|&e| m.route(e).cloned()).collect();
+            for &e in &edges {
+                m.clear_route(e);
+            }
+            let mut rerouted = true;
+            for &e in &edges {
+                let req = m
+                    .request_for(dfg, e)
+                    .expect("valid mapping is fully placed");
+                match router.route(m.occupancy(), &req, &UnitCost) {
+                    Ok(route) => m.set_route(e, route),
+                    Err(_) => {
+                        rerouted = false;
+                        break;
+                    }
+                }
+            }
+            if !rerouted {
+                for (&e, r) in edges.iter().zip(old) {
+                    m.clear_route(e);
+                    if let Some(r) = r {
+                        m.set_route(e, r);
+                    }
+                }
+            }
+        }
     }
 
     fn per_signal_footprints(dfg: &Dfg, m: &Mapping) -> Vec<(u64, usize)> {

@@ -25,9 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rewire_arch::{Cgra, PeId};
 use rewire_dfg::{Dfg, EdgeId, NodeId};
-use rewire_mrrg::{
-    default_fanout_mode, CostModel, FanoutMode, Mrrg, NegotiatedCost, Resource, Route, Router,
-};
+use rewire_mrrg::{CostModel, Mrrg, NegotiatedCost, Resource, Route, Router};
 use rewire_obs::{self as obs, FlightEvent};
 use std::time::Instant;
 
@@ -169,8 +167,6 @@ impl PathFinderMapper {
 
         let _negotiate_span = obs::span("negotiate");
         let mut iterations = 0u64;
-        let trace = std::env::var_os("PF_TRACE").is_some();
-        let tree_mode = default_fanout_mode() == FanoutMode::Tree;
         // Stall detection drives the escalation to *partial remapping*
         // (the paper's term): when single-node moves stop reducing the
         // ill-node count, the victim's whole placed neighbourhood is
@@ -182,13 +178,12 @@ impl PathFinderMapper {
                 debug_assert!(mapping.is_valid(dfg, cgra));
                 return (Some(mapping), iterations, 0);
             }
-            // Subtree-delta re-routing (tree mode only): before ripping up
-            // whole placements, try the cheaper repair of re-growing just
-            // the branches of fan-out trees that cross congested cells.
+            // Subtree-delta re-routing: before ripping up whole
+            // placements, try the cheaper repair of re-growing just the
+            // branches of fan-out trees that cross congested cells.
             // Consumes no randomness, commits only on a strict overuse
             // decrease, and can finish the II on its own.
-            if tree_mode
-                && self.subtree_delta_reroute(dfg, &router, &mut mapping, &cost) > 0
+            if self.subtree_delta_reroute(dfg, &router, &mut mapping, &cost) > 0
                 && mapping.is_complete(dfg)
             {
                 debug_assert!(mapping.is_valid(dfg, cgra));
@@ -242,15 +237,6 @@ impl PathFinderMapper {
                     }
                 }
             }
-            if trace && iterations.is_multiple_of(25) {
-                eprintln!(
-                    "  it={iterations} victim={} unplaced={} overuse={} ill={}",
-                    dfg.node(victim).name(),
-                    mapping.unplaced_nodes(dfg).len(),
-                    mapping.total_overuse(),
-                    mapping.ill_mapped_nodes(dfg).len()
-                );
-            }
             // Coordinated rip-up: an unrouted edge needs BOTH endpoints to
             // move towards each other, so rip the partners too. They rejoin
             // the ill pool and are re-placed with the victim's new position
@@ -300,51 +286,6 @@ impl PathFinderMapper {
             debug_assert!(mapping.is_valid(dfg, cgra));
             return (Some(mapping), iterations, 0);
         }
-        if std::env::var_os("PF_DEBUG").is_some() {
-            eprintln!(
-                "PF_DEBUG ii={ii} iters={iterations} unplaced={} unrouted={} overuse={}",
-                mapping.unplaced_nodes(dfg).len(),
-                mapping.unrouted_edges(dfg).len(),
-                mapping.total_overuse()
-            );
-            for e in mapping.unrouted_edges(dfg) {
-                let ed = dfg.edge(e);
-                eprintln!(
-                    "  unrouted {}->{} dist={} src={:?} dst={:?}",
-                    dfg.node(ed.src()).name(),
-                    dfg.node(ed.dst()).name(),
-                    ed.distance(),
-                    mapping.placement(ed.src()),
-                    mapping.placement(ed.dst())
-                );
-            }
-            for v in mapping.unplaced_nodes(dfg) {
-                eprintln!(
-                    "  unplaced {} t={} op={}",
-                    dfg.node(v).name(),
-                    asap[v.index()],
-                    dfg.node(v).op()
-                );
-                for e in dfg.in_edges(v) {
-                    eprintln!(
-                        "    in  {} t={} placed={:?} dist={}",
-                        dfg.node(e.src()).name(),
-                        asap[e.src().index()],
-                        mapping.placement(e.src()),
-                        e.distance()
-                    );
-                }
-                for e in dfg.out_edges(v) {
-                    eprintln!(
-                        "    out {} t={} placed={:?} dist={}",
-                        dfg.node(e.dst()).name(),
-                        asap[e.dst().index()],
-                        mapping.placement(e.dst()),
-                        e.distance()
-                    );
-                }
-            }
-        }
         (None, iterations, mapping.total_overuse() as u64)
     }
 
@@ -360,8 +301,8 @@ impl PathFinderMapper {
     /// *complete* mapping — i.e. it resolved the II attempt outright.
     /// Otherwise every branch is restored verbatim. Because the pass also
     /// consumes no randomness, a rolled-back pass leaves the negotiation
-    /// trajectory byte-identical to per-edge mode: tree mode can finish an
-    /// II earlier than per-edge PF*, but can never finish later.
+    /// trajectory byte-identical to negotiation without the pass: the
+    /// repair can finish an II earlier, but never later.
     ///
     /// Deterministic (node-id order) and a no-op when the mapping has no
     /// overuse. Returns the number of branches re-routed and kept, also
@@ -448,7 +389,7 @@ impl PathFinderMapper {
         if kept > 0 && !mapping.is_complete(dfg) {
             // The deltas helped but did not finish the II: roll everything
             // back so the regular negotiation proceeds exactly as it would
-            // have under per-edge routing.
+            // have without the pass.
             for (e, r) in undo.into_iter().rev() {
                 mapping.clear_route(e);
                 mapping.set_route(e, r);

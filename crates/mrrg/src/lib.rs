@@ -77,7 +77,6 @@ pub use resource::Resource;
 pub use route::{Route, RouteError, RouteRequest};
 pub use route_tree::{RouteTree, RouteTreeError};
 pub use router::{
-    default_fanout_mode, default_router_mode, install_thread_distance_table,
-    set_default_fanout_mode, set_default_router_mode, thread_distance_table, CostModel, FanoutMode,
-    NegotiatedCost, Router, RouterMode, RouterScratch, TreeCost, UnitCost,
+    install_thread_distance_table, thread_distance_table, CostModel, NegotiatedCost, Router,
+    RouterMode, RouterScratch, TreeCost, UnitCost,
 };

@@ -13,7 +13,6 @@ use rewire_arch::{Cgra, PeId};
 use rewire_dfg::NodeId;
 use rewire_obs as obs;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -175,95 +174,14 @@ impl<C: CostModel> CostModel for TreeCost<'_, C> {
 pub enum RouterMode {
     /// Sweep a sorted sparse frontier of live states and skip any state
     /// whose PE cannot reach the destination in the remaining steps, using
-    /// the [`DistanceOracle`] hop bound as an admissible lower bound. The
-    /// default.
+    /// the [`DistanceOracle`] hop bound as an admissible lower bound. What
+    /// [`Router::new`] builds, and so what every mapper routes with.
     Pruned,
-    /// The original dense `0..num_states` sweep. Kept compiled (not just
-    /// `#[cfg(test)]`) so the differential tests and the `router_prune`
-    /// bench can run it as the oracle against the pruned path.
+    /// The original dense `0..num_states` sweep: the reference the pruned
+    /// path is checked against. Reachable only through
+    /// [`Router::with_mode`]; kept compiled (not just `#[cfg(test)]`) so
+    /// the differential tests and the `router_prune` bench can run it.
     Dense,
-}
-
-/// Process-wide default mode picked up by [`Router::new`]. A global (not a
-/// thread-local) because the portfolio mapper routes from freshly spawned
-/// worker threads, and a whole-process differential run (tests, bench,
-/// `--router dense`) must reach those too.
-static DEFAULT_ROUTER_MODE: AtomicU8 = AtomicU8::new(0); // 0 = Pruned
-
-fn mode_to_u8(mode: RouterMode) -> u8 {
-    match mode {
-        RouterMode::Pruned => 0,
-        RouterMode::Dense => 1,
-    }
-}
-
-fn mode_from_u8(v: u8) -> RouterMode {
-    if v == 0 {
-        RouterMode::Pruned
-    } else {
-        RouterMode::Dense
-    }
-}
-
-/// Sets the process-wide default [`RouterMode`] and returns the previous
-/// one, so differential harnesses can restore it. Routers already
-/// constructed keep the mode they were built with.
-pub fn set_default_router_mode(mode: RouterMode) -> RouterMode {
-    mode_from_u8(DEFAULT_ROUTER_MODE.swap(mode_to_u8(mode), Ordering::SeqCst))
-}
-
-/// The process-wide default [`RouterMode`] used by [`Router::new`].
-pub fn default_router_mode() -> RouterMode {
-    mode_from_u8(DEFAULT_ROUTER_MODE.load(Ordering::SeqCst))
-}
-
-/// How multi-sink signals are routed.
-///
-/// Orthogonal to [`RouterMode`] (which picks the DP sweep strategy):
-/// `FanoutMode` decides whether a producer's fan-out edges are routed as
-/// one shared route tree or as independent per-edge paths.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FanoutMode {
-    /// Route fan-out as shared route trees: branches are grown in
-    /// deterministic order with [`TreeCost`]'s reuse discount, so sibling
-    /// branches converge on a shared trunk
-    /// ([`Router::route_fanout`]). The default.
-    Tree,
-    /// The original independent per-edge routing. Kept as the
-    /// differential baseline (tests, bench, `--router per-edge`).
-    PerEdge,
-}
-
-/// Process-wide default fan-out mode picked up by the mappers. Global for
-/// the same reason as [`DEFAULT_ROUTER_MODE`]: portfolio workers route
-/// from freshly spawned threads, and a whole-process differential run
-/// must reach those too.
-static DEFAULT_FANOUT_MODE: AtomicU8 = AtomicU8::new(0); // 0 = Tree
-
-fn fanout_to_u8(mode: FanoutMode) -> u8 {
-    match mode {
-        FanoutMode::Tree => 0,
-        FanoutMode::PerEdge => 1,
-    }
-}
-
-fn fanout_from_u8(v: u8) -> FanoutMode {
-    if v == 0 {
-        FanoutMode::Tree
-    } else {
-        FanoutMode::PerEdge
-    }
-}
-
-/// Sets the process-wide default [`FanoutMode`] and returns the previous
-/// one, so differential harnesses can restore it.
-pub fn set_default_fanout_mode(mode: FanoutMode) -> FanoutMode {
-    fanout_from_u8(DEFAULT_FANOUT_MODE.swap(fanout_to_u8(mode), Ordering::SeqCst))
-}
-
-/// The process-wide default [`FanoutMode`].
-pub fn default_fanout_mode() -> FanoutMode {
-    fanout_from_u8(DEFAULT_FANOUT_MODE.load(Ordering::SeqCst))
 }
 
 /// Value location during routing: on the PE's wire fabric, or parked in a
@@ -635,14 +553,14 @@ pub struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    /// Creates a router over `cgra` time-extended as `mrrg`, using the
-    /// process-wide [`default_router_mode`].
+    /// Creates a pruned router over `cgra` time-extended as `mrrg`.
     pub fn new(cgra: &'a Cgra, mrrg: &'a Mrrg) -> Self {
-        Self::with_mode(cgra, mrrg, default_router_mode())
+        Self::with_mode(cgra, mrrg, RouterMode::Pruned)
     }
 
     /// Creates a router with an explicit sweep mode, for differential
-    /// harnesses that pin dense and pruned routers side by side.
+    /// harnesses that check the pruned sweep against
+    /// [`RouterMode::Dense`].
     pub fn with_mode(cgra: &'a Cgra, mrrg: &'a Mrrg, mode: RouterMode) -> Self {
         Self { cgra, mrrg, mode }
     }
@@ -650,11 +568,6 @@ impl<'a> Router<'a> {
     /// The MRRG shape in use.
     pub fn mrrg(&self) -> &Mrrg {
         self.mrrg
-    }
-
-    /// The sweep mode this router was constructed with.
-    pub fn mode(&self) -> RouterMode {
-        self.mode
     }
 
     /// Finds a minimum-cost path satisfying `req` under `cost`.
@@ -1572,19 +1485,6 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_toggle_round_trips() {
-        // Serialized within this one test: other tests in this binary never
-        // touch the global default.
-        assert_eq!(default_router_mode(), RouterMode::Pruned);
-        let prev = set_default_router_mode(RouterMode::Dense);
-        assert_eq!(prev, RouterMode::Pruned);
-        let (cgra, mrrg) = setup(2);
-        assert_eq!(Router::new(&cgra, &mrrg).mode(), RouterMode::Dense);
-        set_default_router_mode(prev);
-        assert_eq!(Router::new(&cgra, &mrrg).mode(), RouterMode::Pruned);
-    }
-
-    #[test]
     fn installed_distance_table_is_reused() {
         let (cgra, _mrrg) = setup(2);
         let oracle = DistanceOracle::shared(&cgra);
@@ -1630,18 +1530,6 @@ mod tests {
         assert_eq!(scratch.cached_oracles(), ORACLE_CACHE_CAP);
         // Re-requesting the MRU entry returns the very same Arc.
         assert!(Arc::ptr_eq(&scratch.distances_for(first), &rebuilt));
-    }
-
-    #[test]
-    fn default_fanout_toggle_round_trips() {
-        // Serialized within this one test: other tests in this binary
-        // never touch the global fan-out default.
-        assert_eq!(default_fanout_mode(), FanoutMode::Tree);
-        let prev = set_default_fanout_mode(FanoutMode::PerEdge);
-        assert_eq!(prev, FanoutMode::Tree);
-        assert_eq!(default_fanout_mode(), FanoutMode::PerEdge);
-        set_default_fanout_mode(prev);
-        assert_eq!(default_fanout_mode(), FanoutMode::Tree);
     }
 
     #[test]

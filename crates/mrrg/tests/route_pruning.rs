@@ -7,9 +7,9 @@
 //! exactly the same. These tests drive both [`RouterMode`]s over random
 //! fabrics (including torus, diagonal and deliberately disconnected
 //! ones), random occupancies and both cost models, and assert the full
-//! `Result<Route, RouteError>` is equal. The mapper-level counterpart
-//! (all four mappers over the kernel suite) lives in
-//! `tests/route_pruning_mappers.rs` at the workspace root.
+//! `Result<Route, RouteError>` is equal. Mappers only ever build the
+//! pruned router ([`Router::new`]), so route equality is gated here, at
+//! the level where it originates.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

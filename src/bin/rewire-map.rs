@@ -42,8 +42,6 @@ struct Args {
     flight: Option<String>,
     chrome_trace: Option<String>,
     progress: bool,
-    router: RouterMode,
-    fanout: FanoutMode,
 }
 
 impl Args {
@@ -72,8 +70,6 @@ impl Args {
             flight: None,
             chrome_trace: None,
             progress: false,
-            router: rewire::mrrg::default_router_mode(),
-            fanout: rewire::mrrg::default_fanout_mode(),
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -127,15 +123,6 @@ impl Args {
                 "--flight" => a.flight = Some(val("--flight")?),
                 "--chrome-trace" => a.chrome_trace = Some(val("--chrome-trace")?),
                 "--progress" => a.progress = true,
-                "--router" => match val("--router")?.as_str() {
-                    "dense" => a.router = RouterMode::Dense,
-                    "pruned" => a.router = RouterMode::Pruned,
-                    "tree" => a.fanout = FanoutMode::Tree,
-                    "per-edge" => a.fanout = FanoutMode::PerEdge,
-                    other => {
-                        return Err(format!("--router: `{other}` (dense|pruned|tree|per-edge)"))
-                    }
-                },
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
             }
@@ -172,10 +159,8 @@ usage: rewire-map (--kernel <name> | --dfg <file> | --artifact <file>) [options]
   --flight <file>                  write the flight-recorder decision log as JSON
   --chrome-trace <file>            write a Chrome trace_event JSON (load in Perfetto)
   --progress                       print per-II mapping progress to stderr
-  --router dense|pruned            router sweep mode (default pruned; same results, A/B the work)
-  --router tree|per-edge           fan-out mode (default tree: multi-sink signals share one
-                                   route tree; per-edge is the independent-path baseline);
-                                   repeatable, orthogonal to dense|pruned";
+Every mapper routes with one router: a distance-pruned DP sweep, with each
+multi-sink signal routed as a shared route tree.";
 
 fn build_cgra(a: &Args) -> Result<Cgra, String> {
     if let Some(arch) = &a.arch {
@@ -240,8 +225,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    rewire::mrrg::set_default_router_mode(args.router);
-    rewire::mrrg::set_default_fanout_mode(args.fanout);
     let loaded = match load_artifact(&mut args) {
         Ok(l) => l,
         Err(e) => {

@@ -55,6 +55,6 @@ pub mod prelude {
         AttemptVerdict, ExactSatMapper, MapLimits, MapOutcome, MapStats, Mapper, Mapping,
         PathFinderMapper, SaMapper,
     };
-    pub use rewire_mrrg::{FanoutMode, Mrrg, Occupancy, Route, Router, RouterMode, UnitCost};
+    pub use rewire_mrrg::{Mrrg, Occupancy, Route, Router, UnitCost};
     pub use rewire_sim::{verify_semantics, Inputs};
 }

@@ -15,32 +15,9 @@
 
 use rewire::prelude::*;
 use rewire_fuzz::{differential_mappers, evaluate, fuzz_one, replay, Artifact, FuzzConfig};
-use rewire_mrrg::{set_default_fanout_mode, FanoutMode};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
-
-/// The fan-out routing mode is process-global (`rewire-fuzz --router`
-/// flips it once for a whole run), so the tests here serialize on a mutex:
-/// the default-mode tests must not observe a half-flipped mode from the
-/// per-edge replay arm.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the previous default fan-out mode on drop.
-struct ModeGuard(FanoutMode);
-
-impl ModeGuard {
-    fn set(mode: FanoutMode) -> Self {
-        Self(set_default_fanout_mode(mode))
-    }
-}
-
-impl Drop for ModeGuard {
-    fn drop(&mut self) {
-        set_default_fanout_mode(self.0);
-    }
-}
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fuzz/corpus")
@@ -72,7 +49,6 @@ fn replay_cfg() -> FuzzConfig {
 
 #[test]
 fn corpus_replays_with_pinned_expectations() {
-    let _serial = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let paths = corpus_paths();
     assert!(
         paths.len() >= 5,
@@ -88,40 +64,17 @@ fn corpus_replays_with_pinned_expectations() {
     }
 }
 
-/// The oracle stack is mode-agnostic: every pinned expectation must also
-/// hold with the fan-out router forced to the per-edge baseline (the
-/// `rewire-fuzz --router per-edge` CI arm). In particular the
-/// `subtree-delta` divergence artifacts stay `expect pass` — the per-edge
-/// arm merely fails to map them, and a heuristic give-up is never an
-/// oracle violation.
-#[test]
-fn corpus_replays_clean_under_per_edge_routing() {
-    let _serial = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _mode = ModeGuard::set(FanoutMode::PerEdge);
-    let cfg = replay_cfg();
-    for path in corpus_paths() {
-        let text = fs::read_to_string(&path).expect("readable artifact");
-        let artifact =
-            Artifact::from_text(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        replay(&artifact, &cfg).unwrap_or_else(|e| panic!("{} (per-edge): {e}", path.display()));
-    }
-}
-
 #[test]
 fn fuzz_loop_is_deterministic_per_seed() {
-    let _serial = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = replay_cfg();
-    for mode in [FanoutMode::Tree, FanoutMode::PerEdge] {
-        let _mode = ModeGuard::set(mode);
-        for seed in [0, 7, 42] {
-            let a = fuzz_one(seed, &cfg);
-            let b = fuzz_one(seed, &cfg);
-            assert_eq!(
-                a.render(),
-                b.render(),
-                "seed {seed} diverged between reruns ({mode:?})"
-            );
-        }
+    for seed in [0, 7, 42] {
+        let a = fuzz_one(seed, &cfg);
+        let b = fuzz_one(seed, &cfg);
+        assert_eq!(
+            a.render(),
+            b.render(),
+            "seed {seed} diverged between reruns"
+        );
     }
 }
 
@@ -131,14 +84,6 @@ fn fuzz_loop_is_deterministic_per_seed() {
 /// machinery never feed back into the search.
 #[test]
 fn fuzz_harness_is_observe_only() {
-    let _serial = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for mode in [FanoutMode::Tree, FanoutMode::PerEdge] {
-        let _mode = ModeGuard::set(mode);
-        harness_is_observe_only_under_current_mode();
-    }
-}
-
-fn harness_is_observe_only_under_current_mode() {
     let cfg = replay_cfg();
     let scenario = rewire_fuzz::Scenario::generate(11);
     let (runs, _) = evaluate(
