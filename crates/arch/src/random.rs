@@ -127,13 +127,9 @@ impl FromStr for CgraSpec {
         let (rows, cols) = dims
             .split_once('x')
             .ok_or_else(|| ParseCgraSpecError(format!("expected RxC, got '{dims}'")))?;
-        let parse_num = |what: &str, v: &str| -> Result<u64, ParseCgraSpecError> {
-            v.parse()
-                .map_err(|_| ParseCgraSpecError(format!("bad {what} '{v}'")))
-        };
         let mut spec = CgraSpec {
-            rows: parse_num("rows", rows)? as u16,
-            cols: parse_num("cols", cols)? as u16,
+            rows: parse_num("rows", rows)?,
+            cols: parse_num("cols", cols)?,
             regs_per_pe: 4,
             memory_banks: 0,
             memory_columns: Vec::new(),
@@ -143,15 +139,15 @@ impl FromStr for CgraSpec {
         };
         for tok in tokens {
             if let Some(v) = tok.strip_prefix("regs=") {
-                spec.regs_per_pe = parse_num("regs", v)? as u8;
+                spec.regs_per_pe = parse_num("regs", v)?;
             } else if let Some(v) = tok.strip_prefix("banks=") {
-                spec.memory_banks = parse_num("banks", v)? as u16;
+                spec.memory_banks = parse_num("banks", v)?;
             } else if let Some(v) = tok.strip_prefix("memcols=") {
                 for c in v.split(',') {
-                    spec.memory_columns.push(parse_num("memcol", c)? as u16);
+                    spec.memory_columns.push(parse_num("memcol", c)?);
                 }
             } else if let Some(v) = tok.strip_prefix("cut=") {
-                spec.cut_row = Some(parse_num("cut", v)? as u16);
+                spec.cut_row = Some(parse_num("cut", v)?);
             } else if tok == "torus" {
                 spec.torus = true;
             } else if tok == "diag" {
@@ -162,6 +158,13 @@ impl FromStr for CgraSpec {
         }
         Ok(spec)
     }
+}
+
+/// Parses one spec number into its field's own type, so an out-of-range
+/// value is an error rather than a silently truncated one.
+fn parse_num<T: FromStr>(what: &str, v: &str) -> Result<T, ParseCgraSpecError> {
+    v.parse()
+        .map_err(|_| ParseCgraSpecError(format!("bad {what} '{v}'")))
 }
 
 /// Parameters for [`random_cgra_spec`].
@@ -418,6 +421,23 @@ mod tests {
         assert!("4x4 regs=zz".parse::<CgraSpec>().is_err());
         let err = "nope".parse::<CgraSpec>().unwrap_err();
         assert!(err.to_string().contains("expected RxC"));
+        // Out-of-range numbers are errors, never truncated values.
+        for bad in [
+            "65537x2",
+            "2x65536",
+            "4x4 regs=256",
+            "4x4 banks=65536",
+            "4x4 banks=1 memcols=65536",
+            "4x4 cut=65536",
+            "-1x4",
+        ] {
+            let err = bad.parse::<CgraSpec>().unwrap_err();
+            assert!(
+                err.to_string().starts_with("bad CGRA spec: bad "),
+                "{bad}: {err}"
+            );
+        }
+        assert_eq!("4x4 regs=255".parse::<CgraSpec>().unwrap().regs_per_pe, 255);
     }
 
     #[test]

@@ -1,56 +1,70 @@
 //! Differential fuzzing driver.
 //!
 //! Usage:
-//! `rewire-fuzz [--seeds A..B] [--budget-ms N] [--exact-budget-ms N]
-//!              [--jobs N] [--corpus DIR] [--metrics FILE] [--replay DIR]`
+//! `rewire-fuzz [--seeds A..B] [--budget-ms N] [--jobs N] [--corpus DIR]
+//!              [--metrics FILE] [--replay DIR]`
 //!
 //! Every mapper routes with the one pruned router, fan-out as shared
 //! route trees; there is no routing mode to select.
 //!
-//! `--exact-budget-ms N` (default 0 = off) additionally runs the exact
-//! SAT backend on every scenario with an N-millisecond per-II wall-clock
-//! safety net, enabling the `exact_verdict` oracle layer: any heuristic
-//! mapping at an II the SAT solver proved infeasible is a violation.
-//!
 //! Default mode fuzzes the seed range (default `0..256`): every seed is a
-//! random DFG on a random fabric, mapped by all four mappers and checked
-//! against the oracle stack. Failures are shrunk to minimal reproducers
-//! and written to the corpus directory (default `fuzz/corpus`), and the
-//! process exits nonzero.
+//! random DFG on a random fabric, mapped by Rewire, PF*, SA and the exact
+//! SAT backend and checked against the oracle stack, the SAT verdicts
+//! included. Failures are shrunk to minimal reproducers and written to
+//! the corpus directory (default `fuzz/corpus`), and the process exits 1.
+//!
+//! `--budget-ms N` (default 10000) is the per-II wall-clock safety net of
+//! all four mappers; their deterministic caps are meant to bind first, so
+//! outcomes replay byte-identically on any machine.
 //!
 //! `--replay DIR` instead replays every `.dfg` artifact in DIR and checks
 //! each against its recorded expectation (the CI regression mode).
+//!
+//! A malformed command line prints the usage and exits 2.
 
 use rewire_fuzz::{fuzz_range, replay, Artifact, CheckKind, FuzzConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+const USAGE: &str = "usage: rewire-fuzz [--seeds A..B] [--budget-ms N] [--jobs N] \
+[--corpus DIR] [--metrics FILE] [--replay DIR]";
+
 struct Args {
     seeds: std::ops::Range<u64>,
     budget_ms: u64,
-    exact_budget_ms: u64,
     jobs: usize,
     corpus: PathBuf,
     metrics: Option<String>,
     replay: Option<PathBuf>,
 }
 
-fn parse_seed_range(v: &str) -> std::ops::Range<u64> {
+fn parse_seed_range(v: &str) -> Result<std::ops::Range<u64>, String> {
     let (lo, hi) = v
         .split_once("..")
-        .unwrap_or_else(|| panic!("--seeds needs the form A..B, got `{v}`"));
-    let lo: u64 = lo.parse().unwrap_or_else(|_| panic!("bad seed `{lo}`"));
-    let hi: u64 = hi.parse().unwrap_or_else(|_| panic!("bad seed `{hi}`"));
-    assert!(lo < hi, "--seeds range {v} is empty");
-    lo..hi
+        .ok_or_else(|| format!("--seeds needs the form A..B, got `{v}`"))?;
+    let lo: u64 = lo.parse().map_err(|_| format!("bad seed `{lo}`"))?;
+    let hi: u64 = hi.parse().map_err(|_| format!("bad seed `{hi}`"))?;
+    if lo >= hi {
+        return Err(format!("--seeds range {v} is empty"));
+    }
+    Ok(lo..hi)
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
+fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
+    flag: &str,
+    v: &str,
+) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => Err(format!("{flag} needs a positive integer, got `{v}`")),
+    }
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         seeds: 0..256,
-        budget_ms: 200,
-        exact_budget_ms: 0,
+        budget_ms: FuzzConfig::default().budget_ms,
         jobs: 1,
         corpus: PathBuf::from("fuzz/corpus"),
         metrics: None,
@@ -58,50 +72,27 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if arg == "--seeds" {
-            parsed.seeds = parse_seed_range(&args.next().expect("--seeds needs A..B"));
-        } else if let Some(v) = arg.strip_prefix("--seeds=") {
-            parsed.seeds = parse_seed_range(v);
-        } else if arg == "--budget-ms" {
-            parsed.budget_ms = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--budget-ms needs a positive integer");
-        } else if let Some(v) = arg.strip_prefix("--budget-ms=") {
-            parsed.budget_ms = v.parse().expect("--budget-ms needs a positive integer");
-        } else if arg == "--exact-budget-ms" {
-            parsed.exact_budget_ms = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--exact-budget-ms needs an integer");
-        } else if let Some(v) = arg.strip_prefix("--exact-budget-ms=") {
-            parsed.exact_budget_ms = v.parse().expect("--exact-budget-ms needs an integer");
-        } else if arg == "--jobs" {
-            parsed.jobs = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--jobs needs a positive integer");
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            parsed.jobs = v.parse().expect("--jobs needs a positive integer");
-        } else if arg == "--corpus" {
-            parsed.corpus = PathBuf::from(args.next().expect("--corpus needs a directory"));
-        } else if let Some(v) = arg.strip_prefix("--corpus=") {
-            parsed.corpus = PathBuf::from(v);
-        } else if arg == "--metrics" {
-            parsed.metrics = Some(args.next().expect("--metrics needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            parsed.metrics = Some(v.to_string());
-        } else if arg == "--replay" {
-            parsed.replay = Some(PathBuf::from(
-                args.next().expect("--replay needs a directory"),
-            ));
-        } else if let Some(v) = arg.strip_prefix("--replay=") {
-            parsed.replay = Some(PathBuf::from(v));
-        } else {
-            panic!("unrecognised argument `{arg}`");
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+            _ => (arg.clone(), None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--seeds" => parsed.seeds = parse_seed_range(&value()?)?,
+            "--budget-ms" => parsed.budget_ms = parse_positive("--budget-ms", &value()?)?,
+            "--jobs" => parsed.jobs = parse_positive("--jobs", &value()?)?,
+            "--corpus" => parsed.corpus = PathBuf::from(value()?),
+            "--metrics" => parsed.metrics = Some(value()?),
+            "--replay" => parsed.replay = Some(PathBuf::from(value()?)),
+            _ => return Err(format!("unrecognised argument `{arg}`")),
         }
     }
-    parsed
+    Ok(parsed)
 }
 
 fn write_metrics(path: &str) {
@@ -153,10 +144,15 @@ fn run_replay(dir: &Path, cfg: &FuzzConfig) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args(std::env::args().skip(1));
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("{msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let cfg = FuzzConfig {
         budget_ms: args.budget_ms,
-        exact_budget_ms: args.exact_budget_ms,
         ..FuzzConfig::default()
     };
 
@@ -170,16 +166,8 @@ fn main() -> ExitCode {
 
     let n = args.seeds.end - args.seeds.start;
     eprintln!(
-        "fuzzing seeds {}..{} (budget {} ms/II, exact oracle {}, {} jobs)",
-        args.seeds.start,
-        args.seeds.end,
-        args.budget_ms,
-        if args.exact_budget_ms > 0 {
-            format!("{} ms/II", args.exact_budget_ms)
-        } else {
-            "off".to_string()
-        },
-        args.jobs
+        "fuzzing seeds {}..{} (budget {} ms/II, {} jobs)",
+        args.seeds.start, args.seeds.end, args.budget_ms, args.jobs
     );
     let started = Instant::now();
     let reports = fuzz_range(args.seeds.clone(), &cfg, args.jobs);

@@ -2,8 +2,9 @@
 //!
 //! One fuzz seed deterministically produces one scenario — a random DFG
 //! (via [`rewire_dfg::generate`]) on a random fabric (via
-//! [`rewire_arch::random`]) — which is mapped by all four mappers through
-//! the shared ascending-II engine and checked against a four-layer oracle
+//! [`rewire_arch::random`]) — which is mapped by four mappers through the
+//! shared ascending-II engine (Rewire, PF*, SA and the exact SAT backend,
+//! the one reference search) and checked against a five-layer oracle
 //! stack:
 //!
 //! 1. **Structural** — every produced mapping validates, is complete, and
@@ -12,9 +13,9 @@
 //!    golden model ([`rewire_sim::verify_semantics`]).
 //! 3. **MII bound** — no mapper claims an II below `max(ResMII, RecMII)`.
 //! 4. **Cross-mapper** — no mapper claims infeasibility without sweeping
-//!    the full II range; optimality/completeness agreement against the
-//!    exhaustive oracle is additionally enforced when its search is
-//!    trusted as complete ([`oracle::CrossMapperPolicy`]).
+//!    the full II range.
+//! 5. **Exact verdict** — no mapper maps at an II the SAT backend proved
+//!    infeasible.
 //!
 //! On a violation the scenario is greedily shrunk ([`mod@shrink`]) to a
 //! minimal reproducer and persisted as a self-contained text artifact
@@ -33,10 +34,9 @@ pub mod scenario;
 pub mod shrink;
 
 pub use artifact::{Artifact, Expectation, ParseArtifactError};
-pub use oracle::{run_oracle, CheckKind, CrossMapperPolicy, MapperRun, OracleConfig, Violation};
+pub use oracle::{run_oracle, CheckKind, MapperRun, OracleConfig, Violation};
 pub use run::{
     differential_mappers, evaluate, fuzz_one, fuzz_range, replay, FuzzConfig, SeedReport,
-    EXHAUSTIVE_SEARCH_CAP,
 };
 pub use scenario::{mix, Scenario};
 pub use shrink::{render_trace, shrink, ShrinkResult};

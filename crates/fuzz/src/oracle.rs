@@ -1,6 +1,6 @@
 //! The oracle stack: everything a mapping outcome is checked against.
 //!
-//! Four independent checks, in increasing strength:
+//! Five independent checks, in increasing strength:
 //!
 //! 1. **Structural** — a returned mapping must validate against the DFG
 //!    and fabric, be complete, and agree with its own reported stats.
@@ -10,18 +10,14 @@
 //!    minimum `max(ResMII, RecMII)`, nor map an instance whose MII is
 //!    undefined.
 //! 4. **Cross-mapper** — no mapper may claim infeasibility without
-//!    sweeping the full II range; and, when the exhaustive oracle is
-//!    trusted as complete ([`CrossMapperPolicy`]), no heuristic may beat
-//!    its optimum and it may not miss an instance a heuristic proves
-//!    feasible.
-//! 5. **Exact verdict** — when the SAT backend ran (the `"Exact"` run),
-//!    its machine-checked per-II verdicts must agree with every other
-//!    mapper: a heuristic mapping at an II the SAT solver *proved*
-//!    infeasible means one of the two is wrong, and the heuristic's
-//!    validated mapping is the feasibility certificate that convicts the
-//!    encoder. Unlike the exhaustive cross-check, this layer needs no
-//!    trust policy — UNSAT is a proof, not a search give-up — but it is
-//!    horizon-guarded: the proof only covers schedules within
+//!    sweeping the full II range.
+//! 5. **Exact verdict** — the SAT backend's (the `"Exact"` run's)
+//!    machine-checked per-II verdicts must agree with every other mapper:
+//!    a heuristic mapping at an II the SAT solver *proved* infeasible
+//!    means one of the two is wrong, and the heuristic's validated mapping
+//!    is the feasibility certificate that convicts the encoder. UNSAT is a
+//!    proof, not a search give-up, so the layer needs no trust policy, but
+//!    it is horizon-guarded: the proof only covers schedules within
 //!    [`ExactSatMapper::proof_horizon`], so a heuristic mapping scheduled
 //!    beyond it is out of scope rather than a contradiction.
 //!
@@ -44,7 +40,7 @@ pub enum CheckKind {
     Semantic,
     /// `achieved II ≥ MII` lower-bound sanity.
     MiiBound,
-    /// Exhaustive-vs-heuristic feasibility/optimality agreement.
+    /// Sweep contract: no infeasibility claim without a full II sweep.
     CrossMapper,
     /// SAT-proof-vs-heuristic agreement: nobody maps at a proven-UNSAT II.
     ExactVerdict,
@@ -97,8 +93,7 @@ impl fmt::Display for CheckKind {
 pub struct Violation {
     /// The check that fired.
     pub check: CheckKind,
-    /// The mapper whose outcome violated it (`"*"` for cross-mapper
-    /// disagreements attributed to the comparison itself).
+    /// The mapper whose outcome violated it.
     pub mapper: String,
     /// Human-readable specifics.
     pub detail: String,
@@ -113,7 +108,7 @@ impl fmt::Display for Violation {
 /// One mapper's outcome on a scenario, as the oracle consumes it.
 #[derive(Clone, Debug)]
 pub struct MapperRun {
-    /// Mapper display name (`"Rewire"`, `"PF*"`, `"SA"`, `"Exhaustive"`).
+    /// Mapper display name (`"Rewire"`, `"PF*"`, `"SA"`, `"Exact"`).
     pub name: String,
     /// What it produced.
     pub outcome: MapOutcome,
@@ -130,45 +125,6 @@ pub struct OracleConfig {
     pub input_seed: u64,
     /// Iterations simulated by the semantic check.
     pub sim_iterations: u32,
-    /// How far to trust the exhaustive oracle's *failures*.
-    pub cross_mapper: CrossMapperPolicy,
-}
-
-/// Trust policy for the cross-mapper comparison.
-///
-/// The exhaustive mapper's *successes* are always trustworthy: a returned
-/// mapping is a certificate of feasibility (and is independently checked
-/// by the structural and semantic layers). Its *failures* are only proofs
-/// of infeasibility when its search is genuinely complete — which this
-/// workspace's branch-and-bound is not: it bounds schedule times by a
-/// finite horizon and commits the router's single greedy route per edge
-/// instead of backtracking over routing alternatives. A heuristic can
-/// therefore legitimately map below the "exhaustive optimum".
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CrossMapperPolicy {
-    /// Treat the exhaustive search as complete: its failure at an II is a
-    /// proof of infeasibility, enabling the optimality and completeness
-    /// sub-checks. Leave `false` (the default) for this workspace's
-    /// bounded-horizon, greedy-routed oracle; set `true` in unit tests
-    /// exercising those sub-checks with synthetic outcomes.
-    pub exhaustive_complete: bool,
-    /// The exhaustive mapper's deterministic search-node cap, if one was
-    /// configured. The oracle reports its search-tree size as
-    /// `remap_iterations`; when that total reaches the cap, some II of
-    /// its sweep was truncated and even a `exhaustive_complete` search
-    /// proves nothing about the IIs it failed. `None` = uncapped.
-    pub exhaustive_search_cap: Option<u64>,
-}
-
-impl CrossMapperPolicy {
-    /// The policy unit tests use: a hypothetically complete, uncapped
-    /// exhaustive search whose failures are proofs.
-    pub fn trusting() -> Self {
-        Self {
-            exhaustive_complete: true,
-            exhaustive_search_cap: None,
-        }
-    }
 }
 
 /// Check 1: structural invariants of a returned mapping, plus
@@ -253,45 +209,18 @@ pub fn check_mii_bound(name: &str, mii: Option<u32>, outcome: &MapOutcome) -> Op
     }
 }
 
-/// Check 4: cross-mapper feasibility/optimality agreement.
+/// Check 4: the sweep contract.
 ///
-/// Three sub-checks, each sound for *incomplete* heuristics (a heuristic
-/// legitimately failing where the exhaustive oracle succeeds is not a
-/// bug — incompleteness is its contract):
-///
-/// * **Early bail** — always on. A mapper that claims infeasibility must
-///   have swept the entire `mii..=max_ii` range. The engine has no reason
-///   to skip an II when no total budget is set (per-II budgets truncate
-///   *within* an II, never the sweep itself), so `iis_explored < full
-///   span` on a failed run means the mapper bailed below its budget — the
-///   "infeasibility claimed below the time budget" class. The exhaustive
-///   oracle's up-front refusal of large instances (`iis_explored == 0`)
-///   is exempt.
-/// * **Optimality** — only under [`CrossMapperPolicy::exhaustive_complete`].
-///   When the exhaustive oracle maps at `k`, its failures at every
-///   `II < k` are proofs of infeasibility, so no heuristic may achieve
-///   `II < k` — one of the two mappers is broken if it does.
-/// * **Completeness** — only under `exhaustive_complete`. When the
-///   exhaustive oracle swept the full range and claims infeasibility, no
-///   heuristic may produce a (structurally and semantically validated)
-///   mapping in that range: the heuristic's mapping is a feasibility
-///   certificate, so the "complete" search has a pruning bug.
-///
-/// The harness runs with `exhaustive_complete = false` because this
-/// workspace's exhaustive mapper is complete over *placements* only: it
-/// commits the router's single greedy route per edge (no routing
-/// backtracking) and bounds schedule times by a finite horizon, so its
-/// failures are not proofs and heuristics genuinely beat its "optimum"
-/// on a sizeable fraction of random scenarios. Both sub-checks also
-/// require the search to be untruncated: when
-/// [`CrossMapperPolicy::exhaustive_search_cap`] is set and the oracle's
-/// reported search-node total reached it, both are skipped.
-pub fn check_cross_mapper(
-    runs: &[MapperRun],
-    mii: Option<u32>,
-    max_ii: u32,
-    policy: &CrossMapperPolicy,
-) -> Vec<Violation> {
+/// A mapper that claims infeasibility must have swept the entire
+/// `mii..=max_ii` range. The engine has no reason to skip an II when no
+/// total budget is set (per-II budgets truncate *within* an II, never the
+/// sweep itself), so `iis_explored < full span` on a failed run means the
+/// mapper bailed below its budget — the "infeasibility claimed below the
+/// time budget" class. This is sound for incomplete heuristics: failing a
+/// full sweep where another mapper succeeds is incompleteness, not a bug.
+/// The exact backend's up-front refusal of oversized instances
+/// (`iis_explored == 0`) is exempt.
+pub fn check_cross_mapper(runs: &[MapperRun], mii: Option<u32>, max_ii: u32) -> Vec<Violation> {
     let mut out = Vec::new();
     let Some(mii) = mii else {
         return out;
@@ -299,10 +228,9 @@ pub fn check_cross_mapper(
     let full_span = max_ii.saturating_sub(mii) + 1;
 
     for r in runs {
-        // Both oracle-grade mappers refuse oversized instances up front
-        // (0 IIs explored) rather than sweeping; that is not an early bail.
-        let refused =
-            (r.name == "Exhaustive" || r.name == "Exact") && r.outcome.stats.iis_explored == 0;
+        // The exact backend refuses oversized instances up front (0 IIs
+        // explored) rather than sweeping; that is not an early bail.
+        let refused = r.name == "Exact" && r.outcome.stats.iis_explored == 0;
         if r.outcome.stats.achieved_ii.is_none()
             && r.outcome.stats.iis_explored < full_span
             && !refused
@@ -317,52 +245,6 @@ pub fn check_cross_mapper(
                 ),
             });
         }
-    }
-
-    if !policy.exhaustive_complete {
-        return out;
-    }
-    let Some(exhaustive) = runs.iter().find(|r| r.name == "Exhaustive") else {
-        return out;
-    };
-    let untruncated = policy
-        .exhaustive_search_cap
-        .is_none_or(|cap| exhaustive.outcome.stats.remap_iterations < cap);
-    if !untruncated {
-        return out;
-    }
-    match exhaustive.outcome.stats.achieved_ii {
-        Some(best) => {
-            for r in runs.iter().filter(|r| r.name != "Exhaustive") {
-                if let Some(ii) = r.outcome.stats.achieved_ii {
-                    if ii < best {
-                        out.push(Violation {
-                            check: CheckKind::CrossMapper,
-                            mapper: r.name.clone(),
-                            detail: format!(
-                                "achieved II {ii} beats the exhaustive optimum {best} — \
-                                 one of them is wrong"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        None if exhaustive.outcome.stats.iis_explored >= full_span => {
-            for r in runs.iter().filter(|r| r.name != "Exhaustive") {
-                if let Some(ii) = r.outcome.stats.achieved_ii {
-                    out.push(Violation {
-                        check: CheckKind::CrossMapper,
-                        mapper: "Exhaustive".into(),
-                        detail: format!(
-                            "claims infeasibility over {mii}..={max_ii} but {} maps at II {ii}",
-                            r.name
-                        ),
-                    });
-                }
-            }
-        }
-        None => {}
     }
     out
 }
@@ -450,12 +332,7 @@ pub fn run_oracle(
             out.push(v);
         }
     }
-    out.extend(check_cross_mapper(
-        runs,
-        cfg.mii,
-        cfg.max_ii,
-        &cfg.cross_mapper,
-    ));
+    out.extend(check_cross_mapper(runs, cfg.mii, cfg.max_ii));
     out.extend(check_exact_verdicts(dfg, runs));
     out
 }
@@ -630,83 +507,26 @@ mod tests {
     fn cross_mapper_catches_an_early_bail() {
         // SA claims infeasibility after exploring only 2 of the 4 IIs in
         // 2..=5 — it bailed out of the sweep below its budget, a seeded
-        // engine-contract violation. Fires regardless of the trust policy.
-        let runs = [run("Exhaustive", Some(2), 1), run("SA", None, 2)];
-        for policy in [CrossMapperPolicy::default(), CrossMapperPolicy::trusting()] {
-            let v = check_cross_mapper(&runs, Some(2), 5, &policy);
-            assert_eq!(v.len(), 1);
-            assert_eq!(v[0].check, CheckKind::CrossMapper);
-            assert_eq!(v[0].mapper, "SA");
-            assert!(v[0].detail.contains("only 2 of the 4 IIs"), "{}", v[0]);
-        }
-    }
-
-    #[test]
-    fn cross_mapper_catches_impossible_optimality() {
-        let runs = [run("Exhaustive", Some(3), 2), run("Rewire", Some(2), 1)];
-        let v = check_cross_mapper(&runs, Some(2), 5, &CrossMapperPolicy::trusting());
+        // engine-contract violation.
+        let runs = [run("Exact", Some(2), 1), run("SA", None, 2)];
+        let v = check_cross_mapper(&runs, Some(2), 5);
         assert_eq!(v.len(), 1);
-        assert!(v[0].detail.contains("beats the exhaustive optimum"));
+        assert_eq!(v[0].check, CheckKind::CrossMapper);
+        assert_eq!(v[0].mapper, "SA");
+        assert!(v[0].detail.contains("only 2 of the 4 IIs"), "{}", v[0]);
     }
 
     #[test]
-    fn cross_mapper_distrusts_an_incomplete_exhaustive_search() {
-        // Same disagreement, but under the harness policy: the workspace's
-        // exhaustive mapper routes greedily, so its failure below II 3 is
-        // no proof and the heuristic's better II is legitimate.
-        let runs = [run("Exhaustive", Some(3), 2), run("Rewire", Some(2), 1)];
-        assert!(check_cross_mapper(&runs, Some(2), 5, &CrossMapperPolicy::default()).is_empty());
-    }
-
-    #[test]
-    fn cross_mapper_distrusts_a_truncated_exhaustive_search() {
-        // A trusted-complete search whose search-node total reached its
-        // deterministic cap: its "optimum" may be an artifact of
-        // truncation, so nothing fires.
-        let capped = CrossMapperPolicy {
-            exhaustive_complete: true,
-            exhaustive_search_cap: Some(10_000),
-        };
-        let mut exhaustive = run("Exhaustive", Some(3), 2);
-        exhaustive.outcome.stats.remap_iterations = 10_000;
-        let runs = [exhaustive, run("Rewire", Some(2), 1)];
-        assert!(check_cross_mapper(&runs, Some(2), 5, &capped).is_empty());
-        // Below the cap the search completed and the check bites again.
-        let mut exhaustive = run("Exhaustive", Some(3), 2);
-        exhaustive.outcome.stats.remap_iterations = 9_999;
-        let runs = [exhaustive, run("Rewire", Some(2), 1)];
-        assert_eq!(check_cross_mapper(&runs, Some(2), 5, &capped).len(), 1);
-    }
-
-    #[test]
-    fn cross_mapper_catches_a_completeness_hole() {
-        // The trusted exhaustive oracle swept all of 2..=5 and found
-        // nothing, yet SA produced a (validated) mapping at II 3: the
-        // complete search missed a feasible instance — a seeded pruning
-        // bug, certified by SA's mapping.
-        let runs = [run("Exhaustive", None, 4), run("SA", Some(3), 2)];
-        let v = check_cross_mapper(&runs, Some(2), 5, &CrossMapperPolicy::trusting());
+    fn cross_mapper_exempts_only_the_exact_refusal() {
+        // The SAT backend's size guard declines an instance up front (0
+        // IIs explored): not an early bail. A heuristic exploring nothing
+        // is one.
+        assert!(check_cross_mapper(&[run("Exact", None, 0)], Some(2), 5).is_empty());
+        let v = check_cross_mapper(&[run("Rewire", None, 0)], Some(2), 5);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].mapper, "Exhaustive");
-        assert!(v[0].detail.contains("SA maps at II 3"), "{}", v[0]);
-        // Under the harness policy the same hole is expected incompleteness.
-        assert!(check_cross_mapper(&runs, Some(2), 5, &CrossMapperPolicy::default()).is_empty());
-    }
-
-    #[test]
-    fn cross_mapper_tolerates_legitimate_disagreement() {
-        let trusting = CrossMapperPolicy::trusting();
-        // A heuristic failing its *full* sweep where exhaustive succeeds
-        // is incompleteness, not a bug.
-        let runs = [run("Exhaustive", Some(2), 1), run("SA", None, 4)];
-        assert!(check_cross_mapper(&runs, Some(2), 5, &trusting).is_empty());
-        // The exhaustive refusal path (0 IIs explored on a big DFG) is
-        // not an early bail.
-        let refused = [run("Exhaustive", None, 0), run("SA", Some(3), 2)];
-        assert!(check_cross_mapper(&refused, Some(2), 5, &trusting).is_empty());
-        // No exhaustive run at all: only the sweep-contract check applies.
-        let only = [run("SA", None, 4)];
-        assert!(check_cross_mapper(&only, Some(2), 5, &trusting).is_empty());
+        assert_eq!(v[0].mapper, "Rewire");
+        // Failing a full sweep is incompleteness, not a contract breach.
+        assert!(check_cross_mapper(&[run("SA", None, 4)], Some(2), 5).is_empty());
     }
 
     #[test]
@@ -724,7 +544,6 @@ mod tests {
             max_ii: limits.max_ii,
             input_seed: 1,
             sim_iterations: 6,
-            cross_mapper: CrossMapperPolicy::default(),
         };
         assert_eq!(run_oracle(&dfg, &cgra, &runs, &cfg), vec![]);
     }
@@ -866,7 +685,6 @@ mod tests {
             max_ii: limits.max_ii,
             input_seed: 3,
             sim_iterations: 6,
-            cross_mapper: CrossMapperPolicy::default(),
         };
         assert_eq!(run_oracle(&dfg, &cgra, &runs, &cfg), vec![]);
     }

@@ -29,8 +29,8 @@ pub enum GiveUpReason {
     MaxIiReached,
     /// The total wall-clock budget expired before `max_ii` was reached.
     TotalBudget,
-    /// The mapper declined the instance outright (e.g. the exhaustive
-    /// oracle's node-count guard).
+    /// The mapper declined the instance outright (the exact SAT backend's
+    /// size guard).
     Refused,
 }
 

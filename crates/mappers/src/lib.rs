@@ -32,7 +32,6 @@
 mod annealing;
 pub mod engine;
 mod exact;
-mod exhaustive;
 mod fanout;
 mod limits;
 mod mapping;
@@ -45,11 +44,10 @@ mod traits;
 pub use annealing::{SaAttempt, SaConfig, SaMapper};
 pub use engine::{AttemptVerdict, EventSink, IiAttempt, IiSearch, MapEvent, Silent};
 pub use exact::{ExactAttempt, ExactSatMapper};
-pub use exhaustive::{ExhaustiveAttempt, ExhaustiveMapper};
 pub use fanout::{consolidate_fanout, ConsolidationStats};
 pub use limits::MapLimits;
 pub use mapping::{Mapping, MappingIssue};
 pub use pathfinder::{PathFinderAttempt, PathFinderConfig, PathFinderMapper};
-pub use schedule::{candidate_pes, default_horizon, modulo_schedule, schedule_asap, time_window};
+pub use schedule::{candidate_pes, default_horizon, modulo_schedule, schedule_asap};
 pub use stats::MapStats;
 pub use traits::{MapOutcome, Mapper};

@@ -6,7 +6,6 @@
 //! schedule assigned it, so consolidating routes can never perturb the
 //! functions here — only the paths between the scheduled endpoints.
 
-use crate::Mapping;
 use rewire_arch::{Cgra, OpKind, PeId};
 use rewire_dfg::{Dfg, NodeId};
 
@@ -57,47 +56,6 @@ pub fn schedule_asap(dfg: &Dfg, ii: u32) -> Option<Vec<u32>> {
     }
     let min = t.iter().copied().min().unwrap_or(0);
     Some(t.into_iter().map(|x| (x - min) as u32).collect())
-}
-
-/// The feasible absolute-time window for (re)placing `node` given the
-/// *currently placed* neighbours in `mapping`:
-///
-/// * lower bound: `asap(node)`, and `t_p + 1 − dist·II` for each placed
-///   parent `p`,
-/// * upper bound: `t_c + dist·II − 1` for each placed child `c`, and
-///   `horizon`.
-///
-/// Returns `None` when the window is empty (the neighbours pin the node
-/// into an impossible slot — a rip-up of a neighbour is needed).
-pub fn time_window(
-    dfg: &Dfg,
-    mapping: &Mapping,
-    asap: &[u32],
-    node: NodeId,
-    horizon: u32,
-) -> Option<std::ops::RangeInclusive<u32>> {
-    let ii = mapping.ii();
-    let mut lo = asap[node.index()] as i64;
-    let mut hi = horizon as i64;
-    for e in dfg.in_edges(node) {
-        if let Some((_, t_p)) = mapping.placement(e.src()) {
-            lo = lo.max(t_p as i64 + 1 - (e.distance() * ii) as i64);
-        }
-    }
-    for e in dfg.out_edges(node) {
-        if let Some((_, t_c)) = mapping.placement(e.dst()) {
-            hi = hi.min(t_c as i64 + (e.distance() * ii) as i64 - 1);
-        }
-    }
-    // Self-loops contribute both bounds but are trivially satisfied when
-    // dist·II ≥ 1; the formulas above handle them because t_p == t_c == the
-    // node's own (absent) placement — i.e. they don't fire for an unplaced
-    // node.
-    if lo > hi {
-        None
-    } else {
-        Some(lo.max(0) as u32..=hi.max(0) as u32)
-    }
 }
 
 /// PEs able to execute `op`, in id order.
@@ -297,7 +255,6 @@ pub fn default_horizon(dfg: &Dfg, ii: u32) -> u32 {
 mod tests {
     use super::*;
     use rewire_arch::presets;
-    use rewire_mrrg::Mrrg;
 
     fn diamond() -> Dfg {
         let mut g = Dfg::new("d");
@@ -331,47 +288,6 @@ mod tests {
         let t = schedule_asap(&g, 3).unwrap();
         // Constraint t_phi >= t_b + 1 - 3 must hold.
         assert!(t[phi.index()] as i64 >= t[b.index()] as i64 + 1 - 3);
-    }
-
-    #[test]
-    fn window_narrows_with_placed_neighbours() {
-        let cgra = presets::paper_4x4_r4();
-        let g = diamond();
-        let mrrg = Mrrg::new(&cgra, 2);
-        let mut m = Mapping::new(&g, &mrrg);
-        let asap = schedule_asap(&g, 2).unwrap();
-        let a = g.node_by_name("a").unwrap().id();
-        let b = g.node_by_name("b").unwrap().id();
-        let d = g.node_by_name("d").unwrap().id();
-
-        // Nothing placed: full window.
-        let w = time_window(&g, &m, &asap, b, 20).unwrap();
-        assert_eq!(*w.start(), asap[b.index()]);
-        assert_eq!(*w.end(), 20);
-
-        let p0 = cgra.pe_at((0, 0).into()).unwrap().id();
-        let p3 = cgra.pe_at((0, 3).into()).unwrap().id();
-        m.place(a, p0, 4);
-        m.place(d, p3, 7);
-        let w = time_window(&g, &m, &asap, b, 20).unwrap();
-        assert_eq!(w, 5..=6);
-    }
-
-    #[test]
-    fn empty_window_is_none() {
-        let cgra = presets::paper_4x4_r4();
-        let g = diamond();
-        let mrrg = Mrrg::new(&cgra, 2);
-        let mut m = Mapping::new(&g, &mrrg);
-        let asap = schedule_asap(&g, 2).unwrap();
-        let a = g.node_by_name("a").unwrap().id();
-        let b = g.node_by_name("b").unwrap().id();
-        let d = g.node_by_name("d").unwrap().id();
-        let p0 = cgra.pe_at((0, 0).into()).unwrap().id();
-        let p3 = cgra.pe_at((0, 3).into()).unwrap().id();
-        m.place(a, p0, 4);
-        m.place(d, p3, 5); // b needs t in [5, 4]: impossible
-        assert!(time_window(&g, &m, &asap, b, 20).is_none());
     }
 
     #[test]

@@ -33,16 +33,14 @@ fn corpus_paths() -> Vec<PathBuf> {
     paths
 }
 
-/// Generous budgets so wall clocks never bind in debug CI runs; the
-/// deterministic caps inside `differential_mappers` do the bounding.
-/// The exact SAT oracle runs on every replay so corpus artifacts pin
-/// its verdicts too — the conflict budget, not the wall clock, bounds
-/// it at this setting.
+/// A generous budget so the wall clock never binds in debug CI runs; the
+/// deterministic caps inside `differential_mappers` (iterations, restarts
+/// and the SAT conflict budget) do the bounding, so corpus artifacts pin
+/// the exact oracle's verdicts too.
 fn replay_cfg() -> FuzzConfig {
     FuzzConfig {
-        budget_ms: 10_000,
+        budget_ms: 20_000,
         sim_iterations: 8,
-        exact_budget_ms: 20_000,
         ..FuzzConfig::default()
     }
 }
