@@ -4,19 +4,17 @@
 //! * Algorithm 2 search budgets (tiny verification budget vs default),
 //! * amendment restarts on vs off.
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin ablation [seconds_per_ii] [--jobs N] [--metrics FILE]`
+//! Usage: `cargo run -p rewire-bench --release --bin ablation [seconds_per_ii] [--jobs N] [--kernels a,b] [--trace FILE] [--metrics FILE]`
 
 use rewire_arch::presets;
-use rewire_bench::{parallel_map, parse_cli};
+use rewire_bench::{parallel_map, parse_cli, Workload};
 use rewire_core::{RewireConfig, RewireMapper};
-use rewire_dfg::kernels;
-use rewire_mappers::{MapLimits, Mapper};
+use rewire_dfg::{kernels, Dfg};
+use rewire_mappers::{MapLimits, MapStats, Mapper};
 use std::time::Duration;
 
-fn achieved(out: &rewire_mappers::MapOutcome) -> String {
-    out.stats
-        .achieved_ii
-        .map_or("-".into(), |ii| ii.to_string())
+fn achieved(stats: &MapStats) -> String {
+    stats.achieved_ii.map_or("-".into(), |ii| ii.to_string())
 }
 
 fn main() {
@@ -25,7 +23,28 @@ fn main() {
     let cgra = presets::paper_4x4_r4();
     let limits =
         MapLimits::benchmark().with_ii_time_budget(Duration::from_millis((secs * 1000.0) as u64));
-    let suite = ["gesummv", "atax", "bicg", "mvt", "fir", "viterbi"];
+    // `--kernels` narrows the suite with the same unknown-name check as
+    // every other experiment binary.
+    let suite: Vec<Dfg> = args
+        .filter_workloads(vec![Workload {
+            label: "4x4 4reg",
+            budget_scale: 1.0,
+            cgra: cgra.clone(),
+            kernels: ["gesummv", "atax", "bicg", "mvt", "fir", "viterbi"]
+                .into_iter()
+                .map(|name| kernels::by_name(name).expect("ablation kernels are in the suite"))
+                .collect(),
+        }])
+        .into_iter()
+        .flat_map(|w| w.kernels)
+        .collect();
+    let run = |config: RewireConfig, dfg: &Dfg| {
+        RewireMapper::with_config(config)
+            .map(dfg, &cgra, &limits)
+            .stats
+    };
+    // Every run's record, in table order, for `--trace`.
+    let mut records: Vec<MapStats> = Vec::new();
 
     println!("== ablation: cluster size cap α ==");
     print!("{:<10}", "kernel");
@@ -37,73 +56,85 @@ fn main() {
     // Every (kernel, variant) run is independent, so each ablation table
     // fans its cell computations out over the worker pool and prints rows
     // once all cells for the table are back (input order is preserved).
-    let alpha_cells: Vec<(&str, usize)> = suite
+    let alpha_cells: Vec<(&Dfg, usize)> = suite
         .iter()
-        .flat_map(|&name| alphas.iter().map(move |&alpha| (name, alpha)))
+        .flat_map(|dfg| alphas.iter().map(move |&alpha| (dfg, alpha)))
         .collect();
-    let alpha_iis = parallel_map(&alpha_cells, jobs, |&(name, alpha)| {
-        let dfg = kernels::by_name(name).unwrap();
+    let alpha_runs = parallel_map(&alpha_cells, jobs, |&(dfg, alpha)| {
         let config = RewireConfig {
             alpha,
             initial_cluster_size: alpha.min(3),
             ..Default::default()
         };
-        achieved(&RewireMapper::with_config(config).map(&dfg, &cgra, &limits))
+        run(config, dfg)
     });
-    for (row, name) in suite.iter().enumerate() {
-        print!("{name:<10}");
-        for col in 0..alphas.len() {
-            print!(" {:>6}", alpha_iis[row * alphas.len() + col]);
+    for (dfg, row) in suite.iter().zip(alpha_runs.chunks(alphas.len())) {
+        print!("{:<10}", dfg.name());
+        for stats in row {
+            print!(" {:>6}", achieved(stats));
         }
         println!();
     }
+    records.extend(alpha_runs);
 
     println!("\n== ablation: Algorithm 2 budgets ==");
     println!(
         "{:<10} {:>8} {:>8} {:>8}",
         "kernel", "default", "verif=8", "steps=1k"
     );
-    let budget_rows = parallel_map(&suite, jobs, |&name| {
-        let dfg = kernels::by_name(name).unwrap();
-        let default = RewireMapper::new().map(&dfg, &cgra, &limits);
-        let tiny_verif = RewireMapper::with_config(RewireConfig {
-            max_verifications: 8,
-            ..Default::default()
-        })
-        .map(&dfg, &cgra, &limits);
-        let tiny_steps = RewireMapper::with_config(RewireConfig {
-            max_search_steps: 1000,
-            ..Default::default()
-        })
-        .map(&dfg, &cgra, &limits);
-        (
-            achieved(&default),
-            achieved(&tiny_verif),
-            achieved(&tiny_steps),
-        )
+    let budget_rows = parallel_map(&suite, jobs, |dfg| {
+        [
+            run(RewireConfig::default(), dfg),
+            run(
+                RewireConfig {
+                    max_verifications: 8,
+                    ..Default::default()
+                },
+                dfg,
+            ),
+            run(
+                RewireConfig {
+                    max_search_steps: 1000,
+                    ..Default::default()
+                },
+                dfg,
+            ),
+        ]
     });
-    for (name, (default, tiny_verif, tiny_steps)) in suite.iter().zip(&budget_rows) {
-        println!("{name:<10} {default:>8} {tiny_verif:>8} {tiny_steps:>8}");
+    for (dfg, [default, tiny_verif, tiny_steps]) in suite.iter().zip(&budget_rows) {
+        println!(
+            "{:<10} {:>8} {:>8} {:>8}",
+            dfg.name(),
+            achieved(default),
+            achieved(tiny_verif),
+            achieved(tiny_steps)
+        );
     }
+    records.extend(budget_rows.into_iter().flatten());
 
     println!("\n== ablation: restarts per II ==");
     println!("{:<10} {:>9} {:>9}", "kernel", "restarts", "single");
-    let restart_rows = parallel_map(&suite, jobs, |&name| {
-        let dfg = kernels::by_name(name).unwrap();
-        let with = RewireMapper::new().map(&dfg, &cgra, &limits);
-        let single = RewireMapper::with_config(RewireConfig {
-            max_restarts_per_ii: 1,
-            ..Default::default()
-        })
-        .map(&dfg, &cgra, &limits);
-        (achieved(&with), achieved(&single))
+    let restart_rows = parallel_map(&suite, jobs, |dfg| {
+        [
+            run(RewireConfig::default(), dfg),
+            run(
+                RewireConfig {
+                    max_restarts_per_ii: 1,
+                    ..Default::default()
+                },
+                dfg,
+            ),
+        ]
     });
-    for (name, (with, single)) in suite.iter().zip(&restart_rows) {
-        println!("{name:<10} {with:>9} {single:>9}");
+    for (dfg, [with, single]) in suite.iter().zip(&restart_rows) {
+        println!(
+            "{:<10} {:>9} {:>9}",
+            dfg.name(),
+            achieved(with),
+            achieved(single)
+        );
     }
+    records.extend(restart_rows.into_iter().flatten());
 
-    // The mappers record into the global registry unconditionally, so the
-    // snapshot captures every ablation variant's counters even though this
-    // binary drives the mappers directly (no event sink involved).
-    args.write_metrics();
+    args.write_outputs(&records);
 }

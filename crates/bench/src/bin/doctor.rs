@@ -1,13 +1,13 @@
 //! `rewire-doctor` — diagnoses a mapping run from its observability
 //! artefacts.
 //!
-//! Reads whatever the run left behind — the JSONL `MapEvent` trace
-//! (`--trace`), metrics snapshots (`--metrics`, repeatable), and the
-//! flight-recorder decision log (`--flight`) — and prints a diagnosis:
-//! II-vs-MII gap per run with failures first, the most-failed DFG edges,
-//! the top contended resources with an ASCII fabric heatmap, the span-tree
-//! time breakdown, and the flight summary (ring drops, phase heartbeats,
-//! detected stalls).
+//! Reads whatever the run left behind — the run records (`--trace`, one
+//! `MapStats` JSON line per run), metrics snapshots (`--metrics`,
+//! repeatable), and the flight-recorder decision log (`--flight`) — and
+//! prints a diagnosis: II-vs-MII gap per run with failures first, the
+//! most-failed DFG edges, the top contended resources with one ASCII
+//! fabric heatmap per run scope, the span-tree time breakdown, and the
+//! flight summary (ring drops, phase heartbeats, detected stalls).
 //!
 //! `--validate-chrome FILE` instead validates a Chrome `trace_event`
 //! export (written by `--chrome-trace`): well-formed JSON, balanced
@@ -22,7 +22,8 @@
 //! or invalid trace, 2 = usage error.
 
 use rewire_bench::doctor::{diagnose, parse_flight, validate_chrome, FlightData};
-use rewire_bench::obs_report::{load_snapshots, parse_trace, RunSummary};
+use rewire_bench::obs_report::{load_snapshots, parse_records};
+use rewire_mappers::MapStats;
 use rewire_obs::Snapshot;
 use std::process::ExitCode;
 
@@ -98,8 +99,8 @@ fn run(args: &Args) -> Result<String, String> {
         ));
     }
 
-    let runs: Vec<RunSummary> = match &args.trace {
-        Some(path) => parse_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
+    let runs: Vec<MapStats> = match &args.trace {
+        Some(path) => parse_records(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
         None => Vec::new(),
     };
     let snapshot: Option<Snapshot> = if args.metrics.is_empty() {

@@ -5,13 +5,13 @@
 //!
 //! Usage: `cargo run -p rewire-bench --release --bin fig6 [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--kernels a,b]`
 
-use rewire_bench::{fig6_workloads, parse_cli, print_fig6, run_workloads_traced, MapperKind};
+use rewire_bench::{fig6_workloads, parse_cli, print_fig6, run_workloads, MapperKind};
 
 fn main() {
     let args = parse_cli(2.0);
     let (secs, jobs) = (args.seconds_per_ii, args.jobs);
     eprintln!("fig6: per-II budget {secs}s per mapper (equal-budget mode), {jobs} job(s)");
-    let rows = run_workloads_traced(
+    let rows = run_workloads(
         &args.filter_workloads(fig6_workloads()),
         &[
             MapperKind::Rewire,
@@ -20,7 +20,6 @@ fn main() {
         ],
         secs,
         jobs,
-        args.event_sink(),
         |row| {
             eprintln!(
                 "  {} / {}: {:?}",
@@ -28,11 +27,11 @@ fn main() {
                 row.kernel,
                 row.results
                     .iter()
-                    .map(|r| (r.mapper, r.elapsed))
+                    .map(|r| (r.mapper.as_str(), r.elapsed))
                     .collect::<Vec<_>>()
             );
         },
     );
     print_fig6(&rows);
-    args.write_metrics();
+    args.write_outputs(rows.iter().flat_map(|row| &row.results));
 }

@@ -1,17 +1,18 @@
 //! `rewire-report` — aggregates an experiment's observability artefacts.
 //!
-//! Takes the JSONL `MapEvent` trace written by `--trace` and any number of
-//! metrics snapshots written by `--metrics`, and prints a per-run table
-//! (II achieved, MII, attempts, rounds, iterations, time) joined with the
-//! scoped router/mapper counters, one `MapStats` line per run, and the
-//! span-timer time breakdown.
+//! Takes the run records written by `--trace` (one `MapStats` JSON line
+//! per run) and any number of metrics snapshots written by `--metrics`,
+//! and prints one table row per record (fabric, II achieved, MII, IIs
+//! explored, iterations, time) joined with the router/mapper counters of
+//! the record's `mapper/kernel@fabric` scope, one `MapStats` line per
+//! run, and the span-timer time breakdown.
 //!
 //! Usage: `rewire-report <trace.jsonl> [metrics.json ...]`
 //!
 //! Exit status: 0 = report printed, 1 = empty trace or malformed input,
 //! 2 = usage error.
 
-use rewire_bench::obs_report::{load_snapshots, parse_trace, render_report};
+use rewire_bench::obs_report::{load_snapshots, parse_records, render_report};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -28,7 +29,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let runs = match parse_trace(&trace_text) {
+    let runs = match parse_records(&trace_text) {
         Ok(runs) => runs,
         Err(e) => {
             eprintln!("{trace_path}: {e}");

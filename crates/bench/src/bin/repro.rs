@@ -5,7 +5,7 @@
 
 use rewire_bench::{
     fig5_workloads, fig6_workloads, parallel_map, parse_cli, print_fig5, print_fig6, print_table1,
-    run_workloads_traced, table1_workloads, MapperKind,
+    run_workloads, table1_workloads, MapperKind,
 };
 use rewire_core::RewireMapper;
 use rewire_mappers::MapLimits;
@@ -14,11 +14,10 @@ use std::time::Duration;
 fn main() {
     let args = parse_cli(2.0);
     let (secs, jobs) = (args.seconds_per_ii, args.jobs);
-    let trace = args.event_sink();
     eprintln!("repro: per-II budget {secs}s per mapper, {jobs} job(s)");
 
     eprintln!("== running Fig 5 (quality) ==");
-    let rows = run_workloads_traced(
+    let fig5 = run_workloads(
         &args.filter_workloads(fig5_workloads()),
         &[
             MapperKind::Rewire,
@@ -27,13 +26,12 @@ fn main() {
         ],
         secs,
         jobs,
-        trace.clone(),
         |row| eprintln!("  fig5 {} / {}", row.config, row.kernel),
     );
-    print_fig5(&rows);
+    print_fig5(&fig5);
 
     eprintln!("\n== running Fig 6 (compilation time) ==");
-    let rows = run_workloads_traced(
+    let fig6 = run_workloads(
         &args.filter_workloads(fig6_workloads()),
         &[
             MapperKind::Rewire,
@@ -42,21 +40,19 @@ fn main() {
         ],
         secs,
         jobs,
-        trace.clone(),
         |row| eprintln!("  fig6 {} / {}", row.config, row.kernel),
     );
-    print_fig6(&rows);
+    print_fig6(&fig6);
 
     eprintln!("\n== running Table I (iterations) ==");
-    let rows = run_workloads_traced(
+    let table1 = run_workloads(
         &args.filter_workloads(table1_workloads()),
         &[MapperKind::PathFinder, MapperKind::Annealing],
         secs,
         jobs,
-        trace,
         |row| eprintln!("  table1 {} / {}", row.config, row.kernel),
     );
-    print_table1(&rows);
+    print_table1(&table1);
 
     // §IV-D: verification success rate of generated Placement(U). Each
     // kernel's run is independent, so the suite fans out over the worker
@@ -67,10 +63,11 @@ fn main() {
         MapLimits::benchmark().with_ii_time_budget(Duration::from_millis((secs * 1000.0) as u64));
     let suite = rewire_dfg::kernels::all();
     let per_kernel = parallel_map(&suite, jobs, |(_, dfg)| {
-        RewireMapper::new().map_with_stats(dfg, &cgra, &limits).1
+        let (outcome, rstats) = RewireMapper::new().map_with_stats(dfg, &cgra, &limits);
+        (outcome.stats, rstats)
     });
     let mut total = rewire_core::RewireStats::default();
-    for rs in &per_kernel {
+    for (_, rs) in &per_kernel {
         total.merge(rs);
     }
     println!(
@@ -83,5 +80,10 @@ fn main() {
         "propagation tuples generated: {} across {} cluster attempts",
         total.tuples_generated, total.clusters_attempted
     );
-    args.write_metrics();
+    let experiments = [fig5, fig6, table1];
+    let rows = experiments.iter().flatten();
+    args.write_outputs(
+        rows.flat_map(|row| &row.results)
+            .chain(per_kernel.iter().map(|(stats, _)| stats)),
+    );
 }

@@ -14,9 +14,8 @@
 //!
 //! [`DENSE_PE_LIMIT`]: rewire_mrrg::DistanceOracle
 
-use rewire_bench::{run_workloads_traced, scaling_workloads, MapperKind, Workload};
+use rewire_bench::{run_workloads, scaling_workloads, write_trace, MapperKind, Row, Workload};
 use rewire_dfg::kernels;
-use rewire_mappers::engine::{JsonlTrace, SharedSink};
 use rewire_mrrg::DistanceOracle;
 use std::process::exit;
 
@@ -93,15 +92,8 @@ fn peak_oracle_bytes() -> Option<i64> {
         .max()
 }
 
-fn trace_sink(path: Option<&str>) -> Option<SharedSink> {
-    path.map(|p| {
-        let sink =
-            JsonlTrace::create(p).unwrap_or_else(|e| panic!("cannot create trace file {p}: {e}"));
-        SharedSink::new(sink)
-    })
-}
-
-fn run_smoke(secs: f64, jobs: usize, trace: Option<SharedSink>) {
+/// Maps the smoke kernels on the 32×32 mesh.
+fn run_smoke(secs: f64, jobs: usize) -> Vec<Row> {
     let by = |n: &str| kernels::by_name(n).unwrap_or_else(|| panic!("unknown kernel {n}"));
     let workload = Workload {
         label: "32x32",
@@ -110,43 +102,37 @@ fn run_smoke(secs: f64, jobs: usize, trace: Option<SharedSink>) {
         kernels: vec![by("fir"), by("atax"), by("fir(u)")],
     };
     eprintln!("scaling --smoke: 3 kernels on 32x32, {secs}s per II, {jobs} job(s)");
-    let rows = run_workloads_traced(
-        &[workload],
-        &[MapperKind::Rewire],
-        secs,
-        jobs,
-        trace,
-        |row| {
-            eprintln!(
-                "  {} / {}: II {:?} in {:?}",
-                row.config, row.kernel, row.results[0].achieved_ii, row.results[0].elapsed
-            );
-        },
-    );
+    run_workloads(&[workload], &[MapperKind::Rewire], secs, jobs, |row| {
+        eprintln!(
+            "  {} / {}: II {:?} in {:?}",
+            row.config, row.kernel, row.results[0].achieved_ii, row.results[0].elapsed
+        );
+    })
+}
+
+/// The smoke gate: every kernel mapped and the peak oracle footprint
+/// stayed under [`SMOKE_ORACLE_CAP_BYTES`]. Returns that peak.
+fn check_smoke(rows: &[Row]) -> Result<i64, String> {
     let failed: Vec<&str> = rows
         .iter()
         .filter(|r| r.results[0].achieved_ii.is_none())
         .map(|r| r.kernel.as_str())
         .collect();
     if !failed.is_empty() {
-        eprintln!("scaling --smoke FAILED: no mapping within budget for {failed:?}");
-        exit(1);
+        return Err(format!("no mapping within budget for {failed:?}"));
     }
-    let Some(peak) = peak_oracle_bytes() else {
-        eprintln!("scaling --smoke FAILED: router.distance_table_bytes gauge never published");
-        exit(1);
-    };
+    let peak = peak_oracle_bytes()
+        .ok_or("router.distance_table_bytes gauge never published".to_string())?;
     if peak > SMOKE_ORACLE_CAP_BYTES {
-        eprintln!(
-            "scaling --smoke FAILED: peak router.distance_table_bytes = {peak} \
+        return Err(format!(
+            "peak router.distance_table_bytes = {peak} \
              exceeds the {SMOKE_ORACLE_CAP_BYTES}-byte cap (dense-tier regression?)"
-        );
-        exit(1);
+        ));
     }
-    eprintln!("scaling --smoke OK: all kernels mapped, peak oracle bytes {peak} <= {SMOKE_ORACLE_CAP_BYTES}");
+    Ok(peak)
 }
 
-fn run_curve(secs: f64, jobs: usize, trace: Option<SharedSink>) {
+fn run_curve(secs: f64, jobs: usize) -> Vec<Row> {
     let workloads = scaling_workloads();
     // Fabric-level facts the result rows don't carry: PE count and the
     // distance-oracle tier/footprint for each rung of the ladder.
@@ -159,19 +145,12 @@ fn run_curve(secs: f64, jobs: usize, trace: Option<SharedSink>) {
         })
         .collect();
     eprintln!("scaling: {secs}s per II (scaled per fabric), {jobs} job(s)");
-    let rows = run_workloads_traced(
-        &workloads,
-        &[MapperKind::Rewire],
-        secs,
-        jobs,
-        trace,
-        |row| {
-            eprintln!(
-                "  {} / {}: II {:?} in {:?}",
-                row.config, row.kernel, row.results[0].achieved_ii, row.results[0].elapsed
-            );
-        },
-    );
+    let rows = run_workloads(&workloads, &[MapperKind::Rewire], secs, jobs, |row| {
+        eprintln!(
+            "  {} / {}: II {:?} in {:?}",
+            row.config, row.kernel, row.results[0].achieved_ii, row.results[0].elapsed
+        );
+    });
     println!("| Fabric | PEs | Oracle | Oracle heap | Kernel | Nodes | MII | II | Map time |");
     println!("|---|---|---|---|---|---|---|---|---|");
     for row in &rows {
@@ -197,17 +176,31 @@ fn run_curve(secs: f64, jobs: usize, trace: Option<SharedSink>) {
             r.elapsed.as_secs_f64(),
         );
     }
+    rows
 }
 
 fn main() {
     let args = parse_args(std::env::args().skip(1));
-    let trace = trace_sink(args.trace.as_deref());
-    if args.smoke {
-        run_smoke(args.seconds_per_ii.unwrap_or(10.0), args.jobs, trace);
+    let rows = if args.smoke {
+        run_smoke(args.seconds_per_ii.unwrap_or(10.0), args.jobs)
     } else {
-        run_curve(args.seconds_per_ii.unwrap_or(2.0), args.jobs, trace);
+        run_curve(args.seconds_per_ii.unwrap_or(2.0), args.jobs)
+    };
+    if let Some(path) = &args.trace {
+        write_trace(path, rows.iter().flat_map(|row| &row.results));
     }
     if let Some(path) = &args.metrics {
         write_metrics(path);
+    }
+    if args.smoke {
+        match check_smoke(&rows) {
+            Ok(peak) => eprintln!(
+                "scaling --smoke OK: all kernels mapped, peak oracle bytes {peak} <= {SMOKE_ORACLE_CAP_BYTES}"
+            ),
+            Err(e) => {
+                eprintln!("scaling --smoke FAILED: {e}");
+                exit(1);
+            }
+        }
     }
 }

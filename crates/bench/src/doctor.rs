@@ -1,23 +1,26 @@
 //! Failure forensics behind the `rewire-doctor` binary.
 //!
 //! Ingests the three observability artefacts a run can leave behind — the
-//! JSONL `MapEvent` trace (`--trace`), metrics snapshots (`--metrics`),
-//! and the flight-recorder decision log (`--flight`) — and prints a
-//! diagnosis: the II-vs-MII gap per run, the most-failed DFG edges, the
-//! top contended resources with an ASCII fabric heatmap, and the span-tree
-//! time breakdown. Also hosts the Chrome `trace_event` validator the CI
-//! uses to prove exported traces are well-formed (balanced `B`/`E` pairs,
-//! per-thread monotonic timestamps).
+//! run records (`--trace`, one `MapStats` line per run), metrics
+//! snapshots (`--metrics`), and the flight-recorder decision log
+//! (`--flight`) — and prints a diagnosis: the II-vs-MII gap per run, the
+//! most-failed DFG edges, the top contended resources with one ASCII
+//! fabric heatmap per run scope, and the span-tree time breakdown. Also
+//! hosts the Chrome `trace_event` validator the CI uses to prove exported
+//! traces are well-formed (balanced `B`/`E` pairs, per-thread monotonic
+//! timestamps).
 
-use crate::obs_report::RunSummary;
+use rewire_mappers::MapStats;
 use rewire_obs::json::{self, Json};
 use rewire_obs::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One `(pe, class, cycle)` row of the congestion heatmap.
+/// One `(scope, pe, class, cycle)` row of the congestion heatmap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HeatRow {
+    /// Recording scope (`"<mapper>/<kernel>@<fabric>"`).
+    pub scope: String,
     /// Dense PE index (links attribute to their source PE).
     pub pe: u32,
     /// Resource class (`"fu"`, `"link"`, `"reg"`).
@@ -35,7 +38,7 @@ pub struct HeatRow {
 /// One `route_failed` flight event, grouped for ranking.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FailedEdge {
-    /// Recording scope (`"<mapper>/<kernel>"`).
+    /// Recording scope (`"<mapper>/<kernel>@<fabric>"`).
     pub scope: String,
     /// Source DFG node index.
     pub src: u64,
@@ -64,6 +67,13 @@ fn u64_field(obj: &Json, name: &str) -> u64 {
     obj.get(name).and_then(Json::as_u64).unwrap_or(0)
 }
 
+fn str_field(obj: &Json, name: &str) -> String {
+    obj.get(name)
+        .and_then(Json::as_str)
+        .unwrap_or("")
+        .to_string()
+}
+
 /// Parses a flight-recorder JSON export (version 1).
 pub fn parse_flight(text: &str) -> Result<FlightData, String> {
     let root = json::parse(text).map_err(|e| format!("flight log: {e}"))?;
@@ -85,18 +95,10 @@ pub fn parse_flight(text: &str) -> Result<FlightData, String> {
         match e.get("kind").and_then(Json::as_str) {
             Some("route_failed") => {
                 let key = FailedEdge {
-                    scope: e
-                        .get("scope")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
+                    scope: str_field(e, "scope"),
                     src: u64_field(e, "src"),
                     dst: u64_field(e, "dst"),
-                    reason: e
-                        .get("reason")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string(),
+                    reason: str_field(e, "reason"),
                 };
                 *fails.entry(key).or_insert(0) += 1;
             }
@@ -116,12 +118,9 @@ pub fn parse_flight(text: &str) -> Result<FlightData, String> {
         .ok_or("flight log: missing heatmap array")?;
     for cell in heat {
         data.heatmap.push(HeatRow {
+            scope: str_field(cell, "scope"),
             pe: u64_field(cell, "pe") as u32,
-            class: cell
-                .get("class")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
+            class: str_field(cell, "class"),
             cycle: u64_field(cell, "cycle") as u32,
             overuse: u64_field(cell, "overuse"),
             peak: u64_field(cell, "peak"),
@@ -133,24 +132,17 @@ pub fn parse_flight(text: &str) -> Result<FlightData, String> {
     Ok(data)
 }
 
-/// The fabric's `(rows, cols)`, read from the `engine.fabric_rows`/`_cols`
-/// gauges (max over scopes); falls back to a square grid just covering the
-/// highest PE index in the heatmap.
-fn fabric_dims(snap: Option<&Snapshot>, heat: &[HeatRow]) -> (u32, u32) {
-    let gauge_max = |name: &str| {
-        snap.and_then(|s| {
-            s.scopes
-                .values()
-                .filter_map(|sc| sc.gauges.get(name).copied())
-                .max()
-        })
-        .filter(|&v| v > 0)
-        .map(|v| v as u32)
+/// `scope`'s fabric `(rows, cols)`, read from that scope's
+/// `engine.fabric_rows`/`_cols` gauges; falls back to a square grid just
+/// covering the highest PE index in its heatmap rows.
+fn fabric_dims(snap: Option<&Snapshot>, scope: &str, heat: &[&HeatRow]) -> (u32, u32) {
+    let gauge = |name: &str| {
+        snap.and_then(|s| s.scopes.get(scope))
+            .and_then(|sc| sc.gauges.get(name).copied())
+            .and_then(|v| u32::try_from(v).ok())
+            .filter(|&v| v > 0)
     };
-    if let (Some(r), Some(c)) = (
-        gauge_max("engine.fabric_rows"),
-        gauge_max("engine.fabric_cols"),
-    ) {
+    if let (Some(r), Some(c)) = (gauge("engine.fabric_rows"), gauge("engine.fabric_cols")) {
         return (r, c);
     }
     let max_pe = heat.iter().map(|h| h.pe).max().unwrap_or(0);
@@ -161,7 +153,7 @@ fn fabric_dims(snap: Option<&Snapshot>, heat: &[HeatRow]) -> (u32, u32) {
 /// Renders the per-PE congestion as an ASCII grid (PE ids are row-major),
 /// `.` = no recorded overuse, `1`-`9` then `#` for hotter cells scaled to
 /// the hottest PE.
-fn render_fabric_heatmap(heat: &[HeatRow], rows: u32, cols: u32) -> String {
+fn render_fabric_heatmap(heat: &[&HeatRow], rows: u32, cols: u32) -> String {
     let mut per_pe: BTreeMap<u32, u64> = BTreeMap::new();
     for h in heat {
         *per_pe.entry(h.pe).or_insert(0) += h.overuse;
@@ -221,7 +213,7 @@ fn render_span_tree(snap: &Snapshot) -> String {
 /// Builds the full diagnosis from whatever artefacts are present. Never
 /// returns an empty string: even with no inputs it says what is missing.
 pub fn diagnose(
-    runs: &[RunSummary],
+    runs: &[MapStats],
     snap: Option<&Snapshot>,
     flight: Option<&FlightData>,
     top_k: usize,
@@ -232,7 +224,7 @@ pub fn diagnose(
     if runs.is_empty() {
         out.push_str("  no runs (no --trace given or trace was empty)\n");
     }
-    let mut sorted: Vec<&RunSummary> = runs.iter().collect();
+    let mut sorted: Vec<&MapStats> = runs.iter().collect();
     // Failures first, then by gap descending: the sickest run leads.
     sorted.sort_by_key(|r| {
         (
@@ -247,7 +239,7 @@ pub fn diagnose(
                 let gap = ii.saturating_sub(r.mii);
                 let _ = writeln!(
                     out,
-                    "  {:<24} II {ii} vs MII {} (gap {gap}{})",
+                    "  {:<32} II {ii} vs MII {} (gap {gap}{})",
                     r.scope(),
                     r.mii,
                     if gap == 0 { ", optimal" } else { "" }
@@ -256,11 +248,10 @@ pub fn diagnose(
             None => {
                 let _ = writeln!(
                     out,
-                    "  {:<24} FAILED ({}) after {} IIs, {} attempts",
+                    "  {:<32} FAILED ({}) after {} IIs",
                     r.scope(),
-                    r.gave_up.as_deref().unwrap_or("unknown"),
-                    r.iis_started,
-                    r.attempts
+                    r.gave_up.map_or("unknown", |reason| reason.label()),
+                    r.iis_explored
                 );
             }
         }
@@ -276,7 +267,7 @@ pub fn diagnose(
             for (edge, n) in f.failed_edges.iter().take(top_k) {
                 let _ = writeln!(
                     out,
-                    "  {:<24} edge {} -> {} failed {n}x ({})",
+                    "  {:<32} edge {} -> {} failed {n}x ({})",
                     edge.scope, edge.src, edge.dst, edge.reason
                 );
             }
@@ -293,13 +284,24 @@ pub fn diagnose(
             for h in f.heatmap.iter().take(top_k) {
                 let _ = writeln!(
                     out,
-                    "  PE {:>3} {:<4} @cycle {:<3} overuse {:>5} (peak {}, {} rounds)",
-                    h.pe, h.class, h.cycle, h.overuse, h.peak, h.rounds
+                    "  {:<32} PE {:>3} {:<4} @cycle {:<3} overuse {:>5} (peak {}, {} rounds)",
+                    h.scope, h.pe, h.class, h.cycle, h.overuse, h.peak, h.rounds
                 );
             }
-            let (rows, cols) = fabric_dims(snap, &f.heatmap);
-            let _ = writeln!(out, "  fabric heat ({rows}x{cols}, '#' = hottest PE):");
-            out.push_str(&render_fabric_heatmap(&f.heatmap, rows, cols));
+            // One grid per run scope: PE ids only mean something on the
+            // fabric that scope ran on.
+            let mut by_scope: BTreeMap<&str, Vec<&HeatRow>> = BTreeMap::new();
+            for h in &f.heatmap {
+                by_scope.entry(h.scope.as_str()).or_default().push(h);
+            }
+            for (scope, heat) in &by_scope {
+                let (rows, cols) = fabric_dims(snap, scope, heat);
+                let _ = writeln!(
+                    out,
+                    "  fabric heat {scope} ({rows}x{cols}, '#' = hottest PE):"
+                );
+                out.push_str(&render_fabric_heatmap(heat, rows, cols));
+            }
         }
     }
 
@@ -409,7 +411,7 @@ pub fn validate_chrome(text: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs_report::parse_trace;
+    use rewire_mappers::GiveUpReason;
     use rewire_obs::{ChromeTrace, FlightEvent, FlightRecorder};
 
     fn sample_flight_json() -> String {
@@ -440,8 +442,8 @@ mod tests {
                 ii: 3,
             },
         );
-        r.heat(5, "link", 1, 7);
-        r.heat(2, "fu", 0, 3);
+        r.heat("PF*/fir@4x4/r4", 5, "link", 1, 7);
+        r.heat("PF*/fir@4x4/r4", 2, "fu", 0, 3);
         r.snapshot().to_json()
     }
 
@@ -453,6 +455,7 @@ mod tests {
         assert_eq!(data.failed_edges[0].1, 3, "most frequent edge first");
         assert_eq!(data.failed_edges[0].0.src, 1);
         assert_eq!(data.heatmap[0].pe, 5, "hottest cell first");
+        assert_eq!(data.heatmap[0].scope, "PF*/fir@4x4/r4");
         assert_eq!(data.phases.get("stall_detected"), Some(&1));
     }
 
@@ -464,16 +467,26 @@ mod tests {
 
     #[test]
     fn diagnosis_covers_all_sections() {
-        let trace = concat!(
-            r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"ii_started","ii":3}"#,
-            "\n",
-            r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"gave_up","reason":"max_ii_reached","iis_explored":1,"elapsed_us":900}"#,
-            "\n",
-        );
-        let runs = parse_trace(trace).unwrap();
+        let runs = [MapStats {
+            mapper: "PF*".into(),
+            kernel: "fir".into(),
+            fabric: "4x4/r4".into(),
+            mii: 3,
+            gave_up: Some(GiveUpReason::MaxIiReached),
+            iis_explored: 1,
+            ..MapStats::default()
+        }];
         let flight = parse_flight(&sample_flight_json()).unwrap();
         let report = diagnose(&runs, None, Some(&flight), 5);
-        assert!(report.contains("FAILED (max_ii_reached)"), "{report}");
+        let failed = report
+            .lines()
+            .find(|l| l.contains("FAILED"))
+            .unwrap_or_else(|| panic!("{report}"));
+        assert!(failed.contains("PF*/fir@4x4/r4"), "{report}");
+        assert!(
+            failed.contains("FAILED (max_ii_reached) after 1 IIs"),
+            "{report}"
+        );
         assert!(report.contains("edge 1 -> 2 failed 3x"), "{report}");
         assert!(report.contains("PE   5"), "{report}");
         assert!(report.contains("fabric heat"), "{report}");
@@ -491,29 +504,69 @@ mod tests {
 
     #[test]
     fn fabric_heatmap_is_row_major() {
-        let heat = vec![
-            HeatRow {
-                pe: 5,
-                class: "fu".into(),
-                cycle: 0,
-                overuse: 10,
-                peak: 10,
-                rounds: 1,
-            },
-            HeatRow {
-                pe: 0,
-                class: "fu".into(),
-                cycle: 0,
-                overuse: 1,
-                peak: 1,
-                rounds: 1,
-            },
-        ];
-        let grid = render_fabric_heatmap(&heat, 2, 4);
+        let cell = |pe, overuse| HeatRow {
+            scope: "s".into(),
+            pe,
+            class: "fu".into(),
+            cycle: 0,
+            overuse,
+            peak: overuse,
+            rounds: 1,
+        };
+        let (hot, cold) = (cell(5, 10), cell(0, 1));
+        let grid = render_fabric_heatmap(&[&hot, &cold], 2, 4);
         let lines: Vec<&str> = grid.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].trim(), "1...", "PE 0 is top-left");
         assert_eq!(lines[1].trim(), ".#..", "PE 5 = row 1, col 1 is hottest");
+    }
+
+    #[test]
+    fn heatmap_is_drawn_per_scope_at_its_own_shape() {
+        // PE 5 overused on a 4×4 run and on an 8×8 run: two cells, two
+        // grids, each sized from its own scope's gauges.
+        let r = FlightRecorder::new(8);
+        r.enable(0);
+        r.heat("PF*/k@4x4/r4", 5, "fu", 0, 3);
+        r.heat("PF*/k@8x8/r4", 5, "fu", 0, 7);
+        r.heat("PF*/k@8x8/r4", 9, "fu", 0, 1);
+        let flight = parse_flight(&r.snapshot().to_json()).unwrap();
+        assert_eq!(flight.heatmap.len(), 3, "no cell is shared across scopes");
+        let gauges = |n: u32| {
+            format!(
+                r#"{{"counters":{{}},"gauges":{{"engine.fabric_cols":{n},"engine.fabric_rows":{n}}},"histograms":{{}},"spans":{{}}}}"#
+            )
+        };
+        let snap = Snapshot::from_json(&format!(
+            r#"{{"version":1,"scopes":{{"PF*/k@4x4/r4":{},"PF*/k@8x8/r4":{}}}}}"#,
+            gauges(4),
+            gauges(8)
+        ))
+        .unwrap();
+        let report = diagnose(&[], Some(&snap), Some(&flight), 5);
+        let grid = |title: &str| -> Vec<String> {
+            let lines: Vec<&str> = report.lines().collect();
+            let at = lines
+                .iter()
+                .position(|l| l.contains(title))
+                .unwrap_or_else(|| panic!("no {title:?} in {report}"));
+            lines[at + 1..]
+                .iter()
+                .take_while(|l| l.starts_with("    "))
+                .map(|l| l.trim().to_string())
+                .collect()
+        };
+        assert_eq!(
+            grid("fabric heat PF*/k@4x4/r4 (4x4"),
+            ["....", ".#..", "....", "...."]
+        );
+        let big = grid("fabric heat PF*/k@8x8/r4 (8x8");
+        assert_eq!(big.len(), 8, "{report}");
+        assert_eq!(big[0], ".....#..", "PE 5 = row 0, col 5 on 8 columns");
+        assert_eq!(
+            big[1], ".2......",
+            "PE 9 = row 1, col 1, scaled to its own peak"
+        );
     }
 
     #[test]

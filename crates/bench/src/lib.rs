@@ -8,7 +8,8 @@
 //!   minimal II vs the MII bound vs capped heuristics),
 //! * [`report`] — table/series printers and the summary statistics the
 //!   paper quotes (speedups, optimal/near-optimal counts, time reductions),
-//! * [`obs_report`] — trace/metrics aggregation behind `rewire-report`,
+//! * [`obs_report`] — run-record/metrics aggregation behind
+//!   `rewire-report`,
 //! * [`doctor`] — failure forensics behind `rewire-doctor` (flight-log
 //!   analysis, congestion heatmaps, Chrome-trace validation).
 //!
@@ -29,10 +30,7 @@ pub mod workloads;
 
 pub use mii_tightness::{mii_tightness_rows, render_markdown, render_snapshot, TightnessRow};
 pub use report::{print_fig5, print_fig6, print_table1, summarize, to_markdown, Summary};
-pub use runner::{
-    parallel_map, parse_cli, run_workloads, run_workloads_jobs, run_workloads_traced, BenchArgs,
-    MapperKind, Row,
-};
+pub use runner::{parallel_map, parse_cli, run_workloads, write_trace, BenchArgs, MapperKind, Row};
 pub use workloads::{
     fig5_workloads, fig6_workloads, scaling_workloads, table1_workloads, Workload,
 };

@@ -1,130 +1,23 @@
-//! Aggregation behind the `rewire-report` binary: folds a JSONL
-//! [`MapEvent`] trace and any number of metrics snapshots into per-run
-//! summaries (attempts, rounds, II achieved) joined with the `mapper/kernel`
-//! scoped counters and span timings the instrumented mappers recorded.
-//!
-//! [`MapEvent`]: rewire_mappers::MapEvent
+//! Aggregation behind the `rewire-report` binary: reads a `--trace` file
+//! of run records ([`MapStats`], one JSON line per run) and any number of
+//! metrics snapshots, and renders one row per record joined with the
+//! counters and span timings recorded under the record's scope
+//! ([`MapStats::scope`], `mapper/kernel@fabric`).
 
 use rewire_mappers::MapStats;
-use rewire_obs::json::{self, Json};
 use rewire_obs::Snapshot;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::Duration;
 
-/// One run's aggregate, rebuilt from its trace lines.
-///
-/// The engine ascends from MII, so the first `ii_started` value of a run
-/// *is* its MII — the trace needs no separate MII record.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RunSummary {
-    /// Mapper display name.
-    pub mapper: String,
-    /// Kernel name.
-    pub kernel: String,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// MII (the first II the engine attempted); 0 if no II was started.
-    pub mii: u32,
-    /// Achieved II (`None` = the run gave up).
-    pub achieved_ii: Option<u32>,
-    /// Why the run gave up (trace label), if it did.
-    pub gave_up: Option<String>,
-    /// `ii_started` events seen.
-    pub iis_started: u32,
-    /// `attempt_finished` events seen.
-    pub attempts: u32,
-    /// `negotiation_round` events seen.
-    pub rounds: u64,
-    /// Total single-node remapping iterations over all attempts.
-    pub iterations: u64,
-    /// Total wall-clock of the run in µs (from the terminal event).
-    pub elapsed_us: u128,
-}
-
-impl RunSummary {
-    /// Rebuilds a [`MapStats`] so the report can reuse its `Display`
-    /// one-liner — the same formatting path `rewire-map` prints.
-    pub fn to_stats(&self) -> MapStats {
-        MapStats {
-            mapper: self.mapper.clone(),
-            kernel: self.kernel.clone(),
-            mii: self.mii,
-            achieved_ii: self.achieved_ii,
-            iis_explored: self.iis_started,
-            remap_iterations: self.iterations,
-            negotiation_rounds: self.rounds,
-            elapsed: Duration::from_micros(self.elapsed_us.min(u64::MAX as u128) as u64),
-            verdicts: Vec::new(),
-        }
-    }
-
-    /// The metric scope this run's counters were recorded under.
-    pub fn scope(&self) -> String {
-        format!("{}/{}", self.mapper, self.kernel)
-    }
-}
-
-fn field_str<'a>(obj: &'a Json, name: &str, line: usize) -> Result<&'a str, String> {
-    obj.get(name)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("line {line}: missing string field {name:?}"))
-}
-
-fn field_u64(obj: &Json, name: &str, line: usize) -> Result<u64, String> {
-    obj.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {line}: missing numeric field {name:?}"))
-}
-
-/// Parses a JSONL trace into per-run summaries, sorted by
-/// `(mapper, kernel, seed)`. Blank lines are skipped; any malformed line is
-/// an error (a truncated trace should fail the report, not thin it out).
-pub fn parse_trace(text: &str) -> Result<Vec<RunSummary>, String> {
-    let mut runs: BTreeMap<(String, String, u64), RunSummary> = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let mapper = field_str(&obj, "mapper", lineno)?.to_string();
-        let kernel = field_str(&obj, "kernel", lineno)?.to_string();
-        let seed = field_u64(&obj, "seed", lineno)?;
-        let kind = field_str(&obj, "type", lineno)?.to_string();
-        let run = runs
-            .entry((mapper.clone(), kernel.clone(), seed))
-            .or_insert_with(|| RunSummary {
-                mapper,
-                kernel,
-                seed,
-                ..RunSummary::default()
-            });
-        match kind.as_str() {
-            "ii_started" => {
-                let ii = field_u64(&obj, "ii", lineno)? as u32;
-                if run.iis_started == 0 {
-                    run.mii = ii;
-                }
-                run.iis_started += 1;
-            }
-            "negotiation_round" => run.rounds += 1,
-            "attempt_finished" => {
-                run.attempts += 1;
-                run.iterations += field_u64(&obj, "iterations", lineno)?;
-            }
-            "mapped" => {
-                run.achieved_ii = Some(field_u64(&obj, "ii", lineno)? as u32);
-                run.elapsed_us = field_u64(&obj, "elapsed_us", lineno)? as u128;
-            }
-            "gave_up" => {
-                run.gave_up = Some(field_str(&obj, "reason", lineno)?.to_string());
-                run.elapsed_us = field_u64(&obj, "elapsed_us", lineno)? as u128;
-            }
-            other => return Err(format!("line {lineno}: unknown event type {other:?}")),
-        }
-    }
-    Ok(runs.into_values().collect())
+/// Parses a `--trace` file into its run records, in file order. Blank
+/// lines are skipped; any malformed line is an error naming the line (a
+/// truncated trace should fail the report, not thin it out).
+pub fn parse_records(text: &str) -> Result<Vec<MapStats>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(idx, line)| MapStats::from_json(line).map_err(|e| format!("line {}: {e}", idx + 1)))
+        .collect()
 }
 
 /// Parses and merges metrics snapshot files (the counters are additive, so
@@ -146,19 +39,20 @@ fn counter(snap: &Snapshot, scope: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Renders the per-run table, one `MapStats` line per run, and (when a
-/// snapshot is present) the per-scope span time breakdown.
-pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
+/// Renders the per-run table (one row per record), one `MapStats` line
+/// per run, and (when a snapshot is present) the per-scope span time
+/// breakdown.
+pub fn render_report(runs: &[MapStats], snap: Option<&Snapshot>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<8} {:<14} {:>4} {:>4} {:>5} {:>7} {:>10} {:>10} {:>12} {:>10}",
+        "{:<8} {:<14} {:<8} {:>4} {:>4} {:>5} {:>10} {:>10} {:>12} {:>10}",
         "mapper",
         "kernel",
+        "fabric",
         "II",
         "MII",
         "IIs",
-        "rounds",
         "iters",
         "time_ms",
         "expansions",
@@ -177,26 +71,25 @@ pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
         });
         let _ = writeln!(
             out,
-            "{:<8} {:<14} {:>4} {:>4} {:>5} {:>7} {:>10} {:>10.1} {:>12} {:>10}",
+            "{:<8} {:<14} {:<8} {:>4} {:>4} {:>5} {:>10} {:>10.1} {:>12} {:>10}",
             run.mapper,
             run.kernel,
+            run.fabric,
             ii,
             run.mii,
-            run.iis_started,
-            run.rounds,
-            run.iterations,
-            run.elapsed_us as f64 / 1000.0,
+            run.iis_explored,
+            run.remap_iterations,
+            run.elapsed.as_secs_f64() * 1000.0,
             expansions,
             rip_ups
         );
     }
     out.push('\n');
     for run in runs {
-        let _ = writeln!(out, "{}", run.to_stats());
+        let _ = writeln!(out, "{run}");
     }
     if let Some(snap) = snap {
-        let scope_names: std::collections::BTreeSet<String> =
-            runs.iter().map(RunSummary::scope).collect();
+        let scope_names: BTreeSet<String> = runs.iter().map(MapStats::scope).collect();
         let present: Vec<&String> = scope_names
             .iter()
             .filter(|name| snap.scopes.contains_key(name.as_str()))
@@ -245,78 +138,74 @@ pub fn render_report(runs: &[RunSummary], snap: Option<&Snapshot>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rewire_mappers::GiveUpReason;
+    use std::time::Duration;
 
-    const TRACE: &str = concat!(
-        r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"ii_started","ii":3}"#,
-        "\n",
-        r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"negotiation_round","ii":3,"iteration":10,"ill_nodes":2,"overuse":4}"#,
-        "\n",
-        r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"attempt_finished","ii":3,"routed":false,"overuse":4,"iterations":50,"elapsed_us":900}"#,
-        "\n",
-        r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"ii_started","ii":4}"#,
-        "\n",
-        r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"attempt_finished","ii":4,"routed":true,"overuse":0,"iterations":73,"elapsed_us":800}"#,
-        "\n",
-        r#"{"mapper":"PF*","kernel":"fir","seed":7,"type":"mapped","ii":4,"iis_explored":2,"elapsed_us":12300}"#,
-        "\n",
-    );
+    fn record(fabric: &str, achieved_ii: Option<u32>) -> MapStats {
+        MapStats {
+            mapper: "PF*".into(),
+            kernel: "fir".into(),
+            fabric: fabric.into(),
+            seed: 7,
+            mii: 3,
+            achieved_ii,
+            gave_up: achieved_ii.is_none().then_some(GiveUpReason::MaxIiReached),
+            iis_explored: 2,
+            remap_iterations: 123,
+            elapsed: Duration::from_micros(12_300),
+            verdicts: Vec::new(),
+        }
+    }
+
+    fn trace(records: &[MapStats]) -> String {
+        records.iter().map(|r| r.to_json() + "\n").collect()
+    }
 
     #[test]
-    fn trace_aggregates_into_one_run() {
-        let runs = parse_trace(TRACE).unwrap();
-        assert_eq!(runs.len(), 1);
-        let r = &runs[0];
-        assert_eq!(r.mapper, "PF*");
-        assert_eq!(r.kernel, "fir");
-        assert_eq!(r.seed, 7);
-        assert_eq!(r.mii, 3, "first ii_started is the MII");
-        assert_eq!(r.achieved_ii, Some(4));
-        assert_eq!(r.iis_started, 2);
-        assert_eq!(r.attempts, 2);
-        assert_eq!(r.rounds, 1);
-        assert_eq!(r.iterations, 123);
-        assert_eq!(r.elapsed_us, 12_300);
-        assert_eq!(
-            r.to_stats().to_string(),
-            "PF*/fir: II 4 (MII 3) after 2 IIs, 123 iterations, 1 rounds, 12.3 ms"
-        );
+    fn records_parse_in_file_order() {
+        let records = vec![record("4x4/r4", Some(4)), record("8x8/r4", None)];
+        let text = format!("\n{}\n", trace(&records));
+        assert_eq!(parse_records(&text).unwrap(), records);
     }
 
     #[test]
     fn malformed_lines_fail_with_position() {
-        let bad = format!("{TRACE}this is not json\n");
-        let err = parse_trace(&bad).unwrap_err();
-        assert!(err.starts_with("line 7:"), "{err}");
-        let missing = r#"{"mapper":"PF*","kernel":"fir","type":"ii_started","ii":3}"#;
-        let err = parse_trace(missing).unwrap_err();
-        assert!(err.contains("seed"), "{err}");
+        let good = trace(&[record("4x4/r4", Some(4))]);
+        let err = parse_records(&format!("{good}this is not json\n")).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        let out_of_range = good.replace("\"mii\":3", "\"mii\":4294967296");
+        let err = parse_records(&format!("{good}{out_of_range}")).unwrap_err();
+        assert_eq!(err, "line 2: field \"mii\": 4294967296 does not fit u32");
+        let missing = good.replace(",\"seed\":7", "");
+        assert!(parse_records(&missing).unwrap_err().contains("seed"));
     }
 
     #[test]
-    fn gave_up_runs_are_reported_as_failures() {
-        let trace = concat!(
-            r#"{"mapper":"SA","kernel":"atax","seed":1,"type":"ii_started","ii":3}"#,
-            "\n",
-            r#"{"mapper":"SA","kernel":"atax","seed":1,"type":"gave_up","reason":"max_ii_reached","iis_explored":18,"elapsed_us":950000}"#,
-            "\n",
-        );
-        let runs = parse_trace(trace).unwrap();
-        assert_eq!(runs[0].achieved_ii, None);
-        assert_eq!(runs[0].gave_up.as_deref(), Some("max_ii_reached"));
-        let line = runs[0].to_stats().to_string();
-        assert!(line.contains("failed"), "{line}");
-    }
-
-    #[test]
-    fn report_joins_metric_scopes() {
-        let runs = parse_trace(TRACE).unwrap();
-        let snap_json = r#"{"version":1,"scopes":{"PF*/fir":{"counters":{"pf.rip_ups":9,"router.expansions":4321},"gauges":{"engine.fabric_pes":64,"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}}}}"#;
+    fn report_has_one_row_per_record_joined_by_scope() {
+        let runs = vec![record("4x4/r4", Some(4)), record("8x8/r4", None)];
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":9,"router.expansions":4321},"gauges":{"engine.fabric_pes":16,"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}},"PF*/fir@8x8/r4":{"counters":{"router.expansions":8765},"gauges":{},"histograms":{},"spans":{}}}}"#;
         let snap = load_snapshots(&[("m.json".to_string(), snap_json.to_string())]).unwrap();
         let report = render_report(&runs, Some(&snap));
-        assert!(report.contains("4321"), "{report}");
-        assert!(report.contains("PF*/fir: II 4"), "{report}");
+        let rows: Vec<&str> = report.lines().filter(|l| l.starts_with("PF* ")).collect();
+        assert_eq!(rows.len(), 2, "{report}");
+        assert!(
+            rows[0].contains("4x4/r4") && rows[0].contains("4321"),
+            "{report}"
+        );
+        assert!(
+            rows[1].contains("8x8/r4") && rows[1].contains("8765"),
+            "{report}"
+        );
+        assert!(
+            report.contains("PF*/fir: II 4 (MII 3) on 4x4/r4"),
+            "{report}"
+        );
+        assert!(
+            report.contains("PF*/fir: failed (MII 3) on 8x8/r4"),
+            "{report}"
+        );
         assert!(report.contains("time breakdown"), "{report}");
-        assert!(report.contains("run"), "{report}");
+        assert!(report.contains("PF*/fir@4x4/r4"), "{report}");
         assert!(report.contains("engine.fabric_pes"), "{report}");
         assert!(
             report.contains("router.distance_table_bytes") && report.contains("16384"),
@@ -326,11 +215,11 @@ mod tests {
 
     #[test]
     fn report_renders_histogram_quantiles() {
-        let runs = parse_trace(TRACE).unwrap();
+        let runs = vec![record("4x4/r4", Some(4))];
         // Values {1, 2, 3, 900}: log2 buckets [(1,1),(2,2),(10,1)]. The
         // interpolated quantiles are pinned by the snapshot unit tests:
         // p50 = 2.25, p90 = p99 = 767.5.
-        let snap_json = r#"{"version":1,"scopes":{"PF*/fir":{"counters":{},"gauges":{},"histograms":{"pf.route_len":{"count":4,"sum":906,"min":1,"max":900,"buckets":[[1,1],[2,2],[10,1]]}},"spans":{}}}}"#;
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{},"gauges":{},"histograms":{"pf.route_len":{"count":4,"sum":906,"min":1,"max":900,"buckets":[[1,1],[2,2],[10,1]]}},"spans":{}}}}"#;
         let snap = load_snapshots(&[("m.json".to_string(), snap_json.to_string())]).unwrap();
         let report = render_report(&runs, Some(&snap));
         assert!(report.contains("pf.route_len"), "{report}");
@@ -342,14 +231,14 @@ mod tests {
 
     #[test]
     fn snapshots_merge_across_files() {
-        let a = r#"{"version":1,"scopes":{"PF*/fir":{"counters":{"pf.rip_ups":1},"gauges":{},"histograms":{},"spans":{}}}}"#;
-        let b = r#"{"version":1,"scopes":{"PF*/fir":{"counters":{"pf.rip_ups":2},"gauges":{},"histograms":{},"spans":{}}}}"#;
+        let a = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":1},"gauges":{},"histograms":{},"spans":{}}}}"#;
+        let b = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":2},"gauges":{},"histograms":{},"spans":{}}}}"#;
         let snap = load_snapshots(&[
             ("a.json".to_string(), a.to_string()),
             ("b.json".to_string(), b.to_string()),
         ])
         .unwrap();
-        assert_eq!(counter(&snap, "PF*/fir", "pf.rip_ups"), 3);
+        assert_eq!(counter(&snap, "PF*/fir@4x4/r4", "pf.rip_ups"), 3);
         let err = load_snapshots(&[("c.json".to_string(), "{}".to_string())]).unwrap_err();
         assert!(err.starts_with("c.json:"), "{err}");
     }

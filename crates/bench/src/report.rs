@@ -67,12 +67,12 @@ pub fn summarize(rows: &[Row]) -> Summary {
         }
     }
     for (i, r) in rows[0].results.iter().enumerate() {
-        s.failures.push((r.mapper.to_string(), fails[i]));
+        s.failures.push((r.mapper.clone(), fails[i]));
         if i > 0 {
             let (ls, ns) = speed[i];
             let (lt, nt) = time[i];
             s.speedup_vs.push((
-                r.mapper.to_string(),
+                r.mapper.clone(),
                 if ns > 0 {
                     (ls / ns as f64).exp()
                 } else {
@@ -81,7 +81,7 @@ pub fn summarize(rows: &[Row]) -> Summary {
                 ns,
             ));
             s.time_reduction_vs.push((
-                r.mapper.to_string(),
+                r.mapper.clone(),
                 if nt > 0 {
                     (lt / nt as f64).exp()
                 } else {
@@ -172,7 +172,7 @@ pub fn print_table1(rows: &[Row]) {
         }
         print!("{:<14}", row.kernel);
         for r in &row.results {
-            print!(" {:>9.0}", r.iterations_per_ii);
+            print!(" {:>9.0}", r.remap_iterations_per_ii());
         }
         println!();
     }
@@ -181,7 +181,7 @@ pub fn print_table1(rows: &[Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::MapperResult;
+    use rewire_mappers::MapStats;
     use std::time::Duration;
 
     fn row(mii: u32, subject: Option<u32>, other: Option<u32>) -> Row {
@@ -190,17 +190,17 @@ mod tests {
             kernel: "k".into(),
             mii,
             results: vec![
-                MapperResult {
-                    mapper: "Rewire",
+                MapStats {
+                    mapper: "Rewire".into(),
                     achieved_ii: subject,
                     elapsed: Duration::from_secs(1),
-                    iterations_per_ii: 5.0,
+                    ..MapStats::default()
                 },
-                MapperResult {
-                    mapper: "PF*",
+                MapStats {
+                    mapper: "PF*".into(),
                     achieved_ii: other,
                     elapsed: Duration::from_secs(4),
-                    iterations_per_ii: 300.0,
+                    ..MapStats::default()
                 },
             ],
         }
@@ -288,8 +288,7 @@ pub fn to_markdown(rows: &[Row]) -> String {
 #[cfg(test)]
 mod markdown_tests {
     use super::*;
-    use crate::runner::MapperResult;
-    use std::time::Duration;
+    use rewire_mappers::MapStats;
 
     #[test]
     fn markdown_table_shape() {
@@ -297,11 +296,10 @@ mod markdown_tests {
             config: "4x4 4reg",
             kernel: "fir".into(),
             mii: 3,
-            results: vec![MapperResult {
-                mapper: "Rewire",
+            results: vec![MapStats {
+                mapper: "Rewire".into(),
                 achieved_ii: Some(3),
-                elapsed: Duration::from_millis(10),
-                iterations_per_ii: 2.0,
+                ..MapStats::default()
             }],
         }];
         let md = to_markdown(&rows);

@@ -2,8 +2,7 @@
 
 use crate::workloads::Workload;
 use rewire_core::RewireMapper;
-use rewire_mappers::engine::{EventSink, Fanout, JsonlTrace, MetricsSink, SharedSink};
-use rewire_mappers::{MapLimits, Mapper, PathFinderConfig, PathFinderMapper, SaMapper};
+use rewire_mappers::{MapLimits, MapStats, Mapper, PathFinderConfig, PathFinderMapper, SaMapper};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -37,32 +36,10 @@ impl MapperKind {
             MapperKind::Annealing => Box::new(SaMapper::new()),
         }
     }
-
-    /// Column label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MapperKind::Rewire => "Rewire",
-            MapperKind::PathFinder | MapperKind::PathFinderFullBudget => "PF*",
-            MapperKind::Annealing => "SA",
-        }
-    }
-}
-
-/// One mapper's result on one benchmark–architecture combination.
-#[derive(Clone, Debug)]
-pub struct MapperResult {
-    /// Which mapper produced it.
-    pub mapper: &'static str,
-    /// Achieved II (`None` = failed within budget).
-    pub achieved_ii: Option<u32>,
-    /// Total wall-clock compilation time.
-    pub elapsed: Duration,
-    /// Average single-node remapping iterations per explored II.
-    pub iterations_per_ii: f64,
 }
 
 /// One row of an experiment: a kernel on an architecture, with all mappers'
-/// results.
+/// run records.
 #[derive(Clone, Debug)]
 pub struct Row {
     /// Architecture label.
@@ -71,20 +48,8 @@ pub struct Row {
     pub kernel: String,
     /// Theoretical minimum II.
     pub mii: u32,
-    /// Per-mapper results, in the order the mappers were passed.
-    pub results: Vec<MapperResult>,
-}
-
-/// Runs every `(kernel, architecture)` combination of `workloads` through
-/// `mappers` with the given per-II budget, calling `progress` after each
-/// row (for live output).
-pub fn run_workloads(
-    workloads: &[Workload],
-    mappers: &[MapperKind],
-    seconds_per_ii: f64,
-    progress: impl FnMut(&Row),
-) -> Vec<Row> {
-    run_workloads_traced(workloads, mappers, seconds_per_ii, 1, None, progress)
+    /// Per-mapper run records, in the order the mappers were passed.
+    pub results: Vec<MapStats>,
 }
 
 /// One `(kernel, architecture, mapper)` unit of work for the fan-out.
@@ -99,15 +64,8 @@ struct Task<'a> {
 }
 
 impl Task<'_> {
-    fn run(&self, trace: Option<&SharedSink>) -> MapperResult {
-        let mapper = self.kind.build();
-        let outcome = match trace {
-            Some(sink) => {
-                let mut sink = sink.clone();
-                mapper.map_with_events(self.dfg, self.cgra, &self.limits, &mut sink)
-            }
-            None => mapper.map(self.dfg, self.cgra, &self.limits),
-        };
+    fn run(&self) -> MapStats {
+        let outcome = self.kind.build().map(self.dfg, self.cgra, &self.limits);
         if let Some(m) = &outcome.mapping {
             assert!(
                 m.is_valid(self.dfg, self.cgra),
@@ -116,48 +74,25 @@ impl Task<'_> {
                 self.label
             );
         }
-        MapperResult {
-            mapper: self.kind.label(),
-            achieved_ii: outcome.stats.achieved_ii,
-            elapsed: outcome.stats.elapsed,
-            iterations_per_ii: outcome.stats.remap_iterations_per_ii(),
-        }
+        outcome.stats
     }
 }
 
-/// [`run_workloads`] with `jobs` OS threads fanning out over every
-/// `(kernel, architecture, mapper)` combination.
+/// Runs every `(kernel, architecture)` combination of `workloads` through
+/// `mappers` with the given per-II budget on `jobs` OS threads, calling
+/// `progress` after each row (for live output).
 ///
 /// Work is pulled from a shared atomic index, so thread scheduling decides
 /// only *who* runs a combination — each combination itself is mapped with
-/// exactly the same limits and seed as in the serial runner, and the
-/// returned rows are assembled in the serial order regardless of completion
-/// order. `progress` fires on the calling thread as rows *complete*, which
-/// under `jobs > 1` may be out of row order.
-pub fn run_workloads_jobs(
+/// exactly the same limits and seed as with `jobs = 1`, and the returned
+/// rows are assembled in the serial order regardless of completion order.
+/// `progress` fires on the calling thread as rows *complete*, which under
+/// `jobs > 1` may be out of row order.
+pub fn run_workloads(
     workloads: &[Workload],
     mappers: &[MapperKind],
     seconds_per_ii: f64,
     jobs: usize,
-    progress: impl FnMut(&Row),
-) -> Vec<Row> {
-    run_workloads_traced(workloads, mappers, seconds_per_ii, jobs, None, progress)
-}
-
-/// [`run_workloads_jobs`] with an optional shared [`MapEvent`] trace sink.
-///
-/// Every `(kernel, architecture, mapper)` run emits its events into a clone
-/// of `trace`, so a single JSONL file receives the whole experiment's trace
-/// even under `--jobs` fan-out (lines interleave across runs but stay
-/// attributable — each carries its mapper/kernel/seed identity).
-///
-/// [`MapEvent`]: rewire_mappers::MapEvent
-pub fn run_workloads_traced(
-    workloads: &[Workload],
-    mappers: &[MapperKind],
-    seconds_per_ii: f64,
-    jobs: usize,
-    trace: Option<SharedSink>,
     mut progress: impl FnMut(&Row),
 ) -> Vec<Row> {
     // Flatten into row skeletons (one per kernel × architecture) and
@@ -196,32 +131,27 @@ pub fn run_workloads_traced(
     if jobs <= 1 {
         // Serial path: run in order, fire progress per finished row.
         for task in &tasks {
-            let result = task.run(trace.as_ref());
+            let result = task.run();
             skeletons[task.row].results.push(result);
             if skeletons[task.row].results.len() == mappers.len() {
                 progress(&skeletons[task.row]);
             }
         }
-        if let Some(mut sink) = trace {
-            sink.finish();
-        }
         return skeletons;
     }
 
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, MapperResult)>();
-    let mut slots: Vec<Vec<Option<MapperResult>>> =
-        vec![vec![None; mappers.len()]; skeletons.len()];
+    let (tx, rx) = mpsc::channel::<(usize, MapStats)>();
+    let mut slots: Vec<Vec<Option<MapStats>>> = vec![vec![None; mappers.len()]; skeletons.len()];
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(tasks.len().max(1)) {
             let tx = tx.clone();
             let next = &next;
             let tasks = &tasks;
-            let trace = trace.clone();
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(task) = tasks.get(i) else { break };
-                if tx.send((i, task.run(trace.as_ref()))).is_err() {
+                if tx.send((i, task.run())).is_err() {
                     break;
                 }
             });
@@ -232,7 +162,7 @@ pub fn run_workloads_traced(
             let task = &tasks[i];
             slots[task.row][task.slot] = Some(result);
             if slots[task.row].iter().all(Option::is_some) {
-                let results: Vec<MapperResult> = slots[task.row]
+                let results: Vec<MapStats> = slots[task.row]
                     .iter_mut()
                     .map(|s| s.take().expect("slot just checked full"))
                     .collect();
@@ -241,12 +171,20 @@ pub fn run_workloads_traced(
             }
         }
     });
-    // Flush the shared sink once the whole experiment is done, so traces
-    // survive even if the binary exits without dropping the sink.
-    if let Some(mut sink) = trace {
-        sink.finish();
-    }
     skeletons
+}
+
+/// Writes `records` to `path` as JSON Lines, one [`MapStats::to_json`]
+/// record per run, in the given order. Panics with a readable message on
+/// I/O errors: a bench run with an unwritable trace path should fail
+/// loudly, not silently drop its trace.
+pub fn write_trace<'a>(path: &str, records: impl IntoIterator<Item = &'a MapStats>) {
+    let jsonl: String = records
+        .into_iter()
+        .map(|stats| stats.to_json() + "\n")
+        .collect();
+    std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
+    eprintln!("trace written to {path}");
 }
 
 /// Applies `f` to every item on `jobs` threads, returning results in input
@@ -295,7 +233,8 @@ pub struct BenchArgs {
     pub seconds_per_ii: f64,
     /// Worker threads for the workload fan-out (`--jobs N`, default 1).
     pub jobs: usize,
-    /// JSONL trace file path (`--trace FILE`), if requested.
+    /// Run-record file path (`--trace FILE`), if requested: one
+    /// [`MapStats`] JSON line per run.
     pub trace: Option<String>,
     /// Metrics snapshot file path (`--metrics FILE`), if requested.
     pub metrics: Option<String>,
@@ -310,39 +249,6 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Opens the `--trace` file (if any) as a shared JSONL sink suitable
-    /// for [`run_workloads_traced`]. Panics with a readable message when
-    /// the file cannot be created — a bench run with an unwritable trace
-    /// path should fail fast, not silently drop its trace.
-    pub fn trace_sink(&self) -> Option<SharedSink> {
-        self.trace.as_ref().map(|path| {
-            let sink = JsonlTrace::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {path}: {e}"));
-            SharedSink::new(sink)
-        })
-    }
-
-    /// Composes every requested observability sink — the `--trace` JSONL
-    /// writer and, when `--metrics` is given, a
-    /// [`MetricsSink`] deriving event counters — into one shared sink for
-    /// [`run_workloads_traced`]. Returns `None` when neither was requested.
-    pub fn event_sink(&self) -> Option<SharedSink> {
-        let mut fan = Fanout::default();
-        if let Some(path) = &self.trace {
-            let sink = JsonlTrace::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {path}: {e}"));
-            fan.0.push(Box::new(sink));
-        }
-        if self.metrics.is_some() {
-            fan.0.push(Box::new(MetricsSink::new()));
-        }
-        if fan.0.is_empty() {
-            None
-        } else {
-            Some(SharedSink::new(fan))
-        }
-    }
-
     /// Enables the process-global flight recorder and Chrome span collector
     /// when their output files were requested. Call once before mapping
     /// starts ([`parse_cli`] does this automatically).
@@ -355,14 +261,16 @@ impl BenchArgs {
         }
     }
 
-    /// Writes every requested observability artifact: the `--metrics`
-    /// registry snapshot, the `--chrome-trace` span timeline (with flight
-    /// events embedded as instants), and the `--flight` decision log. Call
-    /// once, after every run finished. Panics on I/O errors for the same
-    /// fail-fast reason as [`trace_sink`].
-    ///
-    /// [`trace_sink`]: BenchArgs::trace_sink
-    pub fn write_metrics(&self) {
+    /// Writes every requested observability artifact: the `--trace` run
+    /// records (in the given order), the `--metrics` registry snapshot,
+    /// the `--chrome-trace` span timeline (with flight events embedded as
+    /// instants), and the `--flight` decision log. Call once, after every
+    /// run finished. Panics on I/O errors for the same reason as
+    /// [`write_trace`].
+    pub fn write_outputs<'a>(&self, records: impl IntoIterator<Item = &'a MapStats>) {
+        if let Some(path) = &self.trace {
+            write_trace(path, records);
+        }
         if let Some(path) = &self.metrics {
             let mut json = rewire_obs::metrics().snapshot().to_json();
             json.push('\n');
@@ -511,12 +419,17 @@ mod tests {
             kernels: vec![kernels::fir(), kernels::atax()],
         };
         let mut seen = 0;
-        let rows = run_workloads(&[w], &[MapperKind::PathFinder], 0.3, |_| seen += 1);
+        let rows = run_workloads(&[w], &[MapperKind::PathFinder], 0.3, 1, |_| seen += 1);
         assert_eq!(rows.len(), 2);
         assert_eq!(seen, 2);
         for row in &rows {
             assert_eq!(row.results.len(), 1);
-            assert_eq!(row.results[0].mapper, "PF*");
+            let record = &row.results[0];
+            assert_eq!(record.mapper, "PF*");
+            assert_eq!(record.kernel, row.kernel);
+            assert_eq!(record.fabric, "4x4/r4");
+            assert_eq!(record.seed, MapLimits::benchmark().seed);
+            assert_eq!(record.mii, row.mii);
             assert!(row.mii >= 1);
         }
     }
@@ -538,10 +451,9 @@ mod tests {
                 kernels::by_name("mvt").unwrap(),
             ],
         };
-        let serial = run_workloads(&[mk()], &[MapperKind::PathFinder], 60.0, |_| {});
+        let serial = run_workloads(&[mk()], &[MapperKind::PathFinder], 60.0, 1, |_| {});
         let mut seen = 0;
-        let parallel =
-            run_workloads_jobs(&[mk()], &[MapperKind::PathFinder], 60.0, 4, |_| seen += 1);
+        let parallel = run_workloads(&[mk()], &[MapperKind::PathFinder], 60.0, 4, |_| seen += 1);
         assert_eq!(seen, serial.len());
         assert_eq!(parallel.len(), serial.len());
         for (s, p) in serial.iter().zip(&parallel) {
@@ -677,29 +589,41 @@ mod tests {
     }
 
     #[test]
-    fn event_sink_composes_trace_and_metrics() {
-        let base = parse_cli_from([], 2.0);
-        assert!(base.event_sink().is_none(), "nothing requested, no sink");
-        let metrics_only = BenchArgs {
-            metrics: Some("unused.json".to_string()),
-            ..base
-        };
-        // Metrics-only composition must not try to open any file.
-        assert!(metrics_only.event_sink().is_some());
+    fn trace_holds_one_record_per_run_in_order() {
+        let records: Vec<MapStats> = ["fir", "atax"]
+            .into_iter()
+            .map(|kernel| MapStats {
+                mapper: "PF*".into(),
+                kernel: kernel.into(),
+                fabric: "4x4/r4".into(),
+                achieved_ii: Some(2),
+                ..MapStats::default()
+            })
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("rewire-records-{}.jsonl", std::process::id()));
+        let path = path.to_str().unwrap();
+        write_trace(path, &records);
+        let text = std::fs::read_to_string(path).unwrap();
+        let _ = std::fs::remove_file(path);
+        let read: Vec<MapStats> = text
+            .lines()
+            .map(|line| MapStats::from_json(line).unwrap())
+            .collect();
+        assert_eq!(read, records);
     }
 
     #[test]
-    fn mapper_kinds_build_and_label() {
-        for kind in [
+    fn mapper_kinds_build_under_their_table_names() {
+        let names: Vec<&str> = [
             MapperKind::Rewire,
             MapperKind::PathFinder,
             MapperKind::PathFinderFullBudget,
             MapperKind::Annealing,
-        ] {
-            let mapper = kind.build();
-            assert!(!mapper.name().is_empty());
-            assert!(!kind.label().is_empty());
-        }
-        assert_eq!(MapperKind::PathFinderFullBudget.label(), "PF*");
+        ]
+        .into_iter()
+        .map(|kind| kind.build().name())
+        .collect();
+        assert_eq!(names, ["Rewire", "PF*", "PF*", "SA"]);
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end exercise of `rewire-doctor`: run real mappers on a
-//! fuzz-corpus kernel, capture every observability artefact (JSONL trace,
+//! fuzz-corpus kernel, capture every observability artefact (run records,
 //! metrics snapshot, flight log, Chrome trace), then spawn the actual
 //! binary on those files and check the diagnosis.
 //!
@@ -7,8 +7,8 @@
 //! Chrome collector are process-global: parallel test threads would
 //! interleave their streams.
 
+use rewire_bench::write_trace;
 use rewire_fuzz::Artifact;
-use rewire_mappers::engine::{JsonlTrace, SharedSink};
 use rewire_mappers::{MapLimits, Mapper, PathFinderConfig, PathFinderMapper};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -70,8 +70,6 @@ fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
     rewire_obs::chrome().reset();
 
     {
-        let mut sink = SharedSink::new(JsonlTrace::create(&trace_path).expect("create trace file"));
-
         // Scenario 1 — a fuzz-corpus failure: the fan-out hub needs II
         // above its MII, so capping max_ii at the MII makes the starved
         // PF* give up after genuinely attempting (and failing to route
@@ -79,11 +77,11 @@ fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
         let fail_limits = MapLimits::fast()
             .with_max_ii(mii)
             .with_ii_time_budget(Duration::from_secs(30));
-        let out = starved_pf().map_with_events(&artifact.dfg, &cgra, &fail_limits, &mut sink);
+        let failed = starved_pf().map(&artifact.dfg, &cgra, &fail_limits);
         assert!(
-            out.mapping.is_none(),
+            failed.mapping.is_none(),
             "scenario 1 must fail (mapped at II {:?})",
-            out.stats.achieved_ii
+            failed.stats.achieved_ii
         );
 
         // Scenario 2 — a deadline-capped run: a zero total budget makes
@@ -92,11 +90,10 @@ fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
         let capped_limits = MapLimits::fast()
             .with_total_time_budget(Duration::from_nanos(1))
             .with_seed(1);
-        let out = starved_pf().map_with_events(&artifact.dfg, &cgra, &capped_limits, &mut sink);
-        assert!(out.mapping.is_none(), "scenario 2 must hit the budget");
+        let capped = starved_pf().map(&artifact.dfg, &cgra, &capped_limits);
+        assert!(capped.mapping.is_none(), "scenario 2 must hit the budget");
 
-        use rewire_mappers::engine::EventSink as _;
-        sink.finish();
+        write_trace(trace_path.to_str().unwrap(), [&failed.stats, &capped.stats]);
     }
 
     let flight_log = rewire_obs::flight().snapshot();

@@ -11,10 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rewire_arch::Cgra;
 use rewire_dfg::{Dfg, NodeId};
-use rewire_mappers::engine::{
-    worker_seed, AttemptCtx, AttemptOutcome, Emitter, EventSink, IiAttempt, IiSearch, MapEvent,
-    Silent,
-};
+use rewire_mappers::engine::{worker_seed, AttemptCtx, AttemptOutcome, IiAttempt, IiSearch};
 use rewire_mappers::{MapLimits, MapOutcome, Mapper, Mapping, PathFinderMapper};
 use rewire_obs::{self as obs, FlightEvent};
 use std::time::Instant;
@@ -89,19 +86,8 @@ impl RewireMapper {
         cgra: &Cgra,
         limits: &MapLimits,
     ) -> (MapOutcome, RewireStats) {
-        self.map_with_stats_and_events(dfg, cgra, limits, &mut Silent)
-    }
-
-    /// [`map_with_stats`](RewireMapper::map_with_stats) with an event sink.
-    pub fn map_with_stats_and_events(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        limits: &MapLimits,
-        events: &mut dyn EventSink,
-    ) -> (MapOutcome, RewireStats) {
         let mut attempt = self.ii_attempt(limits);
-        let outcome = IiSearch::new(self.name()).run(dfg, cgra, limits, &mut attempt, events);
+        let outcome = IiSearch::new(self.name()).run(dfg, cgra, limits, &mut attempt);
         (outcome, attempt.rstats)
     }
 
@@ -150,8 +136,8 @@ impl RewireMapper {
         let width = self.config.portfolio_width;
         // Workers are fresh threads with no metric scope of their own:
         // carry the run's scope and span path across the spawn so their
-        // counters and timers land under the same `mapper/kernel` scope as
-        // the serial path.
+        // counters and timers land under the same `mapper/kernel@fabric`
+        // scope as the serial path.
         let metric_scope = obs::current_scope();
         let parent_span = obs::current_span_path();
         // Resolve (or build) this thread's hop-distance oracle once and
@@ -559,13 +545,7 @@ pub struct RewireAttempt<'m> {
 }
 
 impl IiAttempt for RewireAttempt<'_> {
-    fn attempt(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        ctx: &AttemptCtx<'_>,
-        events: &mut Emitter<'_>,
-    ) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
         let ii = ctx.ii;
         obs::flight_event(FlightEvent::AttemptPhase {
             phase: "initial",
@@ -576,15 +556,8 @@ impl IiAttempt for RewireAttempt<'_> {
             self.pf.initial_mapping(dfg, cgra, ii, ctx.limits.seed)
         };
         let Some(initial) = initial else {
-            return AttemptOutcome::failed(0, 0); // no modulo schedule at this II
+            return AttemptOutcome::failed(0); // no modulo schedule at this II
         };
-        let initial_overuse = initial.total_overuse() as u64;
-        events.emit(MapEvent::NegotiationRound {
-            ii,
-            iteration: 0,
-            ill_nodes: initial.ill_mapped_nodes(dfg).len(),
-            overuse: initial_overuse,
-        });
         // Randomised restarts within the per-II budget: a cluster
         // amendment that dead-ends (greedy commits can paint into corners)
         // is retried from the initial mapping with fresh random cluster
@@ -634,11 +607,6 @@ impl IiAttempt for RewireAttempt<'_> {
         mirror_rstats_delta(&stats_before, &self.rstats);
         let iterations = self.rstats.clusters_attempted - before;
         AttemptOutcome {
-            overuse: if amended.is_some() {
-                0
-            } else {
-                initial_overuse
-            },
             mapping: amended,
             iterations,
             verdict: None,
@@ -651,14 +619,8 @@ impl Mapper for RewireMapper {
         "Rewire"
     }
 
-    fn map_with_events(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        limits: &MapLimits,
-        events: &mut dyn EventSink,
-    ) -> MapOutcome {
-        self.map_with_stats_and_events(dfg, cgra, limits, events).0
+    fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome {
+        self.map_with_stats(dfg, cgra, limits).0
     }
 }
 
@@ -751,8 +713,8 @@ mod tests {
         let snap = obs::metrics().snapshot();
         let scope = snap
             .scopes
-            .get("Rewire/rewire-obs-probe")
-            .expect("engine scoped the run as mapper/kernel");
+            .get("Rewire/rewire-obs-probe@4x4/r4")
+            .expect("engine scoped the run as mapper/kernel@fabric");
         assert_eq!(scope.counters.get("engine.mapped"), Some(&1));
         for path in [
             "run",

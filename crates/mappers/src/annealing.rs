@@ -14,9 +14,7 @@
 //! ([`crate::fanout`], DESIGN.md §6j), which swaps a signal's routes
 //! solely on strict footprint improvement.
 
-use crate::engine::{
-    AttemptCtx, AttemptOutcome, Emitter, EventSink, IiAttempt, IiSearch, MapEvent,
-};
+use crate::engine::{AttemptCtx, AttemptOutcome, IiAttempt, IiSearch};
 use crate::schedule::{candidate_pes, modulo_schedule};
 use crate::{MapLimits, MapOutcome, Mapper, Mapping};
 use rand::rngs::StdRng;
@@ -168,10 +166,9 @@ impl SaMapper {
         ii: u32,
         deadline: Instant,
         rng: &mut StdRng,
-        events: &mut Emitter<'_>,
-    ) -> (Option<Mapping>, u64, u64) {
+    ) -> (Option<Mapping>, u64) {
         let Some(asap) = modulo_schedule(dfg, cgra, ii) else {
-            return (None, 0, 0);
+            return (None, 0);
         };
         let mrrg = Mrrg::new(cgra, ii);
         let router = Router::new(cgra, &mrrg);
@@ -204,15 +201,7 @@ impl SaMapper {
         {
             if mapping.is_complete(dfg) {
                 debug_assert!(mapping.is_valid(dfg, cgra));
-                return (Some(mapping), iterations, 0);
-            }
-            if iterations > 0 && iterations.is_multiple_of(100) {
-                events.emit(MapEvent::NegotiationRound {
-                    ii,
-                    iteration: iterations,
-                    ill_nodes: mapping.ill_mapped_nodes(dfg).len(),
-                    overuse: mapping.total_overuse() as u64,
-                });
+                return (Some(mapping), iterations);
             }
             iterations += 1;
             temperature *= self.config.cooling;
@@ -275,9 +264,9 @@ impl SaMapper {
         }
         if mapping.is_complete(dfg) {
             debug_assert!(mapping.is_valid(dfg, cgra));
-            (Some(mapping), iterations, 0)
+            (Some(mapping), iterations)
         } else {
-            (None, iterations, mapping.total_overuse() as u64)
+            (None, iterations)
         }
     }
 
@@ -301,18 +290,11 @@ pub struct SaAttempt<'m> {
 }
 
 impl IiAttempt for SaAttempt<'_> {
-    fn attempt(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        ctx: &AttemptCtx<'_>,
-        events: &mut Emitter<'_>,
-    ) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
         // Use the full per-II budget: each stalled annealing run is
         // followed by a fresh random restart.
         let mut mapping = None;
         let mut iterations = 0u64;
-        let mut overuse = 0u64;
         let mut restarts = 0u64;
         while mapping.is_none()
             && restarts < self.mapper.config.max_restarts_per_ii
@@ -322,15 +304,13 @@ impl IiAttempt for SaAttempt<'_> {
             if restarts > 1 {
                 obs::counter("sa.restarts").incr();
             }
-            let (m, iters, ou) =
-                self.mapper
-                    .try_ii(dfg, cgra, ctx.ii, ctx.deadline, &mut self.rng, events);
+            let (m, iters) = self
+                .mapper
+                .try_ii(dfg, cgra, ctx.ii, ctx.deadline, &mut self.rng);
             iterations += iters;
-            overuse = ou;
             mapping = m;
         }
         AttemptOutcome {
-            overuse: if mapping.is_some() { 0 } else { overuse },
             mapping,
             iterations,
             verdict: None,
@@ -343,14 +323,8 @@ impl Mapper for SaMapper {
         "SA"
     }
 
-    fn map_with_events(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        limits: &MapLimits,
-        events: &mut dyn EventSink,
-    ) -> MapOutcome {
-        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut self.ii_attempt(limits), events)
+    fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome {
+        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut self.ii_attempt(limits))
     }
 }
 

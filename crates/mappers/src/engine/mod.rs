@@ -10,25 +10,19 @@
 //! what makes the relative comparison fair (the same observation drives
 //! mapper-agnostic harnesses like SAT-MapIt's modulo-scheduling loop).
 //!
-//! The engine also threads a typed [`MapEvent`] stream through every run;
-//! see [`EventSink`] for the pluggable sinks.
+//! The run's one record is the [`MapStats`] it returns; everything the
+//! engine observes besides goes to `rewire-obs` under the run's scope
+//! ([`MapStats::scope`]).
 //!
 //! ```text
-//! Mapper::map_with_events(dfg, cgra, limits, sink)
+//! Mapper::map(dfg, cgra, limits)
 //!   └─ IiSearch::run
 //!        ├─ MII, per-II deadline = min(ii_time_budget, total budget left)
-//!        ├─ for ii in mii..=max_ii:
-//!        │    emit IiStarted → IiAttempt::attempt → emit AttemptFinished
-//!        └─ emit Mapped / GaveUp, assemble MapStats
+//!        ├─ for ii in mii..=max_ii: IiAttempt::attempt
+//!        └─ assemble MapStats (achieved II or the GiveUpReason)
 //! ```
 
-mod events;
-mod sinks;
-
-pub use events::{GiveUpReason, MapEvent, RunMeta};
-pub use sinks::{EventSink, Fanout, JsonlTrace, MetricsSink, SharedSink, Silent, StderrProgress};
-
-use crate::{MapLimits, MapOutcome, MapStats, Mapping};
+use crate::{GiveUpReason, MapLimits, MapOutcome, MapStats, Mapping};
 use rewire_arch::Cgra;
 use rewire_dfg::Dfg;
 use rewire_obs as obs;
@@ -95,48 +89,6 @@ impl StallWatchdog {
     }
 }
 
-/// The emitting half handed to attempts: a sink plus the run's identity.
-///
-/// Attempts call [`Emitter::emit`] for coarse-grained progress
-/// ([`MapEvent::NegotiationRound`]); the engine uses the same channel for
-/// the lifecycle events.
-pub struct Emitter<'a> {
-    meta: RunMeta<'a>,
-    sink: &'a mut dyn EventSink,
-    rounds: u64,
-}
-
-impl<'a> Emitter<'a> {
-    /// Pairs a sink with a run identity. Public so the equivalence tests
-    /// (and custom drivers) can feed attempts outside [`IiSearch`].
-    pub fn new(meta: RunMeta<'a>, sink: &'a mut dyn EventSink) -> Self {
-        Self {
-            meta,
-            sink,
-            rounds: 0,
-        }
-    }
-
-    /// Emits one event under this run's identity.
-    pub fn emit(&mut self, event: MapEvent) {
-        if matches!(event, MapEvent::NegotiationRound { .. }) {
-            self.rounds += 1;
-        }
-        self.sink.emit(&self.meta, &event);
-    }
-
-    /// The run identity events are tagged with.
-    pub fn meta(&self) -> &RunMeta<'a> {
-        &self.meta
-    }
-
-    /// How many [`MapEvent::NegotiationRound`] events passed through —
-    /// the engine copies this into [`MapStats::negotiation_rounds`].
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-}
-
 /// Everything an attempt may depend on at one II.
 ///
 /// The engine derives the deadline (per-II budget clamped to the total
@@ -199,8 +151,6 @@ pub struct AttemptOutcome {
     pub mapping: Option<Mapping>,
     /// Single-node remapping iterations consumed (the Table I counter).
     pub iterations: u64,
-    /// Residual resource overuse when the attempt failed (0 on success).
-    pub overuse: u64,
     /// Exact backends attach a machine-checked per-II verdict; heuristic
     /// attempts leave `None`. The engine records it in
     /// [`MapStats::verdicts`].
@@ -208,12 +158,11 @@ pub struct AttemptOutcome {
 }
 
 impl AttemptOutcome {
-    /// A failed attempt with the given counters.
-    pub fn failed(iterations: u64, overuse: u64) -> Self {
+    /// A failed attempt that spent `iterations`.
+    pub fn failed(iterations: u64) -> Self {
         Self {
             mapping: None,
             iterations,
-            overuse,
             verdict: None,
         }
     }
@@ -223,7 +172,6 @@ impl AttemptOutcome {
         Self {
             mapping: Some(mapping),
             iterations,
-            overuse: 0,
             verdict: None,
         }
     }
@@ -249,28 +197,21 @@ impl AttemptOutcome {
 ///   [`MapStats::remap_iterations`] stays comparable across mappers.
 pub trait IiAttempt {
     /// Attempts to map `dfg` onto `cgra` at `ctx.ii`.
-    fn attempt(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        ctx: &AttemptCtx<'_>,
-        events: &mut Emitter<'_>,
-    ) -> AttemptOutcome;
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome;
 }
 
 /// The shared ascending-II search driver.
 ///
 /// Owns everything the three mappers used to duplicate: MII computation,
 /// the `for ii in mii..=max_ii` loop, per-II *and* total wall-clock budget
-/// enforcement, per-II seed derivation, [`MapStats`] assembly, and the
-/// lifecycle events.
+/// enforcement, per-II seed derivation, and [`MapStats`] assembly.
 #[derive(Clone, Copy, Debug)]
 pub struct IiSearch<'a> {
     name: &'a str,
 }
 
 impl<'a> IiSearch<'a> {
-    /// A driver reporting `name` as the mapper name in stats and events.
+    /// A driver reporting `name` as the mapper name in the run record.
     pub fn new(name: &'a str) -> Self {
         Self { name }
     }
@@ -287,15 +228,21 @@ impl<'a> IiSearch<'a> {
         cgra: &Cgra,
         limits: &MapLimits,
         attempt: &mut dyn IiAttempt,
-        events: &mut dyn EventSink,
     ) -> MapOutcome {
         let start = Instant::now();
         let total_deadline = limits.total_time_budget.map(|budget| start + budget);
+        let mut stats = MapStats {
+            mapper: self.name.to_string(),
+            kernel: dfg.name().to_string(),
+            fabric: cgra.label(),
+            seed: limits.seed,
+            ..MapStats::default()
+        };
         // Observe-only: the scope attributes every metric recorded below
         // this frame (router counters included) to this run, and the spans
         // time the per-phase breakdown. Neither feeds back into mapping.
-        let _scope = obs::scope(format!("{}/{}", self.name, dfg.name()));
-        let run_span = obs::span("run");
+        let _scope = obs::scope(stats.scope());
+        let _run_span = obs::span("run");
         // Fabric size alongside the run's metrics, so `rewire-report` can
         // correlate map time and distance-table memory with PE count, and
         // the doctor can draw the fabric grid (PE ids are row-major).
@@ -303,18 +250,15 @@ impl<'a> IiSearch<'a> {
         obs::gauge("engine.fabric_rows").set(i64::from(cgra.rows()));
         obs::gauge("engine.fabric_cols").set(i64::from(cgra.cols()));
         let watchdog = StallWatchdog::new(limits.ii_time_budget);
-        let mut emitter = Emitter::new(
-            RunMeta {
-                mapper: self.name,
-                kernel: dfg.name(),
-                seed: limits.seed,
-            },
-            events,
-        );
-        let mut stats = MapStats {
-            mapper: self.name.to_string(),
-            kernel: dfg.name().to_string(),
-            ..MapStats::default()
+        let give_up = |mut stats: MapStats, reason: GiveUpReason, phase: &'static str, ii: u32| {
+            stats.elapsed = start.elapsed();
+            stats.gave_up = Some(reason);
+            obs::counter("engine.gave_up").incr();
+            watchdog.run_ended(phase, ii);
+            MapOutcome {
+                mapping: None,
+                stats,
+            }
         };
 
         let mii = {
@@ -322,41 +266,14 @@ impl<'a> IiSearch<'a> {
             dfg.mii(cgra)
         };
         let Some(mii) = mii else {
-            stats.elapsed = start.elapsed();
-            emitter.emit(MapEvent::GaveUp {
-                reason: GiveUpReason::NoMii,
-                iis_explored: 0,
-                elapsed_us: stats.elapsed.as_micros(),
-            });
-            obs::counter("engine.gave_up").incr();
-            watchdog.run_ended("gave_up_no_mii", 0);
-            drop(run_span);
-            return MapOutcome {
-                mapping: None,
-                stats,
-            };
+            return give_up(stats, GiveUpReason::NoMii, "gave_up_no_mii", 0);
         };
         stats.mii = mii;
 
         for ii in mii..=limits.max_ii {
             let now = Instant::now();
-            if let Some(td) = total_deadline {
-                if now >= td {
-                    stats.elapsed = start.elapsed();
-                    stats.negotiation_rounds = emitter.rounds();
-                    emitter.emit(MapEvent::GaveUp {
-                        reason: GiveUpReason::TotalBudget,
-                        iis_explored: stats.iis_explored,
-                        elapsed_us: stats.elapsed.as_micros(),
-                    });
-                    obs::counter("engine.gave_up").incr();
-                    watchdog.run_ended("gave_up_total_budget", ii);
-                    drop(run_span);
-                    return MapOutcome {
-                        mapping: None,
-                        stats,
-                    };
-                }
+            if total_deadline.is_some_and(|td| now >= td) {
+                return give_up(stats, GiveUpReason::TotalBudget, "gave_up_total_budget", ii);
             }
             stats.iis_explored += 1;
             obs::counter("engine.iis_explored").incr();
@@ -364,7 +281,6 @@ impl<'a> IiSearch<'a> {
             if let Some(td) = total_deadline {
                 deadline = deadline.min(td);
             }
-            emitter.emit(MapEvent::IiStarted { ii });
             let ctx = AttemptCtx {
                 ii,
                 mii,
@@ -377,23 +293,15 @@ impl<'a> IiSearch<'a> {
             let attempt_start = Instant::now();
             let outcome = {
                 let _attempt_span = obs::span("attempt");
-                attempt.attempt(dfg, cgra, &ctx, &mut emitter)
+                attempt.attempt(dfg, cgra, &ctx)
             };
-            let attempt_elapsed = attempt_start.elapsed();
             watchdog.attempt_finished(ii, outcome.mapping.is_some(), deadline);
             obs::histogram("engine.attempt_us")
-                .record(u64::try_from(attempt_elapsed.as_micros()).unwrap_or(u64::MAX));
+                .record(u64::try_from(attempt_start.elapsed().as_micros()).unwrap_or(u64::MAX));
             stats.remap_iterations += outcome.iterations;
             if let Some(verdict) = outcome.verdict {
                 stats.verdicts.push((ii, verdict));
             }
-            emitter.emit(MapEvent::AttemptFinished {
-                ii,
-                routed: outcome.mapping.is_some(),
-                overuse: outcome.overuse,
-                iterations: outcome.iterations,
-                elapsed_us: attempt_elapsed.as_micros(),
-            });
             if let Some(mut m) = outcome.mapping {
                 debug_assert!(m.is_valid(dfg, cgra), "attempt returned invalid mapping");
                 debug_assert_eq!(m.ii(), ii, "attempt returned mapping at the wrong II");
@@ -409,15 +317,8 @@ impl<'a> IiSearch<'a> {
                 }
                 stats.achieved_ii = Some(ii);
                 stats.elapsed = start.elapsed();
-                stats.negotiation_rounds = emitter.rounds();
-                emitter.emit(MapEvent::Mapped {
-                    ii,
-                    iis_explored: stats.iis_explored,
-                    elapsed_us: stats.elapsed.as_micros(),
-                });
                 obs::counter("engine.mapped").incr();
                 watchdog.run_ended("mapped", ii);
-                drop(run_span);
                 return MapOutcome {
                     mapping: Some(m),
                     stats,
@@ -425,20 +326,12 @@ impl<'a> IiSearch<'a> {
             }
         }
 
-        stats.elapsed = start.elapsed();
-        stats.negotiation_rounds = emitter.rounds();
-        emitter.emit(MapEvent::GaveUp {
-            reason: GiveUpReason::MaxIiReached,
-            iis_explored: stats.iis_explored,
-            elapsed_us: stats.elapsed.as_micros(),
-        });
-        obs::counter("engine.gave_up").incr();
-        watchdog.run_ended("gave_up_max_ii", limits.max_ii);
-        drop(run_span);
-        MapOutcome {
-            mapping: None,
+        give_up(
             stats,
-        }
+            GiveUpReason::MaxIiReached,
+            "gave_up_max_ii",
+            limits.max_ii,
+        )
     }
 }
 
@@ -458,29 +351,13 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// Collects every event for sequence assertions.
-    #[derive(Default)]
-    pub(crate) struct Recorder(pub Vec<MapEvent>);
-
-    impl EventSink for Recorder {
-        fn emit(&mut self, _meta: &RunMeta<'_>, event: &MapEvent) {
-            self.0.push(event.clone());
-        }
-    }
-
     /// An attempt that always fails after sleeping, for budget tests.
     struct SleepyFail(Duration);
 
     impl IiAttempt for SleepyFail {
-        fn attempt(
-            &mut self,
-            _dfg: &Dfg,
-            _cgra: &Cgra,
-            _ctx: &AttemptCtx<'_>,
-            _events: &mut Emitter<'_>,
-        ) -> AttemptOutcome {
+        fn attempt(&mut self, _dfg: &Dfg, _cgra: &Cgra, _ctx: &AttemptCtx<'_>) -> AttemptOutcome {
             std::thread::sleep(self.0);
-            AttemptOutcome::failed(1, 2)
+            AttemptOutcome::failed(1)
         }
     }
 
@@ -503,14 +380,12 @@ mod tests {
             .with_max_ii(1000)
             .with_ii_time_budget(Duration::from_millis(1))
             .with_total_time_budget(Duration::from_millis(40));
-        let mut recorder = Recorder::default();
         let start = Instant::now();
         let out = IiSearch::new("test").run(
             &dfg,
             &cgra,
             &limits,
             &mut SleepyFail(Duration::from_millis(10)),
-            &mut recorder,
         );
         assert!(out.mapping.is_none());
         // Without the total cap this would be 1000 × 10 ms; with it the
@@ -521,12 +396,7 @@ mod tests {
             out.stats.iis_explored
         );
         assert!(start.elapsed() < Duration::from_secs(5));
-        match recorder.0.last() {
-            Some(MapEvent::GaveUp { reason, .. }) => {
-                assert_eq!(*reason, GiveUpReason::TotalBudget)
-            }
-            other => panic!("expected GaveUp, got {other:?}"),
-        }
+        assert_eq!(out.stats.gave_up, Some(GiveUpReason::TotalBudget));
     }
 
     #[test]
@@ -538,11 +408,10 @@ mod tests {
                 _dfg: &Dfg,
                 _cgra: &Cgra,
                 ctx: &AttemptCtx<'_>,
-                _events: &mut Emitter<'_>,
             ) -> AttemptOutcome {
                 self.0
                     .push(ctx.deadline.saturating_duration_since(Instant::now()));
-                AttemptOutcome::failed(0, 0)
+                AttemptOutcome::failed(0)
             }
         }
         let cgra = rewire_arch::presets::paper_4x4_r4();
@@ -552,7 +421,7 @@ mod tests {
             .with_ii_time_budget(Duration::from_secs(3600))
             .with_total_time_budget(Duration::from_millis(200));
         let mut probe = DeadlineProbe(Vec::new());
-        let _ = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut probe, &mut Silent);
+        let _ = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut probe);
         assert!(!probe.0.is_empty());
         for remaining in &probe.0 {
             assert!(
@@ -567,24 +436,15 @@ mod tests {
         let cgra = rewire_arch::CgraBuilder::new(2, 2).build().unwrap();
         let mut dfg = Dfg::new("needs-mem");
         dfg.add_node("ld", rewire_arch::OpKind::Load);
-        let mut recorder = Recorder::default();
         let out = IiSearch::new("test").run(
             &dfg,
             &cgra,
             &MapLimits::fast(),
             &mut SleepyFail(Duration::ZERO),
-            &mut recorder,
         );
         assert!(out.mapping.is_none());
         assert_eq!(out.stats.iis_explored, 0);
-        assert_eq!(recorder.0.len(), 1);
-        assert!(matches!(
-            recorder.0[0],
-            MapEvent::GaveUp {
-                reason: GiveUpReason::NoMii,
-                ..
-            }
-        ));
+        assert_eq!(out.stats.gave_up, Some(GiveUpReason::NoMii));
     }
 
     #[test]
@@ -592,68 +452,14 @@ mod tests {
         let cgra = rewire_arch::presets::paper_4x4_r4();
         let dfg = chain();
         let mii = dfg.mii(&cgra).unwrap();
-        let limits = MapLimits::fast().with_max_ii(mii + 2);
-        let mut recorder = Recorder::default();
-        let out = IiSearch::new("test").run(
-            &dfg,
-            &cgra,
-            &limits,
-            &mut SleepyFail(Duration::ZERO),
-            &mut recorder,
-        );
+        let limits = MapLimits::fast().with_max_ii(mii + 2).with_seed(5);
+        let out = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut SleepyFail(Duration::ZERO));
         assert!(out.mapping.is_none());
         assert_eq!(out.stats.iis_explored, 3);
         assert_eq!(out.stats.remap_iterations, 3, "1 per attempted II");
-        let starts = recorder
-            .0
-            .iter()
-            .filter(|e| matches!(e, MapEvent::IiStarted { .. }))
-            .count();
-        let finishes = recorder
-            .0
-            .iter()
-            .filter(|e| matches!(e, MapEvent::AttemptFinished { routed: false, .. }))
-            .count();
-        assert_eq!(starts, 3);
-        assert_eq!(finishes, 3);
-        assert!(matches!(
-            recorder.0.last(),
-            Some(MapEvent::GaveUp {
-                reason: GiveUpReason::MaxIiReached,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn negotiation_rounds_are_totalled_into_stats() {
-        struct TwoRounds;
-        impl IiAttempt for TwoRounds {
-            fn attempt(
-                &mut self,
-                _dfg: &Dfg,
-                _cgra: &Cgra,
-                ctx: &AttemptCtx<'_>,
-                events: &mut Emitter<'_>,
-            ) -> AttemptOutcome {
-                for iteration in 1..=2 {
-                    events.emit(MapEvent::NegotiationRound {
-                        ii: ctx.ii,
-                        iteration,
-                        ill_nodes: 0,
-                        overuse: 0,
-                    });
-                }
-                AttemptOutcome::failed(0, 0)
-            }
-        }
-        let cgra = rewire_arch::presets::paper_4x4_r4();
-        let dfg = chain();
-        let mii = dfg.mii(&cgra).unwrap();
-        let limits = MapLimits::fast().with_max_ii(mii + 2);
-        let out = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut TwoRounds, &mut Silent);
-        assert_eq!(out.stats.iis_explored, 3);
-        assert_eq!(out.stats.negotiation_rounds, 6, "2 rounds × 3 IIs");
+        assert_eq!(out.stats.gave_up, Some(GiveUpReason::MaxIiReached));
+        assert_eq!(out.stats.fabric, cgra.label());
+        assert_eq!(out.stats.seed, 5);
     }
 
     #[test]
@@ -662,15 +468,15 @@ mod tests {
         let dfg = chain();
         let mii = dfg.mii(&cgra).unwrap();
         let limits = MapLimits::fast().with_max_ii(mii + 1);
-        let _ = IiSearch::new("engine-metrics-test").run(
+        let out = IiSearch::new("engine-metrics-test").run(
             &dfg,
             &cgra,
             &limits,
             &mut SleepyFail(Duration::ZERO),
-            &mut Silent,
         );
+        assert_eq!(out.stats.scope(), "engine-metrics-test/chain@4x4/r4");
         let snap = obs::metrics().snapshot();
-        let s = &snap.scopes["engine-metrics-test/chain"];
+        let s = &snap.scopes["engine-metrics-test/chain@4x4/r4"];
         assert_eq!(s.counters["engine.iis_explored"], 2);
         assert_eq!(s.counters["engine.gave_up"], 1);
         assert_eq!(s.histograms["engine.attempt_us"].count, 2);
@@ -701,17 +507,16 @@ mod tests {
                 _dfg: &Dfg,
                 _cgra: &Cgra,
                 ctx: &AttemptCtx<'_>,
-                _events: &mut Emitter<'_>,
             ) -> AttemptOutcome {
                 self.0.push((ctx.ii, ctx.seed));
-                AttemptOutcome::failed(0, 0)
+                AttemptOutcome::failed(0)
             }
         }
         let cgra = rewire_arch::presets::paper_4x4_r4();
         let dfg = chain();
         let limits = MapLimits::fast().with_seed(99).with_max_ii(3);
         let mut probe = SeedProbe(Vec::new());
-        let _ = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut probe, &mut Silent);
+        let _ = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut probe);
         for (ii, seed) in &probe.0 {
             assert_eq!(*seed, worker_seed(99, *ii, 0));
         }

@@ -47,12 +47,9 @@
 //! deadline is polled as a secondary stop. Both truncations yield
 //! [`AttemptVerdict::Unknown`] — never a flipped verdict.
 
-use crate::engine::{
-    AttemptCtx, AttemptOutcome, AttemptVerdict, Emitter, EventSink, GiveUpReason, IiAttempt,
-    IiSearch, MapEvent, RunMeta,
-};
+use crate::engine::{AttemptCtx, AttemptOutcome, AttemptVerdict, IiAttempt, IiSearch};
 use crate::schedule::{candidate_pes, default_horizon, schedule_asap};
-use crate::{MapLimits, MapOutcome, MapStats, Mapper, Mapping};
+use crate::{GiveUpReason, MapLimits, MapOutcome, MapStats, Mapper, Mapping};
 use rewire_arch::{Cgra, LinkId, PeId};
 use rewire_dfg::Dfg;
 use rewire_mrrg::{Mrrg, Resource, Route};
@@ -249,13 +246,7 @@ impl<'m> ExactAttempt<'m> {
 }
 
 impl IiAttempt for ExactAttempt<'_> {
-    fn attempt(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        ctx: &AttemptCtx<'_>,
-        _events: &mut Emitter<'_>,
-    ) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
         // Solver conflicts stand in for the iteration counter: the unit of
         // search work an exact attempt performs per II.
         match self.mapper.solve_ii(dfg, cgra, ctx.ii, ctx.deadline) {
@@ -270,11 +261,11 @@ impl IiAttempt for ExactAttempt<'_> {
                 }
             }
             IiResolution::Infeasible { conflicts } => {
-                AttemptOutcome::failed(conflicts, 0).with_verdict(AttemptVerdict::InfeasibleAtII)
+                AttemptOutcome::failed(conflicts).with_verdict(AttemptVerdict::InfeasibleAtII)
             }
             IiResolution::Unknown { conflicts } => {
                 self.saw_unknown = true;
-                AttemptOutcome::failed(conflicts, 0)
+                AttemptOutcome::failed(conflicts)
                     .with_verdict(AttemptVerdict::Unknown { conflicts })
             }
         }
@@ -286,42 +277,24 @@ impl Mapper for ExactSatMapper {
         "Exact"
     }
 
-    fn map_with_events(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        limits: &MapLimits,
-        events: &mut dyn EventSink,
-    ) -> MapOutcome {
+    fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome {
         // Size guard in front of the engine: refuse instances whose CNF
         // would dwarf the budget.
         if dfg.num_nodes() > self.max_nodes || cgra.num_pes() > self.max_pes {
             obs::counter("exact.refused").incr();
-            let start = Instant::now();
-            let stats = MapStats {
-                mapper: self.name().to_string(),
-                kernel: dfg.name().to_string(),
-                elapsed: start.elapsed(),
-                ..MapStats::default()
-            };
-            events.emit(
-                &RunMeta {
-                    mapper: self.name(),
-                    kernel: dfg.name(),
-                    seed: limits.seed,
-                },
-                &MapEvent::GaveUp {
-                    reason: GiveUpReason::Refused,
-                    iis_explored: 0,
-                    elapsed_us: stats.elapsed.as_micros(),
-                },
-            );
             return MapOutcome {
                 mapping: None,
-                stats,
+                stats: MapStats {
+                    mapper: self.name().to_string(),
+                    kernel: dfg.name().to_string(),
+                    fabric: cgra.label(),
+                    seed: limits.seed,
+                    gave_up: Some(GiveUpReason::Refused),
+                    ..MapStats::default()
+                },
             };
         }
-        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut ExactAttempt::new(self), events)
+        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut ExactAttempt::new(self))
     }
 }
 
@@ -1019,7 +992,6 @@ fn schedule_alap(dfg: &Dfg, ii: u32, horizon: u32) -> Option<Vec<i64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Silent;
     use rewire_arch::{presets, CgraBuilder, OpKind};
 
     fn chain(n: usize) -> Dfg {
@@ -1137,8 +1109,7 @@ mod tests {
         let cgra = island_fabric();
         let dfg = star3();
         let run = || {
-            let out =
-                ExactSatMapper::new().map_with_events(&dfg, &cgra, &MapLimits::fast(), &mut Silent);
+            let out = ExactSatMapper::new().map(&dfg, &cgra, &MapLimits::fast());
             let placements: Vec<_> = dfg
                 .node_ids()
                 .filter_map(|v| out.mapping.as_ref().unwrap().placement(v))

@@ -8,7 +8,8 @@
 //!   Rewire amends,
 //! * [`SaMapper`] — `SA`, simulated annealing over placements,
 //! * [`Mapper`] / [`MapOutcome`] / [`MapStats`] / [`MapLimits`] — the
-//!   interface and bookkeeping the evaluation harness consumes.
+//!   interface, the per-run record and the budgets the evaluation harness
+//!   consumes.
 //!
 //! # Examples
 //!
@@ -42,12 +43,12 @@ mod stats;
 mod traits;
 
 pub use annealing::{SaAttempt, SaConfig, SaMapper};
-pub use engine::{AttemptVerdict, EventSink, IiAttempt, IiSearch, MapEvent, Silent};
+pub use engine::{AttemptVerdict, IiAttempt, IiSearch};
 pub use exact::{ExactAttempt, ExactSatMapper};
 pub use fanout::{consolidate_fanout, ConsolidationStats};
 pub use limits::MapLimits;
 pub use mapping::{Mapping, MappingIssue};
 pub use pathfinder::{PathFinderAttempt, PathFinderConfig, PathFinderMapper};
 pub use schedule::{candidate_pes, default_horizon, modulo_schedule, schedule_asap};
-pub use stats::MapStats;
+pub use stats::{GiveUpReason, MapStats};
 pub use traits::{MapOutcome, Mapper};

@@ -16,9 +16,7 @@
 //! Every rip-up/re-place counts as one *single-node remapping iteration* —
 //! the quantity Table I reports.
 
-use crate::engine::{
-    AttemptCtx, AttemptOutcome, Emitter, EventSink, IiAttempt, IiSearch, MapEvent,
-};
+use crate::engine::{AttemptCtx, AttemptOutcome, IiAttempt, IiSearch};
 use crate::schedule::{candidate_pes, modulo_schedule};
 use crate::{MapLimits, MapOutcome, Mapper, Mapping};
 use rand::rngs::StdRng;
@@ -114,9 +112,8 @@ impl PathFinderMapper {
         Some(mapping)
     }
 
-    /// One full II attempt. Returns the mapping on success, the number of
-    /// remapping iterations spent either way, and the residual overuse on
-    /// failure.
+    /// One full II attempt. Returns the mapping on success and the number
+    /// of remapping iterations spent either way.
     fn try_ii(
         &self,
         dfg: &Dfg,
@@ -124,10 +121,9 @@ impl PathFinderMapper {
         ii: u32,
         deadline: Instant,
         rng: &mut StdRng,
-        events: &mut Emitter<'_>,
-    ) -> (Option<Mapping>, u64, u64) {
+    ) -> (Option<Mapping>, u64) {
         let Some(asap) = modulo_schedule(dfg, cgra, ii) else {
-            return (None, 0, 0);
+            return (None, 0);
         };
         let mrrg = Mrrg::new(cgra, ii);
         let router = Router::new(cgra, &mrrg);
@@ -176,7 +172,7 @@ impl PathFinderMapper {
         while iterations < self.config.max_iterations_per_ii && Instant::now() < deadline {
             if mapping.is_complete(dfg) {
                 debug_assert!(mapping.is_valid(dfg, cgra));
-                return (Some(mapping), iterations, 0);
+                return (Some(mapping), iterations);
             }
             // Subtree-delta re-routing: before ripping up whole
             // placements, try the cheaper repair of re-growing just the
@@ -187,24 +183,19 @@ impl PathFinderMapper {
                 && mapping.is_complete(dfg)
             {
                 debug_assert!(mapping.is_valid(dfg, cgra));
-                return (Some(mapping), iterations, 0);
+                return (Some(mapping), iterations);
             }
             let ill_count = mapping.ill_mapped_nodes(dfg).len();
             if iterations > 0 && iterations.is_multiple_of(50) {
-                events.emit(MapEvent::NegotiationRound {
-                    ii,
-                    iteration: iterations,
-                    ill_nodes: ill_count,
-                    overuse: mapping.total_overuse() as u64,
-                });
-                // Forensics sampling rides the same cadence: one heatmap
-                // pass over the overused cells plus the round's peak cell.
+                // Forensics sampling every 50 rounds: one heatmap pass over
+                // the overused cells plus the round's peak cell.
                 let flight = obs::flight();
                 if flight.is_enabled() {
+                    let scope = obs::current_scope();
                     let mut peak: Option<((u32, &'static str, u32), u64)> = None;
                     mapping.occupancy().for_each_overused(|cell, excess| {
                         let key = cell.forensics_key(cgra);
-                        flight.heat(key.0, key.1, key.2, excess);
+                        flight.heat(&scope, key.0, key.1, key.2, excess);
                         if peak.is_none_or(|(_, p)| excess > p) {
                             peak = Some((key, excess));
                         }
@@ -284,9 +275,9 @@ impl PathFinderMapper {
         }
         if mapping.is_complete(dfg) {
             debug_assert!(mapping.is_valid(dfg, cgra));
-            return (Some(mapping), iterations, 0);
+            return (Some(mapping), iterations);
         }
-        (None, iterations, mapping.total_overuse() as u64)
+        (None, iterations)
     }
 
     /// Subtree-delta re-routing: for every fan-out signal with a branch
@@ -700,33 +691,25 @@ pub struct PathFinderAttempt<'m> {
 }
 
 impl IiAttempt for PathFinderAttempt<'_> {
-    fn attempt(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        ctx: &AttemptCtx<'_>,
-        events: &mut Emitter<'_>,
-    ) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
         // One attempt per II by default: PF* "can terminate early at each
         // II due to the backtracking limitation" (paper §V-B). Under
         // `use_full_budget` the attempt is restarted with fresh randomness
         // until the shared per-II budget runs out.
-        let (mut mapping, mut iterations, mut overuse) =
+        let (mut mapping, mut iterations) =
             self.mapper
-                .try_ii(dfg, cgra, ctx.ii, ctx.deadline, &mut self.rng, events);
+                .try_ii(dfg, cgra, ctx.ii, ctx.deadline, &mut self.rng);
         while self.mapper.config.use_full_budget
             && mapping.is_none()
             && Instant::now() < ctx.deadline
         {
-            let (m, iters, ou) =
-                self.mapper
-                    .try_ii(dfg, cgra, ctx.ii, ctx.deadline, &mut self.rng, events);
+            let (m, iters) = self
+                .mapper
+                .try_ii(dfg, cgra, ctx.ii, ctx.deadline, &mut self.rng);
             iterations += iters;
-            overuse = ou;
             mapping = m;
         }
         AttemptOutcome {
-            overuse: if mapping.is_some() { 0 } else { overuse },
             mapping,
             iterations,
             verdict: None,
@@ -739,14 +722,8 @@ impl Mapper for PathFinderMapper {
         "PF*"
     }
 
-    fn map_with_events(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        limits: &MapLimits,
-        events: &mut dyn EventSink,
-    ) -> MapOutcome {
-        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut self.ii_attempt(limits), events)
+    fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome {
+        IiSearch::new(self.name()).run(dfg, cgra, limits, &mut self.ii_attempt(limits))
     }
 }
 

@@ -96,7 +96,7 @@ pub fn modulo_schedule(dfg: &Dfg, cgra: &Cgra, ii: u32) -> Option<Vec<u32>> {
         }
     }
 
-    // Fanout-aware edge latency: a producer with f consumers needs them
+    // Fan-out-aware edge latency: a producer with f consumers needs them
     // spread over a radius-r neighbourhood with capacity ≥ f (a mesh holds
     // ~5 PEs at radius 1, ~13 at radius 2), so high-fanout edges get extra
     // schedule slack for routing. Without this, ASAP packing makes wide

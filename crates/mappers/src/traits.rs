@@ -1,17 +1,16 @@
 //! The common mapper interface.
 
-use crate::engine::{EventSink, Silent};
 use crate::{MapLimits, MapStats, Mapping};
 use rewire_arch::Cgra;
 use rewire_dfg::Dfg;
 
 /// Result of a mapping attempt: the mapping (if one was found) plus the
-/// statistics the evaluation harness reports.
+/// run record the evaluation harness reports.
 #[derive(Clone, Debug)]
 pub struct MapOutcome {
     /// A validated mapping, or `None` on failure.
     pub mapping: Option<Mapping>,
-    /// Counters and timings (always populated).
+    /// The run record: identity, counters and timings (always populated).
     pub stats: MapStats,
 }
 
@@ -24,26 +23,16 @@ pub trait Mapper {
     /// Display name used in tables (`"PF*"`, `"SA"`, `"Rewire"`).
     fn name(&self) -> &'static str;
 
-    /// Attempts to map `dfg` onto `cgra`, reporting progress to `events`.
+    /// Attempts to map `dfg` onto `cgra`.
     ///
     /// Contract (audited by the shared conformance suite): if
     /// `MapOutcome::mapping` is `Some`, it validates cleanly against
     /// `dfg`/`cgra` and its II equals `stats.achieved_ii`; on failure
-    /// `stats` is still fully populated; and identical inputs (same seed,
-    /// same budgets, caps binding before wall-clock deadlines) produce
-    /// identical outcomes.
-    fn map_with_events(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        limits: &MapLimits,
-        events: &mut dyn EventSink,
-    ) -> MapOutcome;
-
-    /// Attempts to map `dfg` onto `cgra`, discarding events.
-    fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome {
-        self.map_with_events(dfg, cgra, limits, &mut Silent)
-    }
+    /// `stats` is still fully populated, `stats.gave_up` saying why; the
+    /// record carries `cgra.label()` and `limits.seed`; and identical
+    /// inputs (same seed, same budgets, caps binding before wall-clock
+    /// deadlines) produce identical outcomes.
+    fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome;
 }
 
 #[cfg(test)]

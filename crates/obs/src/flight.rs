@@ -1,5 +1,5 @@
 //! The flight recorder: a bounded ring of structured decision events plus
-//! a per-negotiation-round congestion heatmap.
+//! a per-negotiation-round congestion heatmap, kept per recording scope.
 //!
 //! Aggregate counters answer "how much"; the flight recorder answers *what
 //! the mapper was doing* when a run failed or stalled. Mappers record
@@ -115,7 +115,7 @@ pub struct FlightRecord {
     pub event: FlightEvent,
 }
 
-/// Accumulated congestion for one `(pe, class, cycle)` heatmap cell.
+/// Accumulated congestion for one `(scope, pe, class, cycle)` heatmap cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeatCell {
     /// Sum of overuse across the rounds this cell was sampled in.
@@ -126,6 +126,9 @@ pub struct HeatCell {
     pub rounds: u64,
 }
 
+/// A heatmap cell's key: `(scope, pe, class, cycle)`.
+pub type HeatKey = (String, u32, &'static str, u32);
+
 /// A point-in-time copy of the recorder: events in ring order, the drop
 /// counter, and the congestion heatmap.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -134,8 +137,10 @@ pub struct FlightLog {
     pub events: Vec<FlightRecord>,
     /// Records evicted because the ring was full (saturating).
     pub dropped: u64,
-    /// Congestion heatmap keyed by `(pe, class, cycle)`, sorted.
-    pub heatmap: Vec<((u32, &'static str, u32), HeatCell)>,
+    /// Congestion heatmap keyed by `(scope, pe, class, cycle)`, sorted.
+    /// The scope keeps runs on different fabrics apart: PE 5 of a 4×4
+    /// run and PE 5 of an 8×8 run are different cells.
+    pub heatmap: Vec<(HeatKey, HeatCell)>,
 }
 
 impl FlightLog {
@@ -207,13 +212,15 @@ impl FlightLog {
             out.push('}');
         }
         out.push_str("],\"heatmap\":[");
-        for (i, ((pe, class, cycle), cell)) in self.heatmap.iter().enumerate() {
+        for (i, ((scope, pe, class, cycle), cell)) in self.heatmap.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"scope\":");
+            json::write_str(&mut out, scope);
             let _ = write!(
                 out,
-                "{{\"pe\":{pe},\"class\":\"{class}\",\"cycle\":{cycle},\
+                ",\"pe\":{pe},\"class\":\"{class}\",\"cycle\":{cycle},\
                  \"overuse\":{},\"peak\":{},\"rounds\":{}}}",
                 cell.overuse, cell.peak, cell.rounds
             );
@@ -229,7 +236,7 @@ struct RingState {
     capacity: usize,
     seq: u64,
     dropped: u64,
-    heat: BTreeMap<(u32, &'static str, u32), HeatCell>,
+    heat: BTreeMap<HeatKey, HeatCell>,
 }
 
 /// The bounded decision-event ring buffer. One process-global instance
@@ -322,15 +329,18 @@ impl FlightRecorder {
         self.record_in(&scope, event);
     }
 
-    /// Accumulates one overused cell sample into the congestion heatmap
-    /// (called once per overused `(pe, class, cycle)` cell per negotiation
-    /// round). No-op while disabled.
-    pub fn heat(&self, pe: u32, class: &'static str, cycle: u32, overuse: u64) {
+    /// Accumulates one overused cell sample into `scope`'s congestion
+    /// heatmap (called once per overused `(pe, class, cycle)` cell per
+    /// negotiation round). No-op while disabled.
+    pub fn heat(&self, scope: &str, pe: u32, class: &'static str, cycle: u32, overuse: u64) {
         if !self.is_enabled() || overuse == 0 {
             return;
         }
         let mut s = self.state.lock().expect("flight state poisoned");
-        let cell = s.heat.entry((pe, class, cycle)).or_default();
+        let cell = s
+            .heat
+            .entry((scope.to_string(), pe, class, cycle))
+            .or_default();
         cell.overuse = cell.overuse.saturating_add(overuse);
         cell.peak = cell.peak.max(overuse);
         cell.rounds = cell.rounds.saturating_add(1);
@@ -343,7 +353,7 @@ impl FlightRecorder {
         FlightLog {
             events: s.buf.iter().cloned().collect(),
             dropped: s.dropped,
-            heatmap: s.heat.iter().map(|(k, v)| (*k, *v)).collect(),
+            heatmap: s.heat.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         }
     }
 
@@ -378,7 +388,7 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let r = FlightRecorder::new(4);
         r.record_in("s", phase(1));
-        r.heat(0, "fu", 0, 3);
+        r.heat("s", 0, "fu", 0, 3);
         assert_eq!(r.snapshot(), FlightLog::default());
         assert_eq!(r.events_emitted(), 0);
     }
@@ -413,14 +423,15 @@ mod tests {
     fn heatmap_accumulates_sum_peak_and_rounds() {
         let r = FlightRecorder::new(8);
         r.enable(0);
-        r.heat(3, "reg", 1, 2);
-        r.heat(3, "reg", 1, 5);
-        r.heat(0, "fu", 0, 1);
-        r.heat(0, "fu", 0, 0); // zero overuse is ignored
+        r.heat("s", 3, "reg", 1, 2);
+        r.heat("s", 3, "reg", 1, 5);
+        r.heat("s", 0, "fu", 0, 1);
+        r.heat("s", 0, "fu", 0, 0); // zero overuse is ignored
+        r.heat("t", 3, "reg", 1, 9); // same cell, another scope
         let log = r.snapshot();
-        assert_eq!(log.heatmap.len(), 2);
-        let (key, cell) = log.heatmap[1];
-        assert_eq!(key, (3, "reg", 1));
+        assert_eq!(log.heatmap.len(), 3);
+        let (key, cell) = log.heatmap[1].clone();
+        assert_eq!(key, ("s".to_string(), 3, "reg", 1));
         assert_eq!(
             cell,
             HeatCell {
@@ -429,6 +440,8 @@ mod tests {
                 rounds: 2
             }
         );
+        assert_eq!(log.heatmap[2].0 .0, "t", "scopes never share a cell");
+        assert_eq!(log.heatmap[2].1.overuse, 9);
     }
 
     #[test]
@@ -443,7 +456,7 @@ mod tests {
                 reason: "no_path",
             },
         );
-        r.heat(5, "link", 2, 4);
+        r.heat("PF*/fir@4x4/r4", 5, "link", 2, 4);
         let json = r.snapshot().to_json();
         let root = crate::json::parse(&json).expect("flight log JSON parses");
         assert_eq!(root.get("version").and_then(|v| v.as_u64()), Some(1));
@@ -459,6 +472,10 @@ mod tests {
             Some("no_path")
         );
         let heat = root.get("heatmap").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(
+            heat[0].get("scope").and_then(|v| v.as_str()),
+            Some("PF*/fir@4x4/r4")
+        );
         assert_eq!(heat[0].get("pe").and_then(|v| v.as_u64()), Some(5));
         assert_eq!(heat[0].get("overuse").and_then(|v| v.as_u64()), Some(4));
     }

@@ -6,7 +6,9 @@
 //! snapshot round-trip tests can read those files back offline. It parses
 //! the full JSON grammar (numbers are kept as raw text so `u64::MAX`
 //! survives), but is tuned for trust-the-producer inputs: errors carry a
-//! byte offset and message, nothing fancier.
+//! byte offset and message, nothing fancier. Nesting is capped at
+//! [`MAX_DEPTH`] so a hostile file fails with an error instead of
+//! overflowing the stack.
 
 use std::fmt;
 
@@ -110,11 +112,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one complete JSON value; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The deepest file the
+/// workspace writes (metrics snapshots, perf results) nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON value; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -148,6 +156,8 @@ pub fn write_str(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -192,8 +202,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -420,6 +441,22 @@ mod tests {
         assert_eq!(parse(escaped).unwrap().as_str(), Some("\u{1F600}"));
         assert_eq!(parse("\"😀\"").unwrap().as_str(), Some("😀"));
         assert!(parse("\"\\ud83d\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.pos, MAX_DEPTH,
+            "fails at the first bracket past the cap"
+        );
+        assert!(err.msg.contains("nesting"), "{err}");
+        let hostile = "[".repeat(200_000);
+        assert!(parse(&hostile).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().msg.contains("nesting"));
     }
 
     #[test]

@@ -53,7 +53,8 @@ mod snapshot;
 mod trace;
 
 pub use flight::{
-    FlightEvent, FlightLog, FlightRecord, FlightRecorder, HeatCell, DEFAULT_FLIGHT_CAPACITY,
+    FlightEvent, FlightLog, FlightRecord, FlightRecorder, HeatCell, HeatKey,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 pub use hist::{Histogram, NUM_BUCKETS};
 pub use registry::{Counter, Gauge, Registry, ScopeGuard, ScopedTimer};

@@ -41,7 +41,6 @@ struct Args {
     metrics: Option<String>,
     flight: Option<String>,
     chrome_trace: Option<String>,
-    progress: bool,
 }
 
 impl Args {
@@ -69,7 +68,6 @@ impl Args {
             metrics: None,
             flight: None,
             chrome_trace: None,
-            progress: false,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -122,7 +120,6 @@ impl Args {
                 "--metrics" => a.metrics = Some(val("--metrics")?),
                 "--flight" => a.flight = Some(val("--flight")?),
                 "--chrome-trace" => a.chrome_trace = Some(val("--chrome-trace")?),
-                "--progress" => a.progress = true,
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
             }
@@ -154,11 +151,10 @@ usage: rewire-map (--kernel <name> | --dfg <file> | --artifact <file>) [options]
   --show-config                    dump the per-slot configuration words
   --dot <file>                     write the DFG in Graphviz DOT
   --verify N                       simulate N iterations and check semantics
-  --trace <file>                   write a JSONL MapEvent trace of the run
+  --trace <file>                   write the run's record (one JSON line, as rewire-report reads)
   --metrics <file>                 write a metrics snapshot (counters, span timers) as JSON
   --flight <file>                  write the flight-recorder decision log as JSON
   --chrome-trace <file>            write a Chrome trace_event JSON (load in Perfetto)
-  --progress                       print per-II mapping progress to stderr
 Every mapper routes with one router: a distance-pruned DP sweep, with each
 multi-sink signal routed as a shared route tree.";
 
@@ -290,27 +286,12 @@ fn main() -> ExitCode {
         rewire::obs::chrome().enable(0);
     }
 
-    // Compose the requested sinks: trace and progress can run together.
-    let mut sinks = rewire::mappers::engine::Fanout::default();
+    let outcome = mapper.map(&dfg, &cgra, &limits);
     if let Some(path) = &args.trace {
-        match JsonlTrace::create(path) {
-            Ok(sink) => sinks.0.push(Box::new(sink)),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
+        if let Err(e) = std::fs::write(path, format!("{}\n", outcome.stats.to_json())) {
+            eprintln!("{path}: {e}");
+            return ExitCode::from(2);
         }
-    }
-    if args.metrics.is_some() {
-        sinks.0.push(Box::new(MetricsSink::new()));
-    }
-    if args.progress {
-        sinks.0.push(Box::new(StderrProgress));
-    }
-
-    let outcome = mapper.map_with_events(&dfg, &cgra, &limits, &mut sinks);
-    sinks.finish(); // flush the trace file before reporting
-    if let Some(path) = &args.trace {
         println!("trace written to {path}");
     }
     if let Some(path) = &args.metrics {

@@ -48,12 +48,9 @@ pub mod prelude {
     pub use rewire_arch::{presets, Cgra, CgraBuilder, OpKind, PeId};
     pub use rewire_core::{RewireConfig, RewireMapper, RewireStats};
     pub use rewire_dfg::{kernels, Dfg, NodeId};
-    pub use rewire_mappers::engine::{
-        EventSink, JsonlTrace, MapEvent, MetricsSink, Silent, StderrProgress,
-    };
     pub use rewire_mappers::{
-        AttemptVerdict, ExactSatMapper, MapLimits, MapOutcome, MapStats, Mapper, Mapping,
-        PathFinderMapper, SaMapper,
+        AttemptVerdict, ExactSatMapper, GiveUpReason, MapLimits, MapOutcome, MapStats, Mapper,
+        Mapping, PathFinderMapper, SaMapper,
     };
     pub use rewire_mrrg::{Mrrg, Occupancy, Route, Router, UnitCost};
     pub use rewire_sim::{verify_semantics, Inputs};

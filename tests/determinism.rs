@@ -7,7 +7,7 @@
 //! tests use small kernels with a budget far larger than they need.
 
 use rewire::prelude::*;
-use rewire_bench::{run_workloads_jobs, MapperKind, Workload};
+use rewire_bench::{run_workloads, MapperKind, Workload};
 
 fn workloads() -> Vec<Workload> {
     // bicg and mvt both map at their first feasible II on this fabric, so
@@ -42,8 +42,8 @@ fn final_ii_is_independent_of_jobs() {
     // 60 s per II dwarfs what these kernels need (< 1 s release, a few
     // seconds debug), so every mapper terminates on its deterministic
     // attempt caps, never the deadline.
-    let serial = run_workloads_jobs(&workloads(), &mappers, 60.0, 1, |_| {});
-    let parallel = run_workloads_jobs(&workloads(), &mappers, 60.0, 8, |_| {});
+    let serial = run_workloads(&workloads(), &mappers, 60.0, 1, |_| {});
+    let parallel = run_workloads(&workloads(), &mappers, 60.0, 8, |_| {});
     assert!(!serial.is_empty());
     assert_eq!(achieved(&serial), achieved(&parallel));
     for row in &serial {

@@ -1,24 +1,24 @@
 //! The shared `Mapper` conformance suite: every mapper in the workspace —
 //! Rewire, PF*, SA, and the exact SAT backend — must satisfy the
-//! documented contract of `Mapper::map` / `map_with_events`, now that all
-//! of them route through the shared `IiSearch` engine.
+//! documented contract of `Mapper::map`, now that all of them route
+//! through the shared `IiSearch` engine.
 //!
 //! Audited invariants:
 //!
 //! * a returned mapping validates against the DFG/CGRA and its II equals
 //!   `stats.achieved_ii`,
-//! * budget exhaustion returns `None` with still-populated stats,
+//! * budget exhaustion returns `None` with still-populated stats and the
+//!   reason it gave up,
 //! * identical seed ⇒ identical outcome (down to the exact placement),
-//! * the event stream is well-formed: balanced `IiStarted` /
-//!   `AttemptFinished` pairs and exactly one terminal event.
+//! * the run record is well-formed: it names the fabric and seed, and
+//!   survives its one-line JSON form unchanged.
 
 use rewire::prelude::*;
-use rewire_mappers::engine::{EventSink, GiveUpReason, MapEvent, RunMeta};
 use std::time::Duration;
 
 /// The heuristic mappers of the evaluation plus the exact SAT backend,
 /// freshly built per call. The exact backend must honor the same engine
-/// contract as the heuristics — same event shapes, same give-up paths.
+/// contract as the heuristics — same record, same give-up paths.
 fn mappers() -> Vec<Box<dyn Mapper>> {
     vec![
         Box::new(RewireMapper::new()),
@@ -43,15 +43,6 @@ fn small_kernel() -> Dfg {
 /// Full placement fingerprint for byte-identical comparisons.
 fn placements(dfg: &Dfg, mapping: &Mapping) -> Vec<Option<(PeId, u32)>> {
     dfg.node_ids().map(|n| mapping.placement(n)).collect()
-}
-
-#[derive(Default)]
-struct Recorder(Vec<MapEvent>);
-
-impl EventSink for Recorder {
-    fn emit(&mut self, _meta: &RunMeta<'_>, event: &MapEvent) {
-        self.0.push(event.clone());
-    }
 }
 
 #[test]
@@ -84,8 +75,7 @@ fn exhausted_total_budget_returns_none_with_populated_stats() {
     // A zero total budget deterministically exhausts before the first II.
     let limits = MapLimits::fast().with_total_time_budget(Duration::ZERO);
     for mapper in mappers() {
-        let mut recorder = Recorder::default();
-        let out = mapper.map_with_events(&dfg, &cgra, &limits, &mut recorder);
+        let out = mapper.map(&dfg, &cgra, &limits);
         assert!(out.mapping.is_none(), "{}", mapper.name());
         assert_eq!(out.stats.mapper, mapper.name());
         assert_eq!(out.stats.kernel, dfg.name());
@@ -93,15 +83,8 @@ fn exhausted_total_budget_returns_none_with_populated_stats() {
         assert_eq!(out.stats.achieved_ii, None);
         assert_eq!(out.stats.iis_explored, 0);
         assert_eq!(
-            recorder.0,
-            vec![MapEvent::GaveUp {
-                reason: GiveUpReason::TotalBudget,
-                iis_explored: 0,
-                elapsed_us: match &recorder.0[..] {
-                    [MapEvent::GaveUp { elapsed_us, .. }] => *elapsed_us,
-                    other => panic!("{}: expected a lone GaveUp, got {other:?}", mapper.name()),
-                },
-            }],
+            out.stats.gave_up,
+            Some(GiveUpReason::TotalBudget),
             "{}",
             mapper.name()
         );
@@ -132,6 +115,12 @@ fn exhausted_max_ii_returns_none_with_populated_stats() {
             out.stats.iis_explored,
             0,
             "{}: mii > max_ii explores nothing",
+            mapper.name()
+        );
+        assert_eq!(
+            out.stats.gave_up,
+            Some(GiveUpReason::MaxIiReached),
+            "{}",
             mapper.name()
         );
     }
@@ -178,67 +167,48 @@ fn identical_seed_gives_identical_outcome() {
 }
 
 #[test]
-fn event_stream_is_well_formed() {
+fn run_record_is_well_formed() {
     let cgra = presets::paper_4x4_r4();
     let dfg = small_kernel();
-    let limits = MapLimits::fast().with_ii_time_budget(Duration::from_secs(30));
+    let limits = MapLimits::fast()
+        .with_seed(0x5EED)
+        .with_ii_time_budget(Duration::from_secs(30));
     for mapper in mappers() {
-        let mut recorder = Recorder::default();
-        let out = mapper.map_with_events(&dfg, &cgra, &limits, &mut recorder);
+        let out = mapper.map(&dfg, &cgra, &limits);
+        let record = &out.stats;
         assert!(out.mapping.is_some(), "{}", mapper.name());
-        let events = &recorder.0;
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, MapEvent::IiStarted { .. }))
-            .count();
-        let finishes = events
-            .iter()
-            .filter(|e| matches!(e, MapEvent::AttemptFinished { .. }))
-            .count();
+        assert_eq!(record.mapper, mapper.name());
+        assert_eq!(record.kernel, dfg.name());
+        assert_eq!(record.fabric, cgra.label(), "{}", mapper.name());
+        assert_eq!(record.seed, limits.seed, "{}", mapper.name());
         assert_eq!(
-            starts,
-            finishes,
-            "{}: balanced attempt events",
+            record.gave_up,
+            None,
+            "{}: mapped runs never give up",
             mapper.name()
         );
         assert_eq!(
-            starts as u32,
-            out.stats.iis_explored,
-            "{}: one IiStarted per explored II",
-            mapper.name()
+            record.scope(),
+            format!("{}/conf-chain@4x4/r4", mapper.name())
         );
-        let terminals = events
-            .iter()
-            .filter(|e| matches!(e, MapEvent::Mapped { .. } | MapEvent::GaveUp { .. }))
-            .count();
+        // The trace line is the record: elapsed is kept at µs resolution.
+        let line = record.to_json();
+        let at_us = MapStats {
+            elapsed: Duration::from_micros(record.elapsed.as_micros() as u64),
+            ..record.clone()
+        };
         assert_eq!(
-            terminals,
-            1,
-            "{}: exactly one terminal event",
+            MapStats::from_json(&line).as_ref(),
+            Ok(&at_us),
+            "{}: {line}",
             mapper.name()
         );
-        match events.last() {
-            Some(MapEvent::Mapped {
-                ii, iis_explored, ..
-            }) => {
-                assert_eq!(Some(*ii), out.stats.achieved_ii, "{}", mapper.name());
-                assert_eq!(*iis_explored, out.stats.iis_explored, "{}", mapper.name());
-            }
-            other => panic!("{}: expected Mapped last, got {other:?}", mapper.name()),
-        }
-        // The last AttemptFinished must be the successful one.
-        match events
-            .iter()
-            .rev()
-            .find(|e| matches!(e, MapEvent::AttemptFinished { .. }))
-        {
-            Some(MapEvent::AttemptFinished {
-                routed, overuse, ..
-            }) => {
-                assert!(*routed, "{}", mapper.name());
-                assert_eq!(*overuse, 0, "{}: success carries no overuse", mapper.name());
-            }
-            _ => unreachable!(),
-        }
     }
+    // The exact backend's refusal is a record too.
+    let refused = ExactSatMapper::new()
+        .with_max_nodes(1)
+        .map(&dfg, &cgra, &limits)
+        .stats;
+    assert_eq!(refused.gave_up, Some(GiveUpReason::Refused));
+    assert_eq!((refused.fabric.as_str(), refused.seed), ("4x4/r4", 0x5EED));
 }
