@@ -30,8 +30,11 @@ pub struct Cgra {
     memory_banks: u16,
     pes: Vec<Pe>,
     links: Vec<Link>,
-    /// Outgoing link ids per PE (index = PeId::index()).
-    out_links: Vec<Vec<LinkId>>,
+    /// Out-neighbours of every PE as one flat `(destination PE, link)`
+    /// list, grouped by source PE in link-id order.
+    out_edges: Vec<(PeId, LinkId)>,
+    /// PE `p`'s out-neighbours are `out_edges[out_start[p]..out_start[p + 1]]`.
+    out_start: Vec<u32>,
     /// Incoming link ids per PE.
     in_links: Vec<Vec<LinkId>>,
     /// Whether any diagonal links exist (changes the hop-distance metric).
@@ -50,11 +53,23 @@ impl Cgra {
         pes: Vec<Pe>,
         links: Vec<Link>,
     ) -> Self {
-        let mut out_links = vec![Vec::new(); pes.len()];
         let mut in_links = vec![Vec::new(); pes.len()];
+        let mut out_start = vec![0u32; pes.len() + 1];
         for link in &links {
-            out_links[link.src().index()].push(link.id());
             in_links[link.dst().index()].push(link.id());
+            out_start[link.src().index() + 1] += 1;
+        }
+        for p in 0..pes.len() {
+            out_start[p + 1] += out_start[p];
+        }
+        // Counting sort by source PE; links are visited in id order, so each
+        // PE's range stays in link-id order.
+        let mut fill = out_start.clone();
+        let mut out_edges = vec![(PeId::new(0), LinkId::new(0)); links.len()];
+        for link in &links {
+            let at = &mut fill[link.src().index()];
+            out_edges[*at as usize] = (link.dst(), link.id());
+            *at += 1;
         }
         let has_diagonals = links.iter().any(|l| {
             matches!(
@@ -84,7 +99,8 @@ impl Cgra {
             memory_banks,
             pes,
             links,
-            out_links,
+            out_edges,
+            out_start,
             in_links,
             has_diagonals,
             topology_fingerprint: fp,
@@ -161,7 +177,17 @@ impl Cgra {
 
     /// Iterates over the outgoing links of `pe`.
     pub fn links_from(&self, pe: PeId) -> impl ExactSizeIterator<Item = &Link> + '_ {
-        self.out_links[pe.index()].iter().map(|&l| self.link(l))
+        self.out_neighbours(pe).iter().map(|&(_, l)| self.link(l))
+    }
+
+    /// The out-neighbours of `pe` as `(destination PE, link)` pairs, in the
+    /// order of [`links_from`](Cgra::links_from): one contiguous slice, so
+    /// the router's inner loop reads both ends of a hop without touching
+    /// the link table.
+    #[inline]
+    pub fn out_neighbours(&self, pe: PeId) -> &[(PeId, LinkId)] {
+        let p = pe.index();
+        &self.out_edges[self.out_start[p] as usize..self.out_start[p + 1] as usize]
     }
 
     /// Iterates over the incoming links of `pe`.
@@ -260,6 +286,29 @@ mod tests {
                 c.links_to(pe.id()).count(),
                 "mesh links are bidirectional pairs"
             );
+        }
+    }
+
+    #[test]
+    fn out_neighbours_list_each_link_under_its_source_in_id_order() {
+        let fabrics = [
+            cgra(),
+            CgraBuilder::new(4, 5)
+                .torus(true)
+                .diagonals(true)
+                .build()
+                .unwrap(),
+            CgraBuilder::new(5, 3).cut_row(2).build().unwrap(),
+        ];
+        for c in &fabrics {
+            for pe in c.pes() {
+                let want: Vec<(PeId, LinkId)> = c
+                    .links()
+                    .filter(|l| l.src() == pe.id())
+                    .map(|l| (l.dst(), l.id()))
+                    .collect();
+                assert_eq!(c.out_neighbours(pe.id()), want.as_slice(), "{c}");
+            }
         }
     }
 

@@ -42,11 +42,15 @@ fn counter(snap: &Snapshot, scope: &str, name: &str) -> u64 {
 /// Renders the per-run table (one row per record), one `MapStats` line
 /// per run, and (when a snapshot is present) the per-scope span time
 /// breakdown.
+///
+/// `route_ms` is the scope's `router.route_ns` and `ns/exp` that time per
+/// `router.expansions` — the router DP's cost per relaxed transition;
+/// both read `-` for a run that never routed.
 pub fn render_report(runs: &[MapStats], snap: Option<&Snapshot>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<8} {:<14} {:<8} {:>4} {:>4} {:>5} {:>10} {:>10} {:>12} {:>10}",
+        "{:<8} {:<14} {:<8} {:>4} {:>4} {:>5} {:>10} {:>10} {:>12} {:>10} {:>7} {:>10}",
         "mapper",
         "kernel",
         "fabric",
@@ -56,6 +60,8 @@ pub fn render_report(runs: &[MapStats], snap: Option<&Snapshot>) -> String {
         "iters",
         "time_ms",
         "expansions",
+        "route_ms",
+        "ns/exp",
         "rip_ups"
     );
     for run in runs {
@@ -63,15 +69,20 @@ pub fn render_report(runs: &[MapStats], snap: Option<&Snapshot>) -> String {
             .achieved_ii
             .map_or_else(|| "-".to_string(), |ii| ii.to_string());
         let scope = run.scope();
-        let (expansions, rip_ups) = snap.map_or((0, 0), |s| {
+        let [expansions, route_ns, rip_ups] =
+            ["router.expansions", "router.route_ns", "pf.rip_ups"]
+                .map(|name| snap.map_or(0, |s| counter(s, &scope, name)));
+        let (route_ms, ns_per_expansion) = if expansions == 0 {
+            ("-".to_string(), "-".to_string())
+        } else {
             (
-                counter(s, &scope, "router.expansions"),
-                counter(s, &scope, "pf.rip_ups"),
+                format!("{:.1}", route_ns as f64 / 1e6),
+                format!("{:.1}", route_ns as f64 / expansions as f64),
             )
-        });
+        };
         let _ = writeln!(
             out,
-            "{:<8} {:<14} {:<8} {:>4} {:>4} {:>5} {:>10} {:>10.1} {:>12} {:>10}",
+            "{:<8} {:<14} {:<8} {:>4} {:>4} {:>5} {:>10} {:>10.1} {:>12} {:>10} {:>7} {:>10}",
             run.mapper,
             run.kernel,
             run.fabric,
@@ -81,6 +92,8 @@ pub fn render_report(runs: &[MapStats], snap: Option<&Snapshot>) -> String {
             run.remap_iterations,
             run.elapsed.as_secs_f64() * 1000.0,
             expansions,
+            route_ms,
+            ns_per_expansion,
             rip_ups
         );
     }
@@ -182,20 +195,42 @@ mod tests {
 
     #[test]
     fn report_has_one_row_per_record_joined_by_scope() {
-        let runs = vec![record("4x4/r4", Some(4)), record("8x8/r4", None)];
-        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":9,"router.expansions":4321},"gauges":{"engine.fabric_pes":16,"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}},"PF*/fir@8x8/r4":{"counters":{"router.expansions":8765},"gauges":{},"histograms":{},"spans":{}}}}"#;
+        let runs = vec![
+            record("4x4/r4", Some(4)),
+            record("8x8/r4", None),
+            record("2x2/r1", None),
+        ];
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":9,"router.expansions":432100,"router.route_ns":8642000},"gauges":{"engine.fabric_pes":16,"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}},"PF*/fir@8x8/r4":{"counters":{"router.expansions":8765,"router.route_ns":131475},"gauges":{},"histograms":{},"spans":{}}}}"#;
         let snap = load_snapshots(&[("m.json".to_string(), snap_json.to_string())]).unwrap();
         let report = render_report(&runs, Some(&snap));
-        let rows: Vec<&str> = report.lines().filter(|l| l.starts_with("PF* ")).collect();
-        assert_eq!(rows.len(), 2, "{report}");
-        assert!(
-            rows[0].contains("4x4/r4") && rows[0].contains("4321"),
-            "{report}"
-        );
-        assert!(
-            rows[1].contains("8x8/r4") && rows[1].contains("8765"),
-            "{report}"
-        );
+        let header: Vec<&str> = report.lines().next().unwrap().split_whitespace().collect();
+        let rows: Vec<Vec<&str>> = report
+            .lines()
+            .filter(|l| l.starts_with("PF* "))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), 3, "{report}");
+        let column = |row: &[&str], name: &str| {
+            let at = header.iter().position(|h| *h == name).unwrap();
+            row[at].to_string()
+        };
+        // Each row carries its own scope's router counters: expansions,
+        // route time (8.642 ms, 0.131 ms) and time per expansion (20 ns,
+        // 15 ns).
+        assert_eq!(rows[0][2], "4x4/r4", "{report}");
+        assert_eq!(column(&rows[0], "expansions"), "432100", "{report}");
+        assert_eq!(column(&rows[0], "route_ms"), "8.6", "{report}");
+        assert_eq!(column(&rows[0], "ns/exp"), "20.0", "{report}");
+        assert_eq!(column(&rows[0], "rip_ups"), "9", "{report}");
+        assert_eq!(rows[1][2], "8x8/r4", "{report}");
+        assert_eq!(column(&rows[1], "expansions"), "8765", "{report}");
+        assert_eq!(column(&rows[1], "route_ms"), "0.1", "{report}");
+        assert_eq!(column(&rows[1], "ns/exp"), "15.0", "{report}");
+        // A run without a scope in the snapshot never routed.
+        assert_eq!(rows[2][2], "2x2/r1", "{report}");
+        assert_eq!(column(&rows[2], "expansions"), "0", "{report}");
+        assert_eq!(column(&rows[2], "route_ms"), "-", "{report}");
+        assert_eq!(column(&rows[2], "ns/exp"), "-", "{report}");
         assert!(
             report.contains("PF*/fir: II 4 (MII 3) on 4x4/r4"),
             "{report}"

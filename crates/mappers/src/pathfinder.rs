@@ -530,10 +530,10 @@ impl PathFinderMapper {
                         break; // lower bound already exceeds the best found
                     }
                 }
-                let fu = Resource::Fu {
+                let fu = mapping.mrrg().index_of(Resource::Fu {
                     pe,
                     slot: mapping.mrrg().slot_of(t),
-                };
+                });
                 let Some(fu_cost) = cost.cell_cost(mapping.occupancy(), fu, v, 0) else {
                     continue;
                 };

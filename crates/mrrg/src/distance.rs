@@ -56,11 +56,11 @@ pub struct DistanceTable {
 
 /// Breadth-first hop distances from `start` following `next(pe)` edges,
 /// written into `row` (which must be pre-filled with `UNREACHABLE`).
-fn bfs_into<'c>(
+fn bfs_into<I: Iterator<Item = PeId>>(
     row: &mut [u32],
     queue: &mut VecDeque<PeId>,
     start: PeId,
-    next: impl Fn(PeId) -> Box<dyn Iterator<Item = PeId> + 'c>,
+    next: impl Fn(PeId) -> I,
 ) {
     row[start.index()] = 0;
     queue.clear();
@@ -89,7 +89,7 @@ impl DistanceTable {
         for dst in 0..n {
             let row = &mut table[dst * n..(dst + 1) * n];
             bfs_into(row, &mut queue, PeId::new(dst as u32), |pe| {
-                Box::new(cgra.links_to(pe).map(|l| l.src()))
+                cgra.links_to(pe).map(|l| l.src())
             });
         }
         Self {
@@ -217,10 +217,10 @@ impl TieredDistance {
         let mut queue = VecDeque::new();
         for (l, &lm) in landmarks.iter().enumerate() {
             bfs_into(&mut from[l * n..(l + 1) * n], &mut queue, lm, |pe| {
-                Box::new(cgra.links_from(pe).map(|link| link.dst()))
+                cgra.out_neighbours(pe).iter().map(|&(dst, _)| dst)
             });
             bfs_into(&mut to[l * n..(l + 1) * n], &mut queue, lm, |pe| {
-                Box::new(cgra.links_to(pe).map(|link| link.src()))
+                cgra.links_to(pe).map(|link| link.src())
             });
         }
 

@@ -79,33 +79,60 @@ impl Mrrg {
     /// Dense index of a cell, for flat side tables of length
     /// [`num_cells`](Mrrg::num_cells).
     ///
+    /// The layout is FU cells, then link cells, then register cells, each
+    /// entity's `ii` slots contiguous — the arithmetic the router's DP
+    /// computes link and register indices with directly.
+    ///
     /// # Panics
     ///
-    /// Panics if the cell's entity or slot is out of range for this shape.
+    /// Debug builds panic if the cell's entity or slot is out of range for
+    /// this shape; release builds skip the check (an out-of-range cell
+    /// then aliases another index or overruns the side table).
+    #[inline]
     pub fn index_of(&self, res: Resource) -> usize {
         let ii = self.ii as usize;
         match res {
             Resource::Fu { pe, slot } => {
-                assert!(pe.index() < self.num_pes && (slot as usize) < ii, "{res}");
+                debug_assert!(pe.index() < self.num_pes && (slot as usize) < ii, "{res}");
                 pe.index() * ii + slot as usize
             }
             Resource::Link { link, slot } => {
-                assert!(
+                debug_assert!(
                     link.index() < self.num_links && (slot as usize) < ii,
                     "{res}"
                 );
-                self.num_pes * ii + link.index() * ii + slot as usize
+                self.link_cells() + link.index() * ii + slot as usize
             }
             Resource::Reg { pe, reg, slot } => {
-                assert!(
+                debug_assert!(
                     pe.index() < self.num_pes && reg < self.regs_per_pe && (slot as usize) < ii,
                     "{res}"
                 );
-                (self.num_pes + self.num_links) * ii
+                self.reg_cells()
                     + (pe.index() * self.regs_per_pe as usize + reg as usize) * ii
                     + slot as usize
             }
         }
+    }
+
+    /// Dense index of the first link cell (`Link { link: 0, slot: 0 }`):
+    /// link `l` at slot `s` is `link_cells() + l·ii + s`.
+    #[inline]
+    pub(crate) fn link_cells(&self) -> usize {
+        self.num_pes * self.ii as usize
+    }
+
+    /// Dense index of the first register cell: register `r` of PE `p` at
+    /// slot `s` is `reg_cells() + (p·regs_per_pe + r)·ii + s`.
+    #[inline]
+    pub(crate) fn reg_cells(&self) -> usize {
+        (self.num_pes + self.num_links) * self.ii as usize
+    }
+
+    /// Whether the dense index `idx` is a register cell.
+    #[inline]
+    pub(crate) fn is_reg_index(&self, idx: usize) -> bool {
+        idx >= self.reg_cells()
     }
 
     /// Inverse of [`index_of`](Mrrg::index_of): the resource cell at a
@@ -242,6 +269,8 @@ mod tests {
         Mrrg::new(&presets::paper_4x4_r4(), 0);
     }
 
+    // The range check is a debug assertion: release builds index unchecked.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn out_of_range_cell_panics() {

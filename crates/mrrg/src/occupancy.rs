@@ -148,13 +148,15 @@ impl Occupancy {
 
     /// The distinct `(signal, phase)` keys currently on `cell` (with
     /// reference counts).
+    #[inline]
     pub fn owners(&self, cell: Resource) -> &[((NodeId, u32), u32)] {
         self.owners_at_index(self.mrrg.index_of(cell))
     }
 
-    /// Owners at a dense cell index. Reads of unallocated chunks borrow
-    /// the shared empty list.
-    fn owners_at_index(&self, idx: usize) -> &[((NodeId, u32), u32)] {
+    /// Owners at a dense cell index ([`Mrrg::index_of`]). Reads of
+    /// unallocated chunks borrow the shared empty list.
+    #[inline]
+    pub(crate) fn owners_at_index(&self, idx: usize) -> &[((NodeId, u32), u32)] {
         match &self.cells[idx / CHUNK] {
             Some(chunk) => &chunk[idx % CHUNK],
             None => NO_OWNERS,
@@ -174,8 +176,15 @@ impl Occupancy {
     /// Whether `(signal, phase)` may use `cell` without creating overuse
     /// (the cell is free or already carries exactly this signal at this
     /// phase).
+    #[inline]
     pub fn usable_by(&self, cell: Resource, signal: NodeId, phase: u32) -> bool {
-        let owners = self.owners(cell);
+        self.usable_at_index(self.mrrg.index_of(cell), signal, phase)
+    }
+
+    /// [`usable_by`](Occupancy::usable_by) at a dense cell index.
+    #[inline]
+    pub(crate) fn usable_at_index(&self, idx: usize, signal: NodeId, phase: u32) -> bool {
+        let owners = self.owners_at_index(idx);
         owners.is_empty() || (owners.len() == 1 && owners[0].0 == (signal, phase))
     }
 

@@ -9,20 +9,24 @@
 
 use crate::distance::{DistanceBound, DistanceOracle};
 use crate::{Mrrg, Occupancy, Resource, Route, RouteError, RouteRequest};
-use rewire_arch::{Cgra, PeId};
+use rewire_arch::{Cgra, LinkId, PeId};
 use rewire_dfg::NodeId;
 use rewire_obs as obs;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Pluggable cell-cost policy for the router.
 pub trait CostModel {
-    /// Cost for `signal` at step-age `phase` to occupy `cell`, or `None`
-    /// if the cell must not be used (e.g. it carries a different signal —
-    /// or the same signal at a different age — under exclusive rules).
-    fn cell_cost(&self, occ: &Occupancy, cell: Resource, signal: NodeId, phase: u32)
-        -> Option<f64>;
+    /// Cost for `signal` at step-age `phase` to occupy the cell at dense
+    /// index `cell` ([`Mrrg::index_of`] of `occ.mrrg()`;
+    /// [`Mrrg::resource_of`] decodes it), or `None` if the cell must not
+    /// be used (e.g. it carries a different signal — or the same signal at
+    /// a different age — under exclusive rules).
+    ///
+    /// The router asks once per DP transition, so the cell comes as the
+    /// index the DP already holds, not as a `Resource` to re-index.
+    fn cell_cost(&self, occ: &Occupancy, cell: usize, signal: NodeId, phase: u32) -> Option<f64>;
 }
 
 /// Exclusive routing: a cell is usable only if free or already carrying the
@@ -37,15 +41,14 @@ pub trait CostModel {
 pub struct UnitCost;
 
 impl CostModel for UnitCost {
-    fn cell_cost(
-        &self,
-        occ: &Occupancy,
-        cell: Resource,
-        signal: NodeId,
-        phase: u32,
-    ) -> Option<f64> {
-        occ.usable_by(cell, signal, phase)
-            .then_some(if cell.is_reg() { 0.95 } else { 1.0 })
+    #[inline]
+    fn cell_cost(&self, occ: &Occupancy, cell: usize, signal: NodeId, phase: u32) -> Option<f64> {
+        occ.usable_at_index(cell, signal, phase)
+            .then_some(if occ.mrrg().is_reg_index(cell) {
+                0.95
+            } else {
+                1.0
+            })
     }
 }
 
@@ -99,17 +102,14 @@ impl NegotiatedCost {
 }
 
 impl CostModel for NegotiatedCost {
-    fn cell_cost(
-        &self,
-        occ: &Occupancy,
-        cell: Resource,
-        signal: NodeId,
-        phase: u32,
-    ) -> Option<f64> {
-        let owners = occ.owners(cell);
-        let foreign = owners.iter().filter(|(k, _)| *k != (signal, phase)).count();
-        let idx_cost = self.history[occ.mrrg().index_of(cell)];
-        Some(1.0 + self.present_factor * foreign as f64 + idx_cost)
+    #[inline]
+    fn cell_cost(&self, occ: &Occupancy, cell: usize, signal: NodeId, phase: u32) -> Option<f64> {
+        let foreign = occ
+            .owners_at_index(cell)
+            .iter()
+            .filter(|(k, _)| *k != (signal, phase))
+            .count();
+        Some(1.0 + self.present_factor * foreign as f64 + self.history[cell])
     }
 }
 
@@ -145,16 +145,11 @@ impl<'c, C: CostModel> TreeCost<'c, C> {
 }
 
 impl<C: CostModel> CostModel for TreeCost<'_, C> {
-    fn cell_cost(
-        &self,
-        occ: &Occupancy,
-        cell: Resource,
-        signal: NodeId,
-        phase: u32,
-    ) -> Option<f64> {
+    #[inline]
+    fn cell_cost(&self, occ: &Occupancy, cell: usize, signal: NodeId, phase: u32) -> Option<f64> {
         let cost = self.inner.cell_cost(occ, cell, signal, phase)?;
         let owned = occ
-            .owners(cell)
+            .owners_at_index(cell)
             .iter()
             .any(|(key, _)| *key == (signal, phase));
         Some(if owned {
@@ -191,6 +186,170 @@ enum Carrier {
     Wire,
     /// `(register index, cycles spent in it so far)`.
     Reg(u8, u32),
+}
+
+impl Carrier {
+    /// Position in a PE's block of `1 + regs·ii` DP states: 0 is the wire,
+    /// `1 + r·ii + (run − 1)` is `Reg(r, run)`.
+    fn offset(self, ii: usize) -> usize {
+        match self {
+            Carrier::Wire => 0,
+            Carrier::Reg(r, run) => 1 + r as usize * ii + (run as usize - 1),
+        }
+    }
+
+    /// Inverse of [`offset`](Carrier::offset).
+    fn at(offset: usize, ii: usize) -> Self {
+        if offset == 0 {
+            Carrier::Wire
+        } else {
+            let r = (offset - 1) / ii;
+            let run = (offset - 1) % ii + 1;
+            Carrier::Reg(r as u8, run as u32)
+        }
+    }
+}
+
+/// The register moves out of every carrier for one `(regs, ii)` shape, in
+/// relaxation order: the per-carrier template the DP walks instead of
+/// re-deriving each move.
+///
+/// An entry `(next, reg)` moves the value to carrier offset `next` of the
+/// same PE and occupies register `reg / ii` of that PE, stored pre-scaled:
+/// the cell's dense index is the PE's first register cell at the layer's
+/// slot plus `reg`. Memory is one entry per move, O(regs²·ii) — a few
+/// hundred bytes — independent of the fabric.
+#[derive(Clone, Debug, Default)]
+struct RegMoves {
+    regs: usize,
+    ii: usize,
+    /// `(next carrier offset, register index · ii)`, grouped by carrier.
+    moves: Vec<(u32, u32)>,
+    /// Carrier `c`'s moves are `moves[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+}
+
+impl RegMoves {
+    /// Builds the template for `regs` registers per PE at `ii`, unless it
+    /// already holds that shape.
+    fn prepare(&mut self, regs: usize, ii: usize) {
+        if !self.start.is_empty() && (self.regs, self.ii) == (regs, ii) {
+            return;
+        }
+        self.regs = regs;
+        self.ii = ii;
+        self.moves.clear();
+        self.start.clear();
+        let entry = |r: u8, next: Carrier| (next.offset(ii) as u32, (r as usize * ii) as u32);
+        for c in 0..1 + regs * ii {
+            self.start.push(self.moves.len() as u32);
+            match Carrier::at(c, ii) {
+                Carrier::Wire => {
+                    // Park in any register.
+                    for r in 0..regs as u8 {
+                        self.moves.push(entry(r, Carrier::Reg(r, 1)));
+                    }
+                }
+                Carrier::Reg(r, run) => {
+                    // Keep holding (bounded by II so no modulo cell is
+                    // claimed twice by this route).
+                    if (run as usize) < ii {
+                        self.moves.push(entry(r, Carrier::Reg(r, run + 1)));
+                    }
+                    // Transfer to a sibling register.
+                    for r2 in 0..regs as u8 {
+                        if r2 != r {
+                            self.moves.push(entry(r2, Carrier::Reg(r2, 1)));
+                        }
+                    }
+                }
+            }
+        }
+        self.start.push(self.moves.len() as u32);
+    }
+
+    /// The register moves out of carrier offset `carrier`.
+    #[inline]
+    fn of(&self, carrier: usize) -> &[(u32, u32)] {
+        &self.moves[self.start[carrier] as usize..self.start[carrier + 1] as usize]
+    }
+}
+
+/// The DP's state encoding and cell arithmetic for one MRRG shape.
+///
+/// A state is `pe · stride + carrier offset`. A transition's cell index
+/// comes from [`Mrrg::index_of`]'s layout by arithmetic — link `l` at
+/// slot `s` is `link_cells + l·ii + s`, register `r` of PE `p` is
+/// `reg_cells + (p·regs + r)·ii + s` — so the DP never builds a
+/// `Resource` per transition. It walks the PE's out-neighbour slice
+/// ([`Cgra::out_neighbours`]) and the carrier's [`RegMoves`] entries.
+#[derive(Clone, Copy)]
+struct Transitions<'t> {
+    cgra: &'t Cgra,
+    moves: &'t RegMoves,
+    ii: usize,
+    /// DP states per PE: the wire plus `regs·ii` register carriers.
+    stride: usize,
+    link_cells: usize,
+    reg_cells: usize,
+    /// One PE's register cells: `regs·ii`.
+    pe_reg_cells: usize,
+}
+
+impl<'t> Transitions<'t> {
+    fn new(cgra: &'t Cgra, mrrg: &Mrrg, moves: &'t RegMoves) -> Self {
+        let ii = mrrg.ii() as usize;
+        let regs = mrrg.regs_per_pe() as usize;
+        let stride = 1 + regs * ii;
+        debug_assert_eq!((moves.regs, moves.ii), (regs, ii), "template shape");
+        // Frontiers and parents store states and cells as `u32`.
+        assert!(
+            (cgra.num_pes() * stride).max(mrrg.num_cells()) <= u32::MAX as usize,
+            "{mrrg} has too many router states for u32 indices"
+        );
+        Self {
+            cgra,
+            moves,
+            ii,
+            stride,
+            link_cells: mrrg.link_cells(),
+            reg_cells: mrrg.reg_cells(),
+            pe_reg_cells: regs * ii,
+        }
+    }
+
+    /// Calls `f(next state, cell index)` for every move out of state
+    /// `(pe, carrier)` during a cycle at `slot`, in relaxation order: link
+    /// hops (legal from the wire and from a register read-out) in link-id
+    /// order, then the carrier's register moves.
+    #[inline(always)]
+    fn for_each(&self, pe: usize, carrier: usize, slot: usize, mut f: impl FnMut(usize, usize)) {
+        for &(dst, link) in self.cgra.out_neighbours(PeId::new(pe as u32)) {
+            f(dst.index() * self.stride, self.link_cell(link, slot));
+        }
+        let pe_state = pe * self.stride;
+        let pe_regs = self.reg_cells + pe * self.pe_reg_cells + slot;
+        for &(next, reg) in self.moves.of(carrier) {
+            f(pe_state + next as usize, pe_regs + reg as usize);
+        }
+    }
+
+    /// Dense index of `link`'s cell at `slot`.
+    #[inline]
+    fn link_cell(&self, link: LinkId, slot: usize) -> usize {
+        self.link_cells + link.index() * self.ii + slot
+    }
+}
+
+/// Work counts of one [`Router::route_with`] call, flushed to the
+/// `router.*` metrics once at its end. Each DP attempt counts in locals
+/// and adds them here once.
+#[derive(Default)]
+struct RouteTally {
+    expansions: u64,
+    pruned: u64,
+    frontier_peak: u64,
+    retries: u64,
 }
 
 /// A reusable bitset over dense MRRG cell indices with O(touched words)
@@ -289,10 +448,11 @@ impl StampedRow {
     }
 }
 
-/// One layer's parent pointer: `(state, previous state, resource consumed)`
-/// — stored only for states that are live in that layer, sorted by state
-/// for binary-searched reconstruction.
-type CompactParent = (u32, u32, Resource);
+/// One layer's parent pointer: `(state, previous state, dense index of the
+/// cell consumed)` — stored only for states that are live in that layer,
+/// sorted by state for binary-searched reconstruction. Cells are decoded
+/// to `Resource`s only along the winning path.
+type CompactParent = (u32, u32, u32);
 
 /// How many distinct fabric topologies one scratch keeps distance oracles
 /// for. Mapping alternates over at most a handful of fabrics at a time
@@ -327,8 +487,8 @@ pub struct RouterScratch {
     /// state is live in `next` are meaningful. Compacted into `parents`
     /// at the end of each layer.
     parent_state: Vec<u32>,
-    /// Dense parent-resource scratch paired with `parent_state`.
-    parent_res: Vec<Resource>,
+    /// Dense parent-cell scratch (cell indices) paired with `parent_state`.
+    parent_cell: Vec<u32>,
     /// Per-layer compacted parent pointers, one entry per *live* state
     /// sorted by state id. Replaces the old dense `num_states × len`
     /// parent matrix, whose resize-and-fill per layer was both the top
@@ -341,6 +501,8 @@ pub struct RouterScratch {
     frontier: Vec<u32>,
     /// Live states being collected for the next layer.
     next_frontier: Vec<u32>,
+    /// Register-move template for the last `(regs, ii)` shape routed.
+    reg_moves: RegMoves,
     /// Cells seen while scanning a candidate route for duplicates.
     seen_cells: CellBitset,
     /// Cells seen at least twice in the candidate route.
@@ -606,30 +768,18 @@ impl<'a> Router<'a> {
         scratch: &mut RouterScratch,
     ) -> Result<Route, RouteError> {
         let start = Instant::now();
-        let expansions = Cell::new(0u64);
-        let pruned = Cell::new(0u64);
-        let frontier_peak = Cell::new(0u64);
-        let mut retries = 0u64;
-        let result = self.route_inner(
-            occ,
-            req,
-            cost,
-            scratch,
-            &expansions,
-            &pruned,
-            &frontier_peak,
-            &mut retries,
-        );
+        let mut tally = RouteTally::default();
+        let result = self.route_inner(occ, req, cost, scratch, &mut tally);
         let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Observe-only accounting: never feeds back into routing decisions.
         let m = scratch.metrics();
         m.route_calls.incr();
-        m.expansions.add(expansions.get());
-        m.pruned_states.add(pruned.get());
+        m.expansions.add(tally.expansions);
+        m.pruned_states.add(tally.pruned);
         if self.mode == RouterMode::Pruned {
-            m.frontier_size.record(frontier_peak.get());
+            m.frontier_size.record(tally.frontier_peak);
         }
-        m.retries.add(retries);
+        m.retries.add(tally.retries);
         m.route_ns.add(elapsed_ns);
         match &result {
             Ok(route) => {
@@ -724,27 +874,22 @@ impl<'a> Router<'a> {
         Ok(routed.into_iter().map(|(_, r)| r).collect())
     }
 
-    #[allow(clippy::too_many_arguments)] // internal plumbing for metric tallies
     fn route_inner(
         &self,
         occ: &Occupancy,
         req: &RouteRequest,
         cost: &impl CostModel,
         scratch: &mut RouterScratch,
-        expansions: &Cell<u64>,
-        pruned: &Cell<u64>,
-        frontier_peak: &Cell<u64>,
-        retries: &mut u64,
+        tally: &mut RouteTally,
     ) -> Result<Route, RouteError> {
         scratch.reset_overlay(self.mrrg.num_cells());
         for _attempt in 0..10 {
-            let route =
-                self.route_attempt(occ, req, cost, scratch, expansions, pruned, frontier_peak)?;
+            let route = self.route_attempt(occ, req, cost, scratch, tally)?;
             let duplicates = scratch.duplicate_cells(self.mrrg, route.resources());
             if duplicates.is_empty() {
                 return Ok(route);
             }
-            *retries += 1;
+            tally.retries += 1;
             // Steer the next attempt away from every looped cell.
             for cell in duplicates {
                 scratch.penalise(self.mrrg.index_of(cell), 8.0);
@@ -778,44 +923,28 @@ impl<'a> Router<'a> {
     /// [`DistanceOracle::DENSE_PE_LIMIT`] PEs therefore preserves
     /// byte-identical routes too — it just prunes less than the dense
     /// tier would.
-    #[allow(clippy::too_many_arguments)] // internal plumbing for metric tallies
+    ///
+    /// # Why index keying is route-identical
+    ///
+    /// Each transition names its cell by the dense index
+    /// [`Mrrg::index_of`] would return for it ([`Transitions`]; pinned by
+    /// the `transition_indices_match_index_of` unit test), the moves come
+    /// in the same order, and the cost sum is the same `base + c + overlay`
+    /// expression, so every value, parent and tie-break is unchanged.
     fn route_attempt(
         &self,
         occ: &Occupancy,
         req: &RouteRequest,
         cost: &impl CostModel,
         scratch: &mut RouterScratch,
-        expansions: &Cell<u64>,
-        pruned: &Cell<u64>,
-        frontier_peak: &Cell<u64>,
+        tally: &mut RouteTally,
     ) -> Result<Route, RouteError> {
         let len = req
             .num_steps()
             .ok_or(RouteError::NegativeLength { request: *req })? as usize;
-        let ii = self.mrrg.ii();
-        let regs = self.mrrg.regs_per_pe() as usize;
-        // State encoding: pe * stride + carrier, carrier 0 = Wire,
-        // 1 + r*ii + (run-1) = Reg(r, run).
-        let stride = 1 + regs * ii as usize;
-        let num_states = self.cgra.num_pes() * stride;
-        let encode = |pe: usize, c: Carrier| -> usize {
-            pe * stride
-                + match c {
-                    Carrier::Wire => 0,
-                    Carrier::Reg(r, run) => 1 + r as usize * ii as usize + (run as usize - 1),
-                }
-        };
-        let decode = |state: usize| -> (usize, Carrier) {
-            let pe = state / stride;
-            let c = state % stride;
-            if c == 0 {
-                (pe, Carrier::Wire)
-            } else {
-                let r = (c - 1) / ii as usize;
-                let run = (c - 1) % ii as usize + 1;
-                (pe, Carrier::Reg(r as u8, run as u32))
-            }
-        };
+        scratch
+            .reg_moves
+            .prepare(self.mrrg.regs_per_pe() as usize, self.mrrg.ii() as usize);
 
         const INF: f64 = f64::INFINITY;
         // The hop oracle is resolved before the scratch is split into
@@ -827,43 +956,47 @@ impl<'a> Router<'a> {
         };
         let bound: Option<DistanceBound<'_>> = oracle.as_deref().map(|o| o.bound_to(req.dst_pe));
         // Split the scratch into disjoint field borrows so the DP can hold
-        // the overlay immutably while writing the value/parent rows.
+        // the overlay and move template immutably while writing the
+        // value/parent rows.
         let RouterScratch {
             overlay,
             cur,
             next,
             parent_state,
-            parent_res,
+            parent_cell,
             parents,
             frontier,
             next_frontier,
+            reg_moves,
             ..
         } = scratch;
+        let moves = Transitions::new(self.cgra, self.mrrg, reg_moves);
+        let stride = moves.stride;
+        let num_states = self.cgra.num_pes() * stride;
         cur.begin(num_states);
-        let src_state = encode(req.src_pe.index(), Carrier::Wire);
+        let src_state = req.src_pe.index() * stride + Carrier::Wire.offset(moves.ii);
         cur.set(src_state, 0.0);
         frontier.clear();
         frontier.push(src_state as u32);
-        frontier_peak.set(frontier_peak.get().max(1));
+        tally.frontier_peak = tally.frontier_peak.max(1);
         // Dense parent scratch grows to the largest shape seen; entries
         // are only read for states live in `next`, so no per-layer fill.
         if parent_state.len() < num_states {
             parent_state.resize(num_states, u32::MAX);
-            parent_res.resize(
-                num_states,
-                Resource::Fu {
-                    pe: req.src_pe,
-                    slot: 0,
-                },
-            );
+            parent_cell.resize(num_states, u32::MAX);
         }
         if parents.len() < len {
             parents.resize(len, Vec::new());
         }
 
+        // Work counts stay in locals for the whole attempt and are added
+        // to the tally once, after the arrival scan.
+        let mut expansions = 0u64;
+        let mut pruned = 0u64;
         for (k, parent) in parents.iter_mut().enumerate().take(len) {
             let cycle = req.depart_cycle + k as u32;
-            let slot = self.mrrg.slot_of(cycle);
+            let slot = self.mrrg.slot_of(cycle) as usize;
+            let phase = k as u32;
             next.begin(num_states);
             next_frontier.clear();
             // A state expanded here still has `len - k` steps (this move
@@ -890,78 +1023,29 @@ impl<'a> Router<'a> {
                 if base == INF {
                     continue; // dense mode only: frontier states are live
                 }
-                let (pe_idx, carrier) = decode(state);
+                let (pe, carrier) = (state / stride, state % stride);
                 if let Some(b) = &bound {
-                    if b.get(pe_idx) > hop_budget {
-                        pruned.set(pruned.get() + 1);
+                    if b.get(pe) > hop_budget {
+                        pruned += 1;
                         continue;
                     }
                 }
-                // PeIds are dense row-major indices, so the state's PE is a
-                // direct construction (this used to be an O(num_pes)
-                // iterator walk in the DP inner loop).
-                let pe = PeId::new(pe_idx as u32);
-
-                let mrrg = self.mrrg;
-                let relax = |next_state: usize,
-                             res: Resource,
-                             next_row: &mut StampedRow,
-                             pstate: &mut Vec<u32>,
-                             pres: &mut Vec<Resource>,
-                             live: &mut Vec<u32>| {
-                    expansions.set(expansions.get() + 1);
-                    if let Some(c) = cost.cell_cost(occ, res, req.signal, k as u32) {
-                        let cand = base + c + overlay[mrrg.index_of(res)];
-                        if cand < next_row.get(next_state) {
-                            if next_row.set(next_state, cand) {
-                                live.push(next_state as u32);
+                moves.for_each(pe, carrier, slot, |next_state, cell| {
+                    expansions += 1;
+                    if let Some(c) = cost.cell_cost(occ, cell, req.signal, phase) {
+                        let cand = base + c + overlay[cell];
+                        if cand < next.get(next_state) {
+                            if next.set(next_state, cand) {
+                                next_frontier.push(next_state as u32);
                             }
-                            pstate[next_state] = state as u32;
-                            pres[next_state] = res;
+                            parent_state[next_state] = state as u32;
+                            parent_cell[next_state] = cell as u32;
                         }
                     }
-                };
-
-                // Link hops (legal from wire and from a register read-out).
-                for link in self.cgra.links_from(pe) {
-                    let res = Resource::Link {
-                        link: link.id(),
-                        slot,
-                    };
-                    let ns = encode(link.dst().index(), Carrier::Wire);
-                    relax(ns, res, next, parent_state, parent_res, next_frontier);
-                }
-
-                match carrier {
-                    Carrier::Wire => {
-                        // Park in any register.
-                        for r in 0..regs as u8 {
-                            let res = Resource::Reg { pe, reg: r, slot };
-                            let ns = encode(pe_idx, Carrier::Reg(r, 1));
-                            relax(ns, res, next, parent_state, parent_res, next_frontier);
-                        }
-                    }
-                    Carrier::Reg(r, run) => {
-                        // Keep holding (bounded by II so no modulo cell is
-                        // claimed twice by this route).
-                        if run < ii {
-                            let res = Resource::Reg { pe, reg: r, slot };
-                            let ns = encode(pe_idx, Carrier::Reg(r, run + 1));
-                            relax(ns, res, next, parent_state, parent_res, next_frontier);
-                        }
-                        // Transfer to a sibling register.
-                        for r2 in 0..regs as u8 {
-                            if r2 != r {
-                                let res = Resource::Reg { pe, reg: r2, slot };
-                                let ns = encode(pe_idx, Carrier::Reg(r2, 1));
-                                relax(ns, res, next, parent_state, parent_res, next_frontier);
-                            }
-                        }
-                    }
-                }
+                });
             }
 
-            frontier_peak.set(frontier_peak.get().max(next_frontier.len() as u64));
+            tally.frontier_peak = tally.frontier_peak.max(next_frontier.len() as u64);
             // Compact this layer's parents: one entry per live state,
             // sorted by state id. The sort doubles as the pre-ordering the
             // next layer's pruned sweep needs for dense-identical
@@ -971,7 +1055,7 @@ impl<'a> Router<'a> {
             parent.extend(
                 next_frontier
                     .iter()
-                    .map(|&s| (s, parent_state[s as usize], parent_res[s as usize])),
+                    .map(|&s| (s, parent_state[s as usize], parent_cell[s as usize])),
             );
             std::mem::swap(cur, next);
             std::mem::swap(frontier, next_frontier);
@@ -987,8 +1071,8 @@ impl<'a> Router<'a> {
         //      register→link→FU-input path), occupying that link's cell at
         //      `slot(arrive_cycle)`.
         let dst = req.dst_pe.index();
-        let arrive_slot = self.mrrg.slot_of(req.arrive_cycle);
-        let mut best: Option<(f64, usize, Option<Resource>)> = None;
+        let arrive_slot = self.mrrg.slot_of(req.arrive_cycle) as usize;
+        let mut best: Option<(f64, usize, Option<usize>)> = None;
         for c in 0..stride {
             let s = dst * stride + c;
             if cur.get(s) < best.map_or(f64::INFINITY, |(b, ..)| b) {
@@ -996,23 +1080,22 @@ impl<'a> Router<'a> {
             }
         }
         for link in self.cgra.links_to(req.dst_pe) {
-            let res = Resource::Link {
-                link: link.id(),
-                slot: arrive_slot,
-            };
-            expansions.set(expansions.get() + 1);
-            let Some(hop_cost) = cost.cell_cost(occ, res, req.signal, len as u32) else {
+            let cell = moves.link_cell(link.id(), arrive_slot);
+            expansions += 1;
+            let Some(hop_cost) = cost.cell_cost(occ, cell, req.signal, len as u32) else {
                 continue;
             };
-            let hop_cost = hop_cost + overlay[self.mrrg.index_of(res)];
+            let hop_cost = hop_cost + overlay[cell];
             for c in 0..stride {
                 let s = link.src().index() * stride + c;
                 let total = cur.get(s) + hop_cost;
                 if total < best.map_or(f64::INFINITY, |(b, ..)| b) {
-                    best = Some((total, s, Some(res)));
+                    best = Some((total, s, Some(cell)));
                 }
             }
         }
+        tally.expansions += expansions;
+        tally.pruned += pruned;
         let Some((best_cost, best_state, delivery)) = best else {
             return Err(RouteError::NoPath { request: *req });
         };
@@ -1020,10 +1103,10 @@ impl<'a> Router<'a> {
             return Err(RouteError::NoPath { request: *req });
         }
 
-        // Reconstruct.
-        let mut resources = vec![];
-        if let Some(res) = delivery {
-            resources.push(res);
+        // Reconstruct, decoding cell indices along the winning path only.
+        let mut resources = Vec::with_capacity(len + 1);
+        if let Some(cell) = delivery {
+            resources.push(self.mrrg.resource_of(cell));
         }
         let mut state = best_state as u32;
         for k in (0..len).rev() {
@@ -1031,8 +1114,8 @@ impl<'a> Router<'a> {
             let idx = layer
                 .binary_search_by_key(&state, |&(s, _, _)| s)
                 .expect("the arrival state is live, so every ancestor is recorded");
-            let (_, prev, res) = layer[idx];
-            resources.push(res);
+            let (_, prev, cell) = layer[idx];
+            resources.push(self.mrrg.resource_of(cell as usize));
             state = prev;
         }
         resources.reverse();
@@ -1541,22 +1624,127 @@ mod tests {
         let signal = NodeId::new(5);
         occ.claim(cell, signal, 0);
         let tc = TreeCost::new(&UnitCost);
+        let idx = mrrg.index_of(cell);
         // Owned at the queried phase: discounted.
         assert_eq!(
-            tc.cell_cost(&occ, cell, signal, 0),
+            tc.cell_cost(&occ, idx, signal, 0),
             Some(TREE_REUSE_DISCOUNT)
         );
         // Same signal at a different phase: the inner model forbids it,
         // and so must the wrapper.
-        assert_eq!(tc.cell_cost(&occ, cell, signal, 1), None);
+        assert_eq!(tc.cell_cost(&occ, idx, signal, 1), None);
         // A free cell keeps the inner cost.
-        let other = Resource::Link {
+        let other = mrrg.index_of(Resource::Link {
             link: cgra.links().nth(1).unwrap().id(),
             slot: 1,
-        };
+        });
         assert_eq!(tc.cell_cost(&occ, other, signal, 0), Some(1.0));
         // A foreign signal cannot take the owned cell.
-        assert_eq!(tc.cell_cost(&occ, cell, NodeId::new(6), 0), None);
+        assert_eq!(tc.cell_cost(&occ, idx, NodeId::new(6), 0), None);
+    }
+
+    #[test]
+    fn unit_cost_discounts_registers_by_index_class() {
+        let (_cgra, mrrg) = setup(3);
+        let occ = Occupancy::new(&mrrg);
+        let signal = NodeId::new(0);
+        for idx in 0..mrrg.num_cells() {
+            let want = if mrrg.resource_of(idx).is_reg() {
+                0.95
+            } else {
+                1.0
+            };
+            assert_eq!(UnitCost.cell_cost(&occ, idx, signal, 0), Some(want));
+        }
+    }
+
+    /// The fabrics `crates/mrrg/tests/route_golden.rs` pins routes on: the
+    /// four paper presets, the 32×32 mesh and eight random fabrics with
+    /// torus, diagonal and cut links.
+    fn golden_fabrics() -> Vec<Cgra> {
+        use rewire_arch::random::{random_cgra_spec, RandomCgraParams};
+        let params = RandomCgraParams {
+            cut_prob: 0.25,
+            torus_prob: 0.3,
+            diagonal_prob: 0.3,
+            ..RandomCgraParams::default()
+        };
+        let mut fabrics = vec![
+            presets::paper_4x4_r4(),
+            presets::paper_4x4_r2(),
+            presets::paper_4x4_r1(),
+            presets::paper_8x8_r4(),
+            presets::mesh32(),
+        ];
+        fabrics.extend((0..8).map(|seed| random_cgra_spec(&params, seed).build().unwrap()));
+        fabrics
+    }
+
+    #[test]
+    fn transition_indices_match_index_of() {
+        // Every (next state, cell) pair the DP relaxes — out-neighbour
+        // slice, then register template — against the `Resource`-built
+        // enumeration it replaced, named through `Mrrg::index_of`.
+        let mut template = RegMoves::default();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for cgra in golden_fabrics() {
+            for ii in 1..=8u32 {
+                let mrrg = Mrrg::new(&cgra, ii);
+                let (ii, regs) = (ii as usize, cgra.regs_per_pe());
+                template.prepare(regs as usize, ii);
+                let t = Transitions::new(&cgra, &mrrg, &template);
+                assert_eq!(t.stride, 1 + regs as usize * ii);
+                for pe in cgra.pes() {
+                    let p = pe.id().index();
+                    for c in 0..t.stride {
+                        let carrier = Carrier::at(c, ii);
+                        assert_eq!(carrier.offset(ii), c);
+                        for slot in 0..ii {
+                            got.clear();
+                            t.for_each(p, c, slot, |ns, cell| got.push((ns, cell)));
+                            want.clear();
+                            let slot = slot as u32;
+                            for link in cgra.links_from(pe.id()) {
+                                let res = Resource::Link {
+                                    link: link.id(),
+                                    slot,
+                                };
+                                want.push((link.dst().index() * t.stride, mrrg.index_of(res)));
+                                assert_eq!(
+                                    t.link_cell(link.id(), slot as usize),
+                                    mrrg.index_of(res)
+                                );
+                            }
+                            let mut reg = |r: u8, to: Carrier| {
+                                let res = Resource::Reg {
+                                    pe: pe.id(),
+                                    reg: r,
+                                    slot,
+                                };
+                                want.push((p * t.stride + to.offset(ii), mrrg.index_of(res)));
+                            };
+                            match carrier {
+                                Carrier::Wire => (0..regs).for_each(|r| reg(r, Carrier::Reg(r, 1))),
+                                Carrier::Reg(r, run) => {
+                                    if (run as usize) < ii {
+                                        reg(r, Carrier::Reg(r, run + 1));
+                                    }
+                                    (0..regs)
+                                        .filter(|&r2| r2 != r)
+                                        .for_each(|r2| reg(r2, Carrier::Reg(r2, 1)));
+                                }
+                            }
+                            assert_eq!(
+                                got,
+                                want,
+                                "{} ii {ii} pe {p} {carrier:?} slot {slot}",
+                                cgra.label()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
