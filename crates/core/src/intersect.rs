@@ -1,7 +1,7 @@
 //! Propagation-tuple intersection (§IV-D, Eq. 1): turning shared routing
 //! knowledge into per-node placement candidates.
 
-use crate::propagate::{Direction, TupleStore};
+use crate::propagate::{Direction, SetBits, TupleStore, Wave};
 use crate::RewireConfig;
 use rewire_arch::{Cgra, PeId};
 use rewire_dfg::{Dfg, NodeId};
@@ -165,6 +165,26 @@ pub struct PlacementCandidates {
     pub options: Vec<(PeId, u32)>,
 }
 
+impl Requirement {
+    /// The wave this requirement reads: `(source, direction, tag)`.
+    fn wave_key(&self) -> (NodeId, Direction, u32) {
+        match *self {
+            Requirement::Direct {
+                source,
+                direction,
+                wave,
+                ..
+            }
+            | Requirement::Transitive {
+                source,
+                direction,
+                wave,
+                ..
+            } => (source, direction, wave),
+        }
+    }
+}
+
 /// Intersects the propagation tuples (Eq. 1): a PE is a candidate for `v`
 /// at execution cycle `c` iff every requirement has a matching tuple.
 ///
@@ -180,7 +200,13 @@ pub struct PlacementCandidates {
 /// * transitive child — the backward wave covers some cycle after `c`.
 ///
 /// Candidates additionally need a free FU cell at `slot(c)` and an
-/// operation-capable PE.
+/// operation-capable PE. The result is the first
+/// `max_candidates_per_node` candidates in ascending `(cycle, PE)` order.
+///
+/// Each PE's cycles are bitset words: the most selective requirement
+/// proposes a window, every requirement then masks it 64 cycles at a time
+/// (the intersection proper), and the survivors are bucketed by cycle, so
+/// the capped list is read off in order without a sort.
 #[allow(clippy::too_many_arguments)]
 pub fn pcandidates(
     dfg: &Dfg,
@@ -192,160 +218,258 @@ pub fn pcandidates(
     config: &RewireConfig,
     horizon: u32,
 ) -> PlacementCandidates {
-    let ii = mapping.ii();
-    let op = dfg.node(v).op();
+    let cap = config.max_candidates_per_node;
     let mut options = Vec::new();
+    // Every requirement's wave, resolved once. A requirement on a wave no
+    // seed started matches no tuple, so nothing can be a candidate.
+    let Some(waves) = reqs
+        .iter()
+        .map(|r| {
+            let (source, direction, tag) = r.wave_key();
+            store.wave(source, direction, tag)
+        })
+        .collect::<Option<Vec<&Wave>>>()
+    else {
+        return PlacementCandidates { node: v, options };
+    };
+    let ii = mapping.ii();
+    let Some(proposal) = Proposal::select(reqs, &waves, ii, horizon) else {
+        return PlacementCandidates { node: v, options };
+    };
+    if cap == 0 {
+        return PlacementCandidates { node: v, options };
+    }
 
-    for pe_ref in cgra.pes_supporting(op) {
-        let pe = pe_ref.id();
-        // Derive the candidate execution cycles from the most selective
-        // requirement available; fall back to the full horizon window.
-        let cycles: Vec<u32> = if let Some(Requirement::Direct {
-            source,
-            direction: Direction::Forward,
-            distance,
-            wave,
-        }) = reqs.iter().find(|r| {
-            matches!(
-                r,
-                Requirement::Direct {
-                    direction: Direction::Forward,
-                    ..
-                }
-            )
-        }) {
-            let mut cands: Vec<u32> = store
-                .cycles(*source, Direction::Forward, *wave, pe)
-                .iter()
-                .filter_map(|&arr| arr.checked_sub(distance * ii))
-                .collect();
-            // Delivery hop: the wave may also arrive at an upstream
-            // neighbour, provided the final link cell is actually usable.
-            for link in cgra.links_to(pe) {
-                for &arr in store.cycles(*source, Direction::Forward, *wave, link.src()) {
-                    let cell = Resource::Link {
-                        link: link.id(),
-                        slot: mapping.mrrg().slot_of(arr),
-                    };
-                    if !mapping.occupancy().usable_by_any_phase(cell, *source) {
-                        continue;
-                    }
-                    if let Some(c) = arr.checked_sub(distance * ii) {
-                        if !cands.contains(&c) {
-                            cands.push(c);
-                        }
-                    }
-                }
+    // `by_cycle[k]` is the set of PEs (one bit per PE id) that are
+    // candidates at cycle `base + k`; reading it bit by bit visits
+    // (cycle, PE) in ascending order.
+    let (base, words) = (proposal.base(), proposal.words());
+    let pe_words = cgra.num_pes().div_ceil(64);
+    let mut by_cycle = vec![0u64; 64 * words * pe_words];
+    let mut mask = vec![0u64; words];
+    let occ = mapping.occupancy();
+    for pe in cgra.pes_supporting(dfg.node(v).op()).map(|p| p.id()) {
+        mask.fill(0);
+        proposal.fill(pe, &mut mask);
+        for (req, wave) in reqs.iter().zip(&waves) {
+            if mask.iter().all(|&w| w == 0) {
+                break;
             }
-            cands.sort_unstable();
-            cands.dedup();
-            cands
-        } else if let Some(Requirement::Direct {
-            source,
-            direction: Direction::Backward,
-            wave,
-            ..
-        }) = reqs.iter().find(|r| {
-            matches!(
-                r,
-                Requirement::Direct {
-                    direction: Direction::Backward,
-                    ..
+            restrict(cgra, mapping, req, wave, pe, base, &mut mask);
+        }
+        let (pw, bit) = (pe.index() / 64, 1u64 << (pe.index() % 64));
+        for (j, &word) in mask.iter().enumerate() {
+            for b in SetBits(word) {
+                let k = 64 * j + b as usize;
+                let fu = Resource::Fu {
+                    pe,
+                    slot: mapping.mrrg().slot_of(base + k as u32),
+                };
+                if occ.usable_by(fu, v, 0) {
+                    by_cycle[k * pe_words + pw] |= bit;
                 }
-            )
-        }) {
-            store
-                .cycles(*source, Direction::Backward, *wave, pe)
-                .iter()
-                .filter_map(|&c| c.checked_sub(1))
-                .collect()
-        } else if let Some(Requirement::Transitive {
-            source,
-            direction: Direction::Forward,
-            separation,
-            distance_sum,
-            wave,
-        }) = reqs.iter().find(|r| {
-            matches!(
-                r,
-                Requirement::Transitive {
-                    direction: Direction::Forward,
-                    ..
-                }
-            )
-        }) {
-            // The node runs at least `separation` cycles after the wave
-            // reaches its neighbourhood; bound the window rather than
-            // scanning the whole horizon.
-            match store.cycles(*source, Direction::Forward, *wave, pe).first() {
-                Some(&first) => {
-                    let lo = (first + separation).saturating_sub(distance_sum * ii);
-                    (lo..=(lo + 2 * ii + 2).min(horizon)).collect()
-                }
-                None => Vec::new(),
-            }
-        } else {
-            (0..=(3 * ii + 2).min(horizon)).collect()
-        };
-
-        for c in cycles {
-            if c > horizon {
-                continue;
-            }
-            let fu = Resource::Fu {
-                pe,
-                slot: mapping.mrrg().slot_of(c),
-            };
-            if !mapping.occupancy().usable_by(fu, v, 0) {
-                continue;
-            }
-            if reqs
-                .iter()
-                .all(|r| satisfied(cgra, mapping, store, pe, c, ii, r))
-            {
-                options.push((pe, c));
             }
         }
     }
 
-    options.sort_by_key(|&(pe, c)| (c, pe));
-    options.truncate(config.max_candidates_per_node);
+    'walk: for (k, pes) in by_cycle.chunks_exact(pe_words).enumerate() {
+        for (pw, &word) in pes.iter().enumerate() {
+            for b in SetBits(word) {
+                options.push((PeId::new((64 * pw) as u32 + b), base + k as u32));
+                if options.len() == cap {
+                    break 'walk;
+                }
+            }
+        }
+    }
     PlacementCandidates { node: v, options }
 }
 
-fn satisfied(
+/// The window a node's candidate cycles are drawn from, set by the most
+/// selective requirement: a direct parent, else a direct child, else a
+/// transitive parent, else a fixed window from cycle 0. Every requirement
+/// (the proposing one too) then masks it.
+enum Proposal<'a> {
+    /// Every cycle of `[base, hi]`: a direct requirement's wave window
+    /// shifted to execution cycles, or `0..=3·II + 2`.
+    Range { base: u32, hi: u32 },
+    /// Transitive parent: per PE, `span + 1` cycles from `separation`
+    /// past the wave's first arrival there, less `D·II`.
+    After {
+        wave: &'a Wave,
+        separation: u32,
+        shift: u32,
+        span: u32,
+        base: u32,
+        hi: u32,
+    },
+}
+
+impl<'a> Proposal<'a> {
+    /// Picks the proposing requirement and clips its window to
+    /// `[0, horizon]`; `None` when the window is empty.
+    fn select(reqs: &[Requirement], waves: &[&'a Wave], ii: u32, horizon: u32) -> Option<Self> {
+        // The first requirement of the best-ranked kind proposes; a
+        // transitive child never does.
+        let rank = |r: &Requirement| match *r {
+            Requirement::Direct {
+                direction: Direction::Forward,
+                ..
+            } => 0,
+            Requirement::Direct { .. } => 1,
+            Requirement::Transitive {
+                direction: Direction::Forward,
+                ..
+            } => 2,
+            Requirement::Transitive { .. } => 3,
+        };
+        let proposer = reqs
+            .iter()
+            .zip(waves)
+            .filter(|(r, _)| rank(r) < 3)
+            .min_by_key(|(r, _)| rank(r));
+        let proposal = match proposer {
+            // Execution cycle = arrival − d·II.
+            Some((
+                &Requirement::Direct {
+                    direction: Direction::Forward,
+                    distance,
+                    ..
+                },
+                wave,
+            )) => {
+                let shift = distance * ii;
+                Proposal::Range {
+                    base: wave.lo().saturating_sub(shift),
+                    hi: wave.hi().checked_sub(shift)?.min(horizon),
+                }
+            }
+            // Execution cycle = output cycle − 1.
+            Some((&Requirement::Direct { .. }, wave)) => Proposal::Range {
+                base: wave.lo().saturating_sub(1),
+                hi: wave.hi().checked_sub(1)?.min(horizon),
+            },
+            Some((
+                &Requirement::Transitive {
+                    separation,
+                    distance_sum,
+                    ..
+                },
+                wave,
+            )) => {
+                let (shift, span) = (distance_sum * ii, 2 * ii + 2);
+                Proposal::After {
+                    wave,
+                    separation,
+                    shift,
+                    span,
+                    base: (wave.lo() + separation).saturating_sub(shift),
+                    hi: ((wave.hi() + separation).saturating_sub(shift) + span).min(horizon),
+                }
+            }
+            None => Proposal::Range {
+                base: 0,
+                hi: (3 * ii + 2).min(horizon),
+            },
+        };
+        (proposal.base() <= proposal.hi()).then_some(proposal)
+    }
+
+    /// First cycle of the window (bit 0 of every mask).
+    fn base(&self) -> u32 {
+        match *self {
+            Proposal::Range { base, .. } | Proposal::After { base, .. } => base,
+        }
+    }
+
+    /// Last cycle of the window.
+    fn hi(&self) -> u32 {
+        match *self {
+            Proposal::Range { hi, .. } | Proposal::After { hi, .. } => hi,
+        }
+    }
+
+    /// Mask words per PE.
+    fn words(&self) -> usize {
+        ((self.hi() - self.base()) / 64 + 1) as usize
+    }
+
+    /// Writes `pe`'s proposed cycles into the zeroed `mask` (bit `k` =
+    /// cycle `base + k`).
+    fn fill(&self, pe: PeId, mask: &mut [u64]) {
+        let last = self.hi() - self.base();
+        match *self {
+            Proposal::Range { .. } => set_range(mask, 0, last),
+            Proposal::After {
+                wave,
+                separation,
+                shift,
+                span,
+                base,
+                ..
+            } => {
+                if let Some(first) = wave.first(pe) {
+                    let from = (first + separation).saturating_sub(shift) - base;
+                    set_range(mask, from, (from + span).min(last));
+                }
+            }
+        }
+    }
+}
+
+/// Keeps the bits of `mask` (bit `k` = cycle `base + k`) at which `req`
+/// has a matching tuple of `wave` at `pe` — the per-requirement term of
+/// Eq. 1, 64 cycles per step.
+fn restrict(
     cgra: &Cgra,
     mapping: &Mapping,
-    store: &TupleStore,
-    pe: PeId,
-    c: u32,
-    ii: u32,
     req: &Requirement,
-) -> bool {
+    wave: &Wave,
+    pe: PeId,
+    base: u32,
+    mask: &mut [u64],
+) {
+    let ii = mapping.ii();
+    // Bit `k` of word `j` is cycle `c0 + k`; offsets are relative to the
+    // wave's window.
+    let cycle0 = |j: usize| i64::from(base) + 64 * j as i64;
+    let lo = i64::from(wave.lo());
     match *req {
         Requirement::Direct {
             source,
             direction: Direction::Forward,
             distance,
-            wave,
+            ..
         } => {
-            let arr = c + distance * ii;
-            store.contains(source, Direction::Forward, wave, pe, arr)
-                || cgra.links_to(pe).any(|l| {
-                    let cell = Resource::Link {
-                        link: l.id(),
-                        slot: mapping.mrrg().slot_of(arr),
-                    };
-                    mapping.occupancy().usable_by_any_phase(cell, source)
-                        && store.contains(source, Direction::Forward, wave, l.src(), arr)
-                })
+            // Arrival `c + d·II` at this PE, or at an upstream neighbour
+            // whose link cell is usable then (the delivery hop).
+            let shift = i64::from(distance * ii);
+            for (j, word) in mask.iter_mut().enumerate() {
+                let offset = cycle0(j) + shift - lo;
+                let mut hit = bits_at(wave.row(pe), offset) & *word;
+                for link in cgra.links_to(pe) {
+                    for b in SetBits(bits_at(wave.row(link.src()), offset) & *word & !hit) {
+                        let cell = Resource::Link {
+                            link: link.id(),
+                            slot: mapping.mrrg().slot_of((cycle0(j) + shift) as u32 + b),
+                        };
+                        if mapping.occupancy().usable_by_any_phase(cell, source) {
+                            hit |= 1 << b;
+                        }
+                    }
+                }
+                *word = hit;
+            }
         }
         Requirement::Direct {
-            source,
             direction: Direction::Backward,
-            wave,
             ..
-        } => store.contains(source, Direction::Backward, wave, pe, c + 1),
+        } => {
+            // `v`'s output, readable at `c + 1`, is on the wave.
+            for (j, word) in mask.iter_mut().enumerate() {
+                *word &= bits_at(wave.row(pe), cycle0(j) + 1 - lo);
+            }
+        }
         // Transitive requirements are deliberately loose: the intermediate
         // cluster nodes will execute on *other* PEs, so demanding the exact
         // cycle here (the paper's idealised formula) empties the candidate
@@ -353,20 +477,68 @@ fn satisfied(
         // bound keeps the pruning value; Algorithm 2's pairwise constraints
         // and the routing verification enforce exactness.
         Requirement::Transitive {
-            source,
             direction: Direction::Forward,
             distance_sum,
-            wave,
             ..
         } => {
-            store.contains_at_or_before(source, Direction::Forward, wave, pe, c + distance_sum * ii)
+            // Some arrival at or before `c + D·II`: `c ≥ first − D·II`.
+            let from = wave
+                .first(pe)
+                .map(|first| i64::from(first) - i64::from(distance_sum * ii));
+            for (j, word) in mask.iter_mut().enumerate() {
+                *word &= from.map_or(0, |from| bits_from(from - cycle0(j)));
+            }
         }
         Requirement::Transitive {
-            source,
             direction: Direction::Backward,
-            wave,
             ..
-        } => store.contains_at_or_after(source, Direction::Backward, wave, pe, c + 1),
+        } => {
+            // Some position at or after `c + 1`: `c ≤ last − 1`.
+            let to = wave.last(pe).map(|last| i64::from(last) - 1);
+            for (j, word) in mask.iter_mut().enumerate() {
+                *word &= to.map_or(0, |to| !bits_from(to + 1 - cycle0(j)));
+            }
+        }
+    }
+}
+
+/// A word with bits `k ≥ from` set (`from` may fall outside `0..64`).
+#[inline]
+fn bits_from(from: i64) -> u64 {
+    match from {
+        ..=0 => u64::MAX,
+        64.. => 0,
+        _ => u64::MAX << from,
+    }
+}
+
+/// Sets bits `from..=to` of `mask`; bits past its end are dropped.
+fn set_range(mask: &mut [u64], from: u32, to: u32) {
+    for (j, word) in mask.iter_mut().enumerate() {
+        let (lo, hi) = (64 * j as u32, 64 * j as u32 + 63);
+        if from <= hi && to >= lo {
+            *word |= (u64::MAX >> (63 - (to.min(hi) - lo))) & (u64::MAX << (from.max(lo) - lo));
+        }
+    }
+}
+
+/// The 64 bits of `row` starting at bit `offset`; bits outside the row
+/// (a negative offset, or past its end) read as zero.
+#[inline]
+fn bits_at(row: &[u64], offset: i64) -> u64 {
+    if offset < 0 {
+        return if offset <= -64 {
+            0
+        } else {
+            bits_at(row, 0) << -offset
+        };
+    }
+    let (w, s) = ((offset / 64) as usize, offset % 64);
+    let at = |i: usize| row.get(i).copied().unwrap_or(0);
+    if s == 0 {
+        at(w)
+    } else {
+        at(w) >> s | at(w + 1) << (64 - s)
     }
 }
 
@@ -609,6 +781,52 @@ mod tests {
         let cands = pcandidates(&dfg, &cgra, &m, &store, b, &reqs, &config, 12);
         assert!(cands.options.len() <= 3);
         assert!(cands.options.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn early_stop_matches_sort_and_truncate() {
+        // The capped walk must return exactly what sorting the uncapped
+        // list by (cycle, PE) and truncating it would.
+        let (cgra, dfg, m, a, b, c) = chain_setup();
+        let seeds = [
+            PropagationSeed {
+                source: a,
+                direction: Direction::Forward,
+                pe: pe(&cgra, 0, 0),
+                cycle: 1,
+                wave: 1,
+            },
+            PropagationSeed {
+                source: c,
+                direction: Direction::Backward,
+                pe: pe(&cgra, 0, 2),
+                cycle: 4,
+                wave: 4,
+            },
+        ];
+        let store = propagate(&cgra, m.occupancy(), &seeds, 24);
+        let both = requirements_for(&dfg, &m, b);
+        let requirement_sets = [both.clone(), vec![both[0]], vec![both[1]], Vec::new()];
+        for reqs in &requirement_sets {
+            let with_cap = |cap| {
+                let config = RewireConfig {
+                    max_candidates_per_node: cap,
+                    ..Default::default()
+                };
+                pcandidates(&dfg, &cgra, &m, &store, b, reqs, &config, 20).options
+            };
+            let mut all = with_cap(usize::MAX);
+            assert!(!all.is_empty(), "{reqs:?}");
+            if reqs.len() < 2 {
+                assert!(all.len() > 8, "{reqs:?} proposes enough to truncate");
+            }
+            all.sort_by_key(|&(p, c)| (c, p));
+            for cap in [0, 1, 2, 7, all.len() - 1, all.len()] {
+                let mut reference = all.clone();
+                reference.truncate(cap);
+                assert_eq!(with_cap(cap), reference, "cap {cap}, {reqs:?}");
+            }
+        }
     }
 
     #[test]

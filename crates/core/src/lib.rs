@@ -55,7 +55,7 @@ mod stats;
 
 pub use cluster::Cluster;
 pub use config::RewireConfig;
-pub use intersect::{PlacementCandidates, Requirement};
+pub use intersect::{pcandidates, PlacementCandidates, Requirement};
 pub use mapper::{RewireAttempt, RewireMapper};
 pub use placement::ClusterPlacer;
 pub use propagate::{propagate, Direction, PropagationSeed, TupleStore};

@@ -318,7 +318,8 @@ impl RewireMapper {
         }
     }
 
-    /// One cluster attempt: propagation → intersection → Algorithm 2.
+    /// One cluster attempt: propagation → intersection → Algorithm 2, each
+    /// stage timed by its own span (`propagate`, `intersect`, `place`).
     #[allow(clippy::too_many_arguments)]
     fn try_cluster(
         &self,
@@ -332,6 +333,8 @@ impl RewireMapper {
         rng: &mut StdRng,
     ) -> Result<(), Vec<NodeId>> {
         let ii = mapping.ii();
+        // Stage spans close explicitly, so the three stay siblings.
+        let propagate_span = obs::span("propagate");
         let members = cluster.topo_sorted(dfg);
         let reqs: Vec<Vec<Requirement>> = members
             .iter()
@@ -431,7 +434,9 @@ impl RewireMapper {
         let rounds = self.propagation_rounds(dfg, mapping, &members, &seeds, ii);
         let store = propagate(cgra, mapping.occupancy(), &seeds, rounds);
         stats.tuples_generated += store.num_tuples();
+        drop(propagate_span);
 
+        let intersect_span = obs::span("intersect");
         let horizon = self.exec_horizon(dfg, mapping, ii);
         let mut candidates = Vec::with_capacity(members.len());
         for (v, rs) in members.iter().zip(&reqs) {
@@ -462,7 +467,9 @@ impl RewireMapper {
         // earlier on large clusters. Algorithm 2's pairwise checks are
         // order-independent.
         candidates.sort_by_key(|c| c.options.len());
+        drop(intersect_span);
 
+        let _place_span = obs::span("place");
         let mut emptied = None;
         let ok = ClusterPlacer::new(dfg, cgra, &self.config).place_with_diagnosis(
             mapping,
@@ -485,7 +492,8 @@ impl RewireMapper {
 
     /// The paper's round heuristic: 3× the maximum cycle difference between
     /// Parents(U) and Children(U); 5× the cluster's longest path when one
-    /// side is empty; clamped for sanity.
+    /// side is empty; at least `max(II, 4)`, but never past the hard cap
+    /// `max_rounds`, which wins when the two disagree.
     fn propagation_rounds(
         &self,
         dfg: &Dfg,
@@ -517,7 +525,7 @@ impl RewireMapper {
             let path = dfg.longest_path_within(members).max(1);
             self.config.round_path_factor * path
         };
-        rounds.clamp(ii.max(4), self.config.max_rounds)
+        rounds.max(ii.max(4)).min(self.config.max_rounds)
     }
 
     /// Upper bound on cluster execution cycles: past the latest mapped
@@ -694,47 +702,124 @@ mod tests {
     #[test]
     fn metrics_cover_the_portfolio_workers() {
         let cgra = presets::paper_4x4_r4();
-        // A uniquely named kernel gives this test its own metric scope, so
-        // parallel tests mapping the stock kernels cannot interfere.
-        let mut dfg = Dfg::new("rewire-obs-probe");
-        let mut prev = dfg.add_node("ld", rewire_arch::OpKind::Load);
-        for i in 0..4 {
-            let n = dfg.add_node(format!("a{i}"), rewire_arch::OpKind::Add);
-            dfg.add_edge(prev, n, 0).unwrap();
-            prev = n;
+        // Uniquely named kernels give this test its own metric scopes, so
+        // parallel tests mapping the stock kernels cannot interfere. PF*'s
+        // initial jacobi2d mapping is ill-mapped, so amendment runs
+        // cluster attempts on both paths.
+        let mut scopes = Vec::new();
+        for width in [1, 2] {
+            let mut dfg = kernels::jacobi2d();
+            dfg.set_name(format!("rewire-obs-probe-{width}"));
+            let config = RewireConfig {
+                portfolio_width: width,
+                max_restarts_per_ii: 1,
+                ..Default::default()
+            };
+            let limits = MapLimits::fast().with_ii_time_budget(std::time::Duration::from_secs(30));
+            let (out, rstats) =
+                RewireMapper::with_config(config).map_with_stats(&dfg, &cgra, &limits);
+            assert!(out.mapping.is_some());
+            assert!(
+                rstats.clusters_attempted > 0,
+                "amendment ran cluster attempts"
+            );
+            scopes.push((format!("Rewire/{}@4x4/r4", dfg.name()), rstats));
         }
-        let config = RewireConfig {
-            portfolio_width: 2,
-            ..Default::default()
-        };
-        let out = RewireMapper::with_config(config).map(&dfg, &cgra, &MapLimits::fast());
-        assert!(out.mapping.is_some());
 
         let snap = obs::metrics().snapshot();
-        let scope = snap
-            .scopes
-            .get("Rewire/rewire-obs-probe@4x4/r4")
-            .expect("engine scoped the run as mapper/kernel@fabric");
-        assert_eq!(scope.counters.get("engine.mapped"), Some(&1));
-        for path in [
-            "run",
-            "run/attempt",
-            "run/attempt/initial",
-            "run/attempt/amend",
-        ] {
-            assert!(
-                scope.spans.contains_key(path),
-                "missing span {path:?}; have {:?}",
-                scope.spans.keys().collect::<Vec<_>>()
+        for (amend, (scope_name, rstats)) in ["run/attempt/amend", "run/attempt/amend/worker"]
+            .into_iter()
+            .zip(&scopes)
+        {
+            let scope = snap
+                .scopes
+                .get(scope_name)
+                .expect("engine scoped the run as mapper/kernel@fabric");
+            assert_eq!(scope.counters.get("engine.mapped"), Some(&1));
+            let stages = ["propagate", "intersect", "place"].map(|s| format!("{amend}/{s}"));
+            for path in ["run", "run/attempt", "run/attempt/initial", amend]
+                .into_iter()
+                .chain(stages.iter().map(String::as_str))
+            {
+                assert!(
+                    scope.spans.contains_key(path),
+                    "missing span {path:?}; have {:?}",
+                    scope.spans.keys().collect::<Vec<_>>()
+                );
+            }
+            // One `propagate` span per cluster attempt, never one per
+            // route or verification.
+            assert_eq!(
+                scope.spans[&stages[0]].count, rstats.clusters_attempted,
+                "{scope_name}"
             );
         }
         // The portfolio workers run on fresh threads; their timers must
         // still land under the run's scope and span path.
-        let worker = scope
+        let portfolio = &snap.scopes[&scopes[1].0];
+        let worker = portfolio
             .spans
             .get("run/attempt/amend/worker")
             .expect("worker spans carried across the spawn");
-        assert_eq!(worker.count, 2, "one span per portfolio worker");
+        let amends = portfolio.spans["run/attempt/amend"].count;
+        assert_eq!(
+            worker.count,
+            2 * amends,
+            "one span per portfolio worker and II"
+        );
+    }
+
+    #[test]
+    fn propagation_rounds_never_exceed_the_hard_cap() {
+        let cgra = presets::paper_4x4_r4();
+        let mut dfg = Dfg::new("pair");
+        let a = dfg.add_node("a", rewire_arch::OpKind::Add);
+        let b = dfg.add_node("b", rewire_arch::OpKind::Add);
+        dfg.add_edge(a, b, 0).unwrap();
+        let mapping = Mapping::new(&dfg, &rewire_mrrg::Mrrg::new(&cgra, 60));
+        let seeds = [PropagationSeed {
+            source: a,
+            direction: Direction::Forward,
+            pe: cgra.pes().next().unwrap().id(),
+            cycle: 1,
+            wave: 1,
+        }];
+        // II 60 lifts the floor past the default cap of 48 rounds: the cap
+        // wins (this used to panic with "min > max").
+        let rounds = RewireMapper::new().propagation_rounds(&dfg, &mapping, &[b], &seeds, 60);
+        assert_eq!(rounds, 48);
+        // So does a cap below the floor of 4.
+        let capped = RewireMapper::with_config(RewireConfig {
+            max_rounds: 3,
+            ..Default::default()
+        });
+        assert_eq!(
+            capped.propagation_rounds(&dfg, &mapping, &[b], &seeds, 1),
+            3
+        );
+        // Between floor and cap the heuristic stands.
+        assert_eq!(
+            RewireMapper::new().propagation_rounds(&dfg, &mapping, &[b], &seeds, 30),
+            30
+        );
+    }
+
+    #[test]
+    fn a_round_cap_below_four_maps_or_fails_cleanly() {
+        let cgra = presets::paper_4x4_r2();
+        let dfg = kernels::gesummv();
+        let mii = dfg.mii(&cgra).unwrap();
+        let mapper = RewireMapper::with_config(RewireConfig {
+            max_rounds: 3,
+            max_restarts_per_ii: 1,
+            ..Default::default()
+        });
+        let (out, rstats) =
+            mapper.map_with_stats(&dfg, &cgra, &MapLimits::fast().with_max_ii(mii + 1));
+        assert!(rstats.clusters_attempted > 0, "amendment ran");
+        if let Some(m) = &out.mapping {
+            assert!(m.is_valid(&dfg, &cgra));
+        }
     }
 
     #[test]

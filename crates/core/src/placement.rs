@@ -11,7 +11,7 @@
 
 use crate::intersect::PlacementCandidates;
 use crate::{RewireConfig, RewireStats};
-use rewire_arch::Cgra;
+use rewire_arch::{Cgra, PeId};
 use rewire_dfg::{Dfg, EdgeId, NodeId};
 use rewire_mappers::Mapping;
 use rewire_mrrg::{Router, UnitCost};
@@ -65,17 +65,20 @@ impl<'a> ClusterPlacer<'a> {
         // unsatisfiable member pairs immediately (instead of burning the
         // search budget) and shrinks the enumeration space.
         let mut candidates = candidates.to_vec();
-        if let Err(victim) = self.arc_reduce(mapping, &mut candidates) {
+        let pairs = PairEdges::new(self.dfg, mapping.ii(), &candidates);
+        if let Err(victim) = self.arc_reduce(&pairs, &mut candidates) {
             *emptied = Some(victim);
             return false;
         }
         let candidates = &candidates[..];
+        let table = SearchTable::new(self.cgra, mapping, pairs, candidates);
         let budget = stats.verifications + self.config.max_verifications;
-        let mut chosen: Vec<usize> = Vec::with_capacity(candidates.len());
+        let mut partial = table.empty_partial();
         self.search(
             mapping,
             candidates,
-            &mut chosen,
+            &table,
+            &mut partial,
             deadline,
             stats,
             &mut 0,
@@ -83,7 +86,6 @@ impl<'a> ClusterPlacer<'a> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     /// AC-3-style reduction over cluster-internal dependency edges: a
     /// candidate of one member survives only if some candidate of each
     /// connected member is timing- and reach-compatible with it. Returns
@@ -91,32 +93,14 @@ impl<'a> ClusterPlacer<'a> {
     /// placement exists at all).
     fn arc_reduce(
         &self,
-        mapping: &Mapping,
-        candidates: &mut [crate::intersect::PlacementCandidates],
-    ) -> Result<(), rewire_dfg::NodeId> {
-        let ii = mapping.ii();
+        pairs: &PairEdges,
+        candidates: &mut [PlacementCandidates],
+    ) -> Result<(), NodeId> {
         loop {
             let mut changed = false;
             for i in 0..candidates.len() {
                 for j in 0..candidates.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let (vi, vj) = (candidates[i].node, candidates[j].node);
-                    // Directed edges between the two members, as
-                    // (i_is_source, distance).
-                    let pair_edges: Vec<(bool, u32)> = self
-                        .dfg
-                        .out_edges(vi)
-                        .filter(|e| e.dst() == vj)
-                        .map(|e| (true, e.distance()))
-                        .chain(
-                            self.dfg
-                                .out_edges(vj)
-                                .filter(|e| e.dst() == vi)
-                                .map(|e| (false, e.distance())),
-                        )
-                        .collect();
+                    let pair_edges = pairs.between(i, j);
                     if pair_edges.is_empty() {
                         continue;
                     }
@@ -125,16 +109,10 @@ impl<'a> ClusterPlacer<'a> {
                     let cgra = self.cgra;
                     candidates[i].options.retain(|&(pe_i, c_i)| {
                         support.iter().any(|&(pe_j, c_j)| {
-                            pair_edges.iter().all(|&(i_is_src, dist)| {
-                                let (pe_s, c_s, pe_d, c_d) = if i_is_src {
-                                    (pe_i, c_i, pe_j, c_j)
-                                } else {
-                                    (pe_j, c_j, pe_i, c_i)
-                                };
-                                let arrive = c_d as i64 + (dist * ii) as i64;
-                                let steps = arrive - (c_s as i64 + 1);
-                                steps >= 0 && (steps + 1) >= cgra.distance(pe_s, pe_d) as i64
-                            })
+                            let hops = cgra.distance(pe_i, pe_j);
+                            pair_edges
+                                .iter()
+                                .all(|&edge| edge_fits(edge, c_i, c_j, hops))
                         })
                     });
                     if candidates[i].options.is_empty() {
@@ -149,22 +127,23 @@ impl<'a> ClusterPlacer<'a> {
         }
     }
 
-    /// Depth-first enumeration with constraint pruning. `chosen[i]` is the
-    /// option index of `candidates[i]`.
+    /// Depth-first enumeration with constraint pruning over the members in
+    /// `candidates` order.
     #[allow(clippy::too_many_arguments)]
     fn search(
         &self,
         mapping: &mut Mapping,
         candidates: &[PlacementCandidates],
-        chosen: &mut Vec<usize>,
+        table: &SearchTable,
+        partial: &mut Partial,
         deadline: Instant,
         stats: &mut RewireStats,
         steps: &mut u64,
         verification_budget: u64,
     ) -> bool {
-        let depth = chosen.len();
+        let depth = partial.chosen.len();
         if depth == candidates.len() {
-            return self.verify_and_commit(mapping, candidates, chosen, stats);
+            return self.verify_and_commit(mapping, candidates, &partial.chosen, stats);
         }
         for idx in 0..candidates[depth].options.len() {
             *steps += 1;
@@ -174,15 +153,16 @@ impl<'a> ClusterPlacer<'a> {
             {
                 return false;
             }
-            if !self.consistent(mapping, candidates, chosen, depth, idx) {
+            if !table.consistent(partial, depth, idx) {
                 stats.combinations_pruned += 1;
                 continue;
             }
-            chosen.push(idx);
+            partial.push(table, idx);
             if self.search(
                 mapping,
                 candidates,
-                chosen,
+                table,
+                partial,
                 deadline,
                 stats,
                 steps,
@@ -190,52 +170,9 @@ impl<'a> ClusterPlacer<'a> {
             ) {
                 return true;
             }
-            chosen.pop();
+            partial.pop(table);
         }
         false
-    }
-
-    /// Checks candidate `idx` of node `depth` against all previously
-    /// chosen members: execution-order constraints on connecting edges, FU
-    /// cell disjointness, and reachability of the fixed-length routes.
-    fn consistent(
-        &self,
-        mapping: &Mapping,
-        candidates: &[PlacementCandidates],
-        chosen: &[usize],
-        depth: usize,
-        idx: usize,
-    ) -> bool {
-        let ii = mapping.ii();
-        let v = candidates[depth].node;
-        let (pe_v, c_v) = candidates[depth].options[idx];
-        let slot_v = mapping.mrrg().slot_of(c_v);
-
-        for (j, &cj) in chosen.iter().enumerate() {
-            let u = candidates[j].node;
-            let (pe_u, c_u) = candidates[j].options[cj];
-            // One operation per FU cell.
-            if pe_u == pe_v && mapping.mrrg().slot_of(c_u) == slot_v {
-                return false;
-            }
-            // Edges between u and v: timing and geometric reach (steps + 1
-            // accounts for the delivery hop).
-            for e in self.dfg.out_edges(u).filter(|e| e.dst() == v) {
-                let arrive = c_v as i64 + (e.distance() * ii) as i64;
-                let steps = arrive - (c_u as i64 + 1);
-                if steps < 0 || (steps + 1) < self.cgra.distance(pe_u, pe_v) as i64 {
-                    return false;
-                }
-            }
-            for e in self.dfg.out_edges(v).filter(|e| e.dst() == u) {
-                let arrive = c_u as i64 + (e.distance() * ii) as i64;
-                let steps = arrive - (c_v as i64 + 1);
-                if steps < 0 || (steps + 1) < self.cgra.distance(pe_v, pe_u) as i64 {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Places the full combination and routes every incident edge with the
@@ -303,6 +240,177 @@ impl<'a> ClusterPlacer<'a> {
         }
         stats.verification_successes += 1;
         true
+    }
+}
+
+/// Whether one dependency edge between two placed members can be met:
+/// `(row member is the source, d·II)` with the row member at cycle `c_row`,
+/// the other at `c_other`, `hops` apart. The route has
+/// `arrive − (depart + 1)` steps, plus the delivery hop.
+#[inline]
+fn edge_fits((row_is_src, delay): (bool, u32), c_row: u32, c_other: u32, hops: u32) -> bool {
+    let (c_s, c_d) = if row_is_src {
+        (c_row, c_other)
+    } else {
+        (c_other, c_row)
+    };
+    let steps = c_d as i64 + delay as i64 - (c_s as i64 + 1);
+    steps >= 0 && steps + 1 >= hops as i64
+}
+
+/// The dependency edges between every two cluster members, collected once
+/// per [`ClusterPlacer::place`] call instead of rescanning the DFG on every
+/// enumeration step.
+struct PairEdges {
+    members: usize,
+    /// `edges[spans[i * members + j]]` are the edges between members `i`
+    /// and `j`, as `(i is the source, d·II)`.
+    spans: Vec<(u32, u32)>,
+    edges: Vec<(bool, u32)>,
+}
+
+impl PairEdges {
+    fn new(dfg: &Dfg, ii: u32, candidates: &[PlacementCandidates]) -> Self {
+        let members = candidates.len();
+        let mut spans = Vec::with_capacity(members * members);
+        let mut edges = Vec::new();
+        for a in candidates {
+            for b in candidates {
+                let start = edges.len() as u32;
+                if a.node != b.node {
+                    let between = |from: NodeId, to: NodeId, from_is_row: bool| {
+                        dfg.out_edges(from)
+                            .filter(move |e| e.dst() == to)
+                            .map(move |e| (from_is_row, e.distance() * ii))
+                    };
+                    edges.extend(
+                        between(a.node, b.node, true).chain(between(b.node, a.node, false)),
+                    );
+                }
+                spans.push((start, edges.len() as u32));
+            }
+        }
+        Self {
+            members,
+            spans,
+            edges,
+        }
+    }
+
+    #[inline]
+    fn between(&self, i: usize, j: usize) -> &[(bool, u32)] {
+        let (start, end) = self.spans[i * self.members + j];
+        &self.edges[start as usize..end as usize]
+    }
+}
+
+/// One candidate as the enumeration reads it.
+#[derive(Clone, Copy)]
+struct Choice {
+    pe: PeId,
+    cycle: u32,
+    /// The FU cell it executes on, as bit `pe·II + slot` of
+    /// [`Partial::busy`].
+    fu: usize,
+}
+
+/// What Algorithm 2's pairwise checks read, built once per
+/// [`ClusterPlacer::place`] call: every option's PE, cycle and FU cell,
+/// and for each member the earlier members it shares edges with.
+struct SearchTable<'a> {
+    cgra: &'a Cgra,
+    pairs: PairEdges,
+    choices: Vec<Vec<Choice>>,
+    /// `earlier[i]`: the members `j < i` with edges to member `i`.
+    earlier: Vec<Vec<usize>>,
+    fu_cells: usize,
+}
+
+/// A partial `Placement(U)`: `chosen[i]` is the option index of member
+/// `i`, and `busy` has one bit set per FU cell the chosen options hold.
+struct Partial {
+    chosen: Vec<usize>,
+    busy: Vec<u64>,
+}
+
+impl Partial {
+    /// Chooses option `idx` for the next member.
+    fn push(&mut self, table: &SearchTable, idx: usize) {
+        let fu = table.choices[self.chosen.len()][idx].fu;
+        self.busy[fu / 64] |= 1 << (fu % 64);
+        self.chosen.push(idx);
+    }
+
+    /// Takes back the last choice.
+    fn pop(&mut self, table: &SearchTable) {
+        let idx = self.chosen.pop().expect("a member to take back");
+        let fu = table.choices[self.chosen.len()][idx].fu;
+        self.busy[fu / 64] &= !(1 << (fu % 64));
+    }
+}
+
+impl<'a> SearchTable<'a> {
+    fn new(
+        cgra: &'a Cgra,
+        mapping: &Mapping,
+        pairs: PairEdges,
+        candidates: &[PlacementCandidates],
+    ) -> Self {
+        let ii = mapping.ii() as usize;
+        let choices = candidates
+            .iter()
+            .map(|cand| {
+                cand.options
+                    .iter()
+                    .map(|&(pe, cycle)| Choice {
+                        pe,
+                        cycle,
+                        fu: pe.index() * ii + mapping.mrrg().slot_of(cycle) as usize,
+                    })
+                    .collect()
+            })
+            .collect();
+        let earlier = (0..candidates.len())
+            .map(|i| {
+                (0..i)
+                    .filter(|&j| !pairs.between(j, i).is_empty())
+                    .collect()
+            })
+            .collect();
+        Self {
+            cgra,
+            pairs,
+            choices,
+            earlier,
+            fu_cells: cgra.num_pes() * ii,
+        }
+    }
+
+    fn empty_partial(&self) -> Partial {
+        Partial {
+            chosen: Vec::with_capacity(self.choices.len()),
+            busy: vec![0; self.fu_cells.div_ceil(64)],
+        }
+    }
+
+    /// Checks option `idx` of member `depth` against all previously
+    /// chosen members: FU cell disjointness, then execution-order
+    /// constraints and reachability of the fixed-length routes on the
+    /// edges it shares with them.
+    fn consistent(&self, partial: &Partial, depth: usize, idx: usize) -> bool {
+        let v = self.choices[depth][idx];
+        // One operation per FU cell.
+        if partial.busy[v.fu / 64] >> (v.fu % 64) & 1 == 1 {
+            return false;
+        }
+        self.earlier[depth].iter().all(|&j| {
+            let u = self.choices[j][partial.chosen[j]];
+            let hops = self.cgra.distance(u.pe, v.pe);
+            self.pairs
+                .between(j, depth)
+                .iter()
+                .all(|&edge| edge_fits(edge, u.cycle, v.cycle, hops))
+        })
     }
 }
 

@@ -99,7 +99,9 @@ fn propagation_routes_around_congestion() {
     }];
     let store = propagate(&cgra, &occ, &seeds, 10);
     let target = pe(&cgra, 0, 2);
-    let cycles = store.cycles(NodeId::new(0), Direction::Forward, 1, target);
+    let cycles: Vec<u32> = store
+        .cycles(NodeId::new(0), Direction::Forward, 1, target)
+        .collect();
     assert!(!cycles.is_empty(), "the wave must get around the wall");
     assert!(
         cycles[0] > 1 + cgra.distance(pe(&cgra, 0, 0), target),

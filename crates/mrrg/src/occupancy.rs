@@ -192,6 +192,7 @@ impl Occupancy {
     /// free — the optimistic test Rewire's propagation uses ("the objective
     /// of propagation is to explore potential routing paths rather than
     /// perform final resource allocation").
+    #[inline]
     pub fn usable_by_any_phase(&self, cell: Resource, signal: NodeId) -> bool {
         let owners = self.owners(cell);
         owners.is_empty() || owners.iter().all(|((s, _), _)| *s == signal)
