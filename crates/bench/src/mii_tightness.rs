@@ -104,7 +104,6 @@ fn heuristics() -> Vec<(&'static str, Box<dyn Mapper>)> {
             Box::new(SaMapper::with_config(SaConfig {
                 max_iterations_per_ii: 150,
                 max_restarts_per_ii: 1,
-                ..Default::default()
             })),
         ),
     ]

@@ -3,9 +3,9 @@
 //! metrics snapshot, flight log, Chrome trace), then spawn the actual
 //! binary on those files and check the diagnosis.
 //!
-//! One `#[test]` drives both scenarios because the flight recorder and
-//! Chrome collector are process-global: parallel test threads would
-//! interleave their streams.
+//! One `#[test]` drives the run and every doctor invocation because the
+//! flight recorder and Chrome collector are process-global: parallel test
+//! threads would interleave their streams.
 
 use rewire_bench::write_trace;
 use rewire_fuzz::Artifact;
@@ -53,7 +53,7 @@ fn starved_pf() -> PathFinderMapper {
 }
 
 #[test]
-fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
+fn doctor_diagnoses_a_corpus_failure() {
     let dir = out_dir();
     let trace_path = dir.join("trace.jsonl");
     let metrics_path = dir.join("metrics.json");
@@ -70,30 +70,20 @@ fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
     rewire_obs::chrome().reset();
 
     {
-        // Scenario 1 — a fuzz-corpus failure: the fan-out hub needs II
-        // above its MII, so capping max_ii at the MII makes the starved
-        // PF* give up after genuinely attempting (and failing to route
-        // at) that II.
+        // A fuzz-corpus failure: the fan-out hub needs II above its MII,
+        // so capping max_ii at the MII makes the starved PF* give up
+        // after genuinely attempting (and failing to route at) that II.
         let fail_limits = MapLimits::fast()
             .with_max_ii(mii)
             .with_ii_time_budget(Duration::from_secs(30));
         let failed = starved_pf().map(&artifact.dfg, &cgra, &fail_limits);
         assert!(
             failed.mapping.is_none(),
-            "scenario 1 must fail (mapped at II {:?})",
+            "the starved run must fail (mapped at II {:?})",
             failed.stats.achieved_ii
         );
 
-        // Scenario 2 — a deadline-capped run: a zero total budget makes
-        // the engine give up before its first attempt with the
-        // `total_budget` reason.
-        let capped_limits = MapLimits::fast()
-            .with_total_time_budget(Duration::from_nanos(1))
-            .with_seed(1);
-        let capped = starved_pf().map(&artifact.dfg, &cgra, &capped_limits);
-        assert!(capped.mapping.is_none(), "scenario 2 must hit the budget");
-
-        write_trace(trace_path.to_str().unwrap(), [&failed.stats, &capped.stats]);
+        write_trace(trace_path.to_str().unwrap(), [&failed.stats]);
     }
 
     let flight_log = rewire_obs::flight().snapshot();
@@ -112,7 +102,7 @@ fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
     rewire_obs::chrome().disable();
 
     // The doctor turns the three artefacts into a non-empty diagnosis
-    // naming both failures.
+    // naming the failure.
     let (ok, stdout, stderr) = doctor(&[
         "--trace",
         trace_path.to_str().unwrap(),
@@ -126,11 +116,7 @@ fn doctor_diagnoses_corpus_failure_and_deadline_capped_run() {
     assert!(stdout.contains("== II vs MII =="), "{stdout}");
     assert!(
         stdout.contains("FAILED (max_ii_reached)"),
-        "scenario 1 failure missing: {stdout}"
-    );
-    assert!(
-        stdout.contains("FAILED (total_budget)"),
-        "scenario 2 failure missing: {stdout}"
+        "the failure is missing: {stdout}"
     );
     assert!(
         stdout.contains("-> ") && stdout.contains("failed"),

@@ -2,22 +2,15 @@
 
 /// Configuration of the Rewire mapper.
 ///
-/// Defaults follow the paper: cluster size capped at α = 15, propagation
-/// rounds = 3× the parent/child cycle spread (5× the cluster's longest path
-/// when one side is empty).
+/// Defaults follow the paper: cluster size capped at α = 15. The paper's
+/// propagation rounds (3× the parent/child cycle spread, 5× the cluster's
+/// longest path when one side is empty) are fixed constants of the mapper.
 #[derive(Clone, Debug)]
 pub struct RewireConfig {
     /// Maximum cluster size α (the paper limits |U| to 15).
     pub alpha: usize,
     /// Size of the initially selected connected cluster.
     pub initial_cluster_size: usize,
-    /// Propagation-round multiplier on the parent/child cycle spread.
-    pub round_spread_factor: u32,
-    /// Propagation-round multiplier on the cluster's longest path, used
-    /// when the cluster has no mapped parents or no mapped children.
-    pub round_path_factor: u32,
-    /// Hard cap on propagation rounds (keeps the tuple store bounded).
-    pub max_rounds: u32,
     /// Hard cap on `Placement(U)` combinations verified per cluster
     /// attempt (the paper relies on its per-II time limit; this keeps unit
     /// tests bounded too).
@@ -31,14 +24,7 @@ pub struct RewireConfig {
     /// combinatorial blow-ups fail fast and grow the cluster instead.
     pub max_search_steps: u64,
     /// Randomised amendment restarts per II (within the time budget).
-    /// In portfolio mode this cap applies to **each** worker.
     pub max_restarts_per_ii: u32,
-    /// Number of independently seeded restart workers racing each II
-    /// budget on separate OS threads. 1 (the default) keeps the original
-    /// single-threaded restart loop; K > 1 runs K deterministic seed
-    /// streams and reduces their successes by `(cost, worker rank)`, so
-    /// the chosen mapping does not depend on thread scheduling.
-    pub portfolio_width: usize,
 }
 
 impl Default for RewireConfig {
@@ -46,15 +32,11 @@ impl Default for RewireConfig {
         Self {
             alpha: 15,
             initial_cluster_size: 3,
-            round_spread_factor: 3,
-            round_path_factor: 5,
-            max_rounds: 48,
             max_verifications: 400,
             max_candidates_per_node: 256,
             max_cluster_attempts: 200,
             max_search_steps: 150_000,
             max_restarts_per_ii: u32::MAX,
-            portfolio_width: 1,
         }
     }
 }
@@ -65,9 +47,6 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_constants() {
-        let c = RewireConfig::default();
-        assert_eq!(c.alpha, 15);
-        assert_eq!(c.round_spread_factor, 3);
-        assert_eq!(c.round_path_factor, 5);
+        assert_eq!(RewireConfig::default().alpha, 15);
     }
 }

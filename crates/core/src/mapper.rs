@@ -11,10 +11,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rewire_arch::Cgra;
 use rewire_dfg::{Dfg, NodeId};
-use rewire_mappers::engine::{worker_seed, AttemptCtx, AttemptOutcome, IiAttempt, IiSearch};
+use rewire_mappers::engine::{AttemptCtx, AttemptOutcome, IiAttempt, IiSearch};
 use rewire_mappers::{MapLimits, MapOutcome, Mapper, Mapping, PathFinderMapper};
 use rewire_obs::{self as obs, FlightEvent};
 use std::time::Instant;
+
+/// Propagation rounds per cycle of spread between Parents(U) and
+/// Children(U) (the paper's 3×).
+const ROUND_SPREAD_FACTOR: u32 = 3;
+/// Propagation rounds per step of the cluster's longest path, used when
+/// the cluster has no mapped parents or no mapped children (the paper's
+/// 5×).
+const ROUND_PATH_FACTOR: u32 = 5;
+/// Hard cap on propagation rounds (keeps the tuple store bounded).
+const MAX_ROUNDS: u32 = 48;
 
 /// Mirrors the growth of [`RewireStats`] between two snapshots into the
 /// `rewire.*` metric counters of the current scope. Called once per II
@@ -109,102 +119,6 @@ impl RewireMapper {
             rng: StdRng::seed_from_u64(limits.seed ^ 0x5E11),
             rstats: RewireStats::default(),
         }
-    }
-
-    /// Races `portfolio_width` independently seeded restart workers over
-    /// one II's budget and reduces their results deterministically.
-    ///
-    /// Each worker owns a seed derived only from `(limits.seed, ii, rank)`
-    /// — never from thread identity or timing — so every worker's search
-    /// trajectory is reproducible in isolation. All workers are joined in
-    /// rank order and the winner among same-II successes is the mapping
-    /// with the fewest occupied MRRG cells, ties broken by lowest worker
-    /// rank. Thread scheduling can therefore change *how fast* an answer
-    /// arrives, but (whenever the attempt caps rather than the wall-clock
-    /// deadline bind) not *which* answer is returned.
-    #[allow(clippy::too_many_arguments)]
-    fn portfolio_amend(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        initial: &Mapping,
-        deadline: Instant,
-        ii: u32,
-        limits: &MapLimits,
-        rstats: &mut RewireStats,
-    ) -> Option<Mapping> {
-        let width = self.config.portfolio_width;
-        // Workers are fresh threads with no metric scope of their own:
-        // carry the run's scope and span path across the spawn so their
-        // counters and timers land under the same `mapper/kernel@fabric`
-        // scope as the serial path.
-        let metric_scope = obs::current_scope();
-        let parent_span = obs::current_span_path();
-        // Resolve (or build) this thread's hop-distance oracle once and
-        // hand the Arc to every worker: the workers' routers then prune
-        // from the shared table instead of re-running the all-pairs BFS
-        // on each fresh thread.
-        let distances = rewire_mrrg::thread_distance_table(cgra);
-        let results: Vec<(Option<Mapping>, RewireStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..width)
-                .map(|rank| {
-                    let metric_scope = metric_scope.clone();
-                    let parent_span = parent_span.clone();
-                    let distances = std::sync::Arc::clone(&distances);
-                    scope.spawn(move || {
-                        let _scope = obs::scope(metric_scope);
-                        let _span = obs::span_under(&parent_span, "worker");
-                        rewire_mrrg::install_thread_distance_table(distances);
-                        let mut rng =
-                            StdRng::seed_from_u64(worker_seed(limits.seed, ii, rank as u64));
-                        let mut stats = RewireStats::default();
-                        let mut amended = None;
-                        let mut restarts = 0;
-                        while amended.is_none()
-                            && restarts < self.config.max_restarts_per_ii
-                            && Instant::now() < deadline
-                        {
-                            restarts += 1;
-                            if restarts > 1 {
-                                obs::counter("rewire.restarts").incr();
-                            }
-                            // Rank 0's first restart mirrors the serial
-                            // path (no diversification); every other
-                            // worker diversifies from its first attempt so
-                            // the portfolio actually spreads the search.
-                            amended = self.amend_with(
-                                dfg,
-                                cgra,
-                                initial.clone(),
-                                deadline,
-                                &mut rng,
-                                &mut stats,
-                                rank > 0 || restarts > 1,
-                            );
-                        }
-                        (amended, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("portfolio worker panicked"))
-                .collect()
-        });
-        let mut best: Option<(usize, usize, Mapping)> = None;
-        for (rank, (mapping, stats)) in results.into_iter().enumerate() {
-            rstats.merge(&stats);
-            if let Some(m) = mapping {
-                let cost = m.occupancy().used_cells();
-                if best
-                    .as_ref()
-                    .is_none_or(|(bc, br, _)| (cost, rank) < (*bc, *br))
-                {
-                    best = Some((cost, rank, m));
-                }
-            }
-        }
-        best.map(|(_, _, m)| m)
     }
 
     /// Amends an initial (possibly invalid) mapping at its II. This is the
@@ -431,7 +345,7 @@ impl RewireMapper {
             }
         }
 
-        let rounds = self.propagation_rounds(dfg, mapping, &members, &seeds, ii);
+        let rounds = propagation_rounds(dfg, &members, &seeds, ii);
         let store = propagate(cgra, mapping.occupancy(), &seeds, rounds);
         stats.tuples_generated += store.num_tuples();
         drop(propagate_span);
@@ -470,62 +384,12 @@ impl RewireMapper {
         drop(intersect_span);
 
         let _place_span = obs::span("place");
-        let mut emptied = None;
-        let ok = ClusterPlacer::new(dfg, cgra, &self.config).place_with_diagnosis(
-            mapping,
-            &candidates,
-            deadline,
-            stats,
-            &mut emptied,
-        );
-        // Note: when the arc pass empties a member (`emptied`), growing by
-        // that member's anchors turned out to over-rip on large fabrics;
-        // nearest-node growth recovers better, so the diagnosis is only
-        // used for debugging.
-        let _ = emptied;
-        if ok {
+        if ClusterPlacer::new(dfg, cgra, &self.config).place(mapping, &candidates, deadline, stats)
+        {
             Ok(())
         } else {
             Err(Vec::new())
         }
-    }
-
-    /// The paper's round heuristic: 3× the maximum cycle difference between
-    /// Parents(U) and Children(U); 5× the cluster's longest path when one
-    /// side is empty; at least `max(II, 4)`, but never past the hard cap
-    /// `max_rounds`, which wins when the two disagree.
-    fn propagation_rounds(
-        &self,
-        dfg: &Dfg,
-        mapping: &Mapping,
-        members: &[NodeId],
-        seeds: &[PropagationSeed],
-        ii: u32,
-    ) -> u32 {
-        let fwd: Vec<u32> = seeds
-            .iter()
-            .filter(|s| s.direction == Direction::Forward)
-            .map(|s| s.cycle)
-            .collect();
-        let bwd: Vec<u32> = seeds
-            .iter()
-            .filter(|s| s.direction == Direction::Backward)
-            .map(|s| s.cycle)
-            .collect();
-        let _ = mapping;
-        let rounds = if !fwd.is_empty() && !bwd.is_empty() {
-            let spread = bwd
-                .iter()
-                .flat_map(|&b| fwd.iter().map(move |&f| b.abs_diff(f)))
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            self.config.round_spread_factor * spread
-        } else {
-            let path = dfg.longest_path_within(members).max(1);
-            self.config.round_path_factor * path
-        };
-        rounds.max(ii.max(4)).min(self.config.max_rounds)
     }
 
     /// Upper bound on cluster execution cycles: past the latest mapped
@@ -540,9 +404,39 @@ impl RewireMapper {
     }
 }
 
+/// The paper's round heuristic: [`ROUND_SPREAD_FACTOR`]× the maximum cycle
+/// difference between Parents(U) and Children(U); [`ROUND_PATH_FACTOR`]×
+/// the cluster's longest path when one side is empty; at least
+/// `max(II, 4)`, but never past the hard cap [`MAX_ROUNDS`], which wins
+/// when the two disagree.
+fn propagation_rounds(dfg: &Dfg, members: &[NodeId], seeds: &[PropagationSeed], ii: u32) -> u32 {
+    let fwd: Vec<u32> = seeds
+        .iter()
+        .filter(|s| s.direction == Direction::Forward)
+        .map(|s| s.cycle)
+        .collect();
+    let bwd: Vec<u32> = seeds
+        .iter()
+        .filter(|s| s.direction == Direction::Backward)
+        .map(|s| s.cycle)
+        .collect();
+    let rounds = if !fwd.is_empty() && !bwd.is_empty() {
+        let spread = bwd
+            .iter()
+            .flat_map(|&b| fwd.iter().map(move |&f| b.abs_diff(f)))
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        ROUND_SPREAD_FACTOR * spread
+    } else {
+        let path = dfg.longest_path_within(members).max(1);
+        ROUND_PATH_FACTOR * path
+    };
+    rounds.max(ii.max(4)).min(MAX_ROUNDS)
+}
+
 /// Rewire driven by the shared engine: per II, PF*'s initial mapping is
-/// amended by randomised restarts (serial or portfolio-parallel) within the
-/// engine's deadline. Accumulates the Rewire-specific counters in
+/// amended by randomised restarts within the engine's deadline. Accumulates the Rewire-specific counters in
 /// [`rstats`](RewireAttempt::rstats) across the whole II sweep.
 pub struct RewireAttempt<'m> {
     mapper: &'m RewireMapper,
@@ -553,7 +447,7 @@ pub struct RewireAttempt<'m> {
 }
 
 impl IiAttempt for RewireAttempt<'_> {
-    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx) -> AttemptOutcome {
         let ii = ctx.ii;
         obs::flight_event(FlightEvent::AttemptPhase {
             phase: "initial",
@@ -561,7 +455,7 @@ impl IiAttempt for RewireAttempt<'_> {
         });
         let initial = {
             let _initial_span = obs::span("initial");
-            self.pf.initial_mapping(dfg, cgra, ii, ctx.limits.seed)
+            self.pf.initial_mapping(dfg, cgra, ii)
         };
         let Some(initial) = initial else {
             return AttemptOutcome::failed(0); // no modulo schedule at this II
@@ -576,41 +470,29 @@ impl IiAttempt for RewireAttempt<'_> {
         obs::flight_event(FlightEvent::AttemptPhase { phase: "amend", ii });
         let amended = {
             let _amend_span = obs::span("amend");
-            if self.mapper.config.portfolio_width > 1 {
-                self.mapper.portfolio_amend(
+            let mut amended = None;
+            let mut restarts = 0;
+            while amended.is_none()
+                && restarts < self.mapper.config.max_restarts_per_ii
+                && Instant::now() < ctx.deadline
+            {
+                restarts += 1;
+                if restarts > 1 {
+                    obs::counter("rewire.restarts").incr();
+                }
+                // Later restarts diversify cluster sizes and candidate
+                // order to escape greedy dead-ends.
+                amended = self.mapper.amend_with(
                     dfg,
                     cgra,
-                    &initial,
+                    initial.clone(),
                     ctx.deadline,
-                    ii,
-                    ctx.limits,
+                    &mut self.rng,
                     &mut self.rstats,
-                )
-            } else {
-                let mut amended = None;
-                let mut restarts = 0;
-                while amended.is_none()
-                    && restarts < self.mapper.config.max_restarts_per_ii
-                    && Instant::now() < ctx.deadline
-                {
-                    restarts += 1;
-                    if restarts > 1 {
-                        obs::counter("rewire.restarts").incr();
-                    }
-                    // Later restarts diversify cluster sizes and candidate
-                    // order to escape greedy dead-ends.
-                    amended = self.mapper.amend_with(
-                        dfg,
-                        cgra,
-                        initial.clone(),
-                        ctx.deadline,
-                        &mut self.rng,
-                        &mut self.rstats,
-                        restarts > 1,
-                    );
-                }
-                amended
+                    restarts > 1,
+                );
             }
+            amended
         };
         mirror_rstats_delta(&stats_before, &self.rstats);
         let iterations = self.rstats.clusters_attempted - before;
@@ -680,93 +562,47 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_maps_and_is_deterministic() {
+    fn metrics_cover_every_amendment_stage() {
         let cgra = presets::paper_4x4_r4();
-        let dfg = kernels::fir();
-        // Portfolio determinism is only guaranteed when deterministic caps
-        // bind instead of the wall-clock deadline (DESIGN.md §6b), so cap
-        // the restarts explicitly — the default (unbounded restarts) leaves
-        // the deadline binding, which flakes on slow or loaded machines.
-        let limits = MapLimits::fast().with_ii_time_budget(std::time::Duration::from_secs(30));
-        let config = RewireConfig {
-            portfolio_width: 3,
-            max_restarts_per_ii: 3,
-            ..Default::default()
-        };
-        let a = RewireMapper::with_config(config.clone()).map(&dfg, &cgra, &limits);
-        let b = RewireMapper::with_config(config).map(&dfg, &cgra, &limits);
-        assert!(a.mapping.is_some(), "fir maps on 4x4/r4 under a portfolio");
-        assert_eq!(a.stats.achieved_ii, b.stats.achieved_ii);
-    }
-
-    #[test]
-    fn metrics_cover_the_portfolio_workers() {
-        let cgra = presets::paper_4x4_r4();
-        // Uniquely named kernels give this test its own metric scopes, so
+        // A uniquely named kernel gives this test its own metric scope, so
         // parallel tests mapping the stock kernels cannot interfere. PF*'s
         // initial jacobi2d mapping is ill-mapped, so amendment runs
-        // cluster attempts on both paths.
-        let mut scopes = Vec::new();
-        for width in [1, 2] {
-            let mut dfg = kernels::jacobi2d();
-            dfg.set_name(format!("rewire-obs-probe-{width}"));
-            let config = RewireConfig {
-                portfolio_width: width,
-                max_restarts_per_ii: 1,
-                ..Default::default()
-            };
-            let limits = MapLimits::fast().with_ii_time_budget(std::time::Duration::from_secs(30));
-            let (out, rstats) =
-                RewireMapper::with_config(config).map_with_stats(&dfg, &cgra, &limits);
-            assert!(out.mapping.is_some());
-            assert!(
-                rstats.clusters_attempted > 0,
-                "amendment ran cluster attempts"
-            );
-            scopes.push((format!("Rewire/{}@4x4/r4", dfg.name()), rstats));
-        }
+        // cluster attempts.
+        let mut dfg = kernels::jacobi2d();
+        dfg.set_name("rewire-obs-probe");
+        let config = RewireConfig {
+            max_restarts_per_ii: 1,
+            ..Default::default()
+        };
+        let limits = MapLimits::fast().with_ii_time_budget(std::time::Duration::from_secs(30));
+        let (out, rstats) = RewireMapper::with_config(config).map_with_stats(&dfg, &cgra, &limits);
+        assert!(out.mapping.is_some());
+        assert!(
+            rstats.clusters_attempted > 0,
+            "amendment ran cluster attempts"
+        );
 
         let snap = obs::metrics().snapshot();
-        for (amend, (scope_name, rstats)) in ["run/attempt/amend", "run/attempt/amend/worker"]
+        let scope = snap
+            .scopes
+            .get("Rewire/rewire-obs-probe@4x4/r4")
+            .expect("engine scoped the run as mapper/kernel@fabric");
+        assert_eq!(scope.counters.get("engine.mapped"), Some(&1));
+        let amend = "run/attempt/amend";
+        let stages = ["propagate", "intersect", "place"].map(|s| format!("{amend}/{s}"));
+        for path in ["run", "run/attempt", "run/attempt/initial", amend]
             .into_iter()
-            .zip(&scopes)
+            .chain(stages.iter().map(String::as_str))
         {
-            let scope = snap
-                .scopes
-                .get(scope_name)
-                .expect("engine scoped the run as mapper/kernel@fabric");
-            assert_eq!(scope.counters.get("engine.mapped"), Some(&1));
-            let stages = ["propagate", "intersect", "place"].map(|s| format!("{amend}/{s}"));
-            for path in ["run", "run/attempt", "run/attempt/initial", amend]
-                .into_iter()
-                .chain(stages.iter().map(String::as_str))
-            {
-                assert!(
-                    scope.spans.contains_key(path),
-                    "missing span {path:?}; have {:?}",
-                    scope.spans.keys().collect::<Vec<_>>()
-                );
-            }
-            // One `propagate` span per cluster attempt, never one per
-            // route or verification.
-            assert_eq!(
-                scope.spans[&stages[0]].count, rstats.clusters_attempted,
-                "{scope_name}"
+            assert!(
+                scope.spans.contains_key(path),
+                "missing span {path:?}; have {:?}",
+                scope.spans.keys().collect::<Vec<_>>()
             );
         }
-        // The portfolio workers run on fresh threads; their timers must
-        // still land under the run's scope and span path.
-        let portfolio = &snap.scopes[&scopes[1].0];
-        let worker = portfolio
-            .spans
-            .get("run/attempt/amend/worker")
-            .expect("worker spans carried across the spawn");
-        let amends = portfolio.spans["run/attempt/amend"].count;
-        assert_eq!(
-            worker.count,
-            2 * amends,
-            "one span per portfolio worker and II"
-        );
+        // One `propagate` span per cluster attempt, never one per route or
+        // verification.
+        assert_eq!(scope.spans[&stages[0]].count, rstats.clusters_attempted);
     }
 
     #[test]
@@ -776,50 +612,25 @@ mod tests {
         let a = dfg.add_node("a", rewire_arch::OpKind::Add);
         let b = dfg.add_node("b", rewire_arch::OpKind::Add);
         dfg.add_edge(a, b, 0).unwrap();
-        let mapping = Mapping::new(&dfg, &rewire_mrrg::Mrrg::new(&cgra, 60));
-        let seeds = [PropagationSeed {
+        let pe = cgra.pes().next().unwrap().id();
+        let seed = |direction, cycle| PropagationSeed {
             source: a,
-            direction: Direction::Forward,
-            pe: cgra.pes().next().unwrap().id(),
-            cycle: 1,
-            wave: 1,
-        }];
-        // II 60 lifts the floor past the default cap of 48 rounds: the cap
-        // wins (this used to panic with "min > max").
-        let rounds = RewireMapper::new().propagation_rounds(&dfg, &mapping, &[b], &seeds, 60);
-        assert_eq!(rounds, 48);
-        // So does a cap below the floor of 4.
-        let capped = RewireMapper::with_config(RewireConfig {
-            max_rounds: 3,
-            ..Default::default()
-        });
-        assert_eq!(
-            capped.propagation_rounds(&dfg, &mapping, &[b], &seeds, 1),
-            3
-        );
-        // Between floor and cap the heuristic stands.
-        assert_eq!(
-            RewireMapper::new().propagation_rounds(&dfg, &mapping, &[b], &seeds, 30),
-            30
-        );
-    }
-
-    #[test]
-    fn a_round_cap_below_four_maps_or_fails_cleanly() {
-        let cgra = presets::paper_4x4_r2();
-        let dfg = kernels::gesummv();
-        let mii = dfg.mii(&cgra).unwrap();
-        let mapper = RewireMapper::with_config(RewireConfig {
-            max_rounds: 3,
-            max_restarts_per_ii: 1,
-            ..Default::default()
-        });
-        let (out, rstats) =
-            mapper.map_with_stats(&dfg, &cgra, &MapLimits::fast().with_max_ii(mii + 1));
-        assert!(rstats.clusters_attempted > 0, "amendment ran");
-        if let Some(m) = &out.mapping {
-            assert!(m.is_valid(&dfg, &cgra));
-        }
+            direction,
+            pe,
+            cycle,
+            wave: cycle,
+        };
+        let fwd = [seed(Direction::Forward, 1)];
+        // II 60 lifts the floor past the cap of 48 rounds: the cap wins
+        // (this used to panic with "min > max").
+        assert_eq!(propagation_rounds(&dfg, &[b], &fwd, 60), MAX_ROUNDS);
+        // Between floor and cap the floor stands.
+        assert_eq!(propagation_rounds(&dfg, &[b], &fwd, 30), 30);
+        // One side only: 5× the cluster's longest path of one edge.
+        assert_eq!(propagation_rounds(&dfg, &[a, b], &fwd, 1), 5);
+        // Both sides: 3× the parent/child cycle spread.
+        let both = [seed(Direction::Forward, 1), seed(Direction::Backward, 6)];
+        assert_eq!(propagation_rounds(&dfg, &[b], &both, 1), 3 * 5);
     }
 
     #[test]

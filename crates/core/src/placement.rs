@@ -43,20 +43,6 @@ impl<'a> ClusterPlacer<'a> {
         deadline: Instant,
         stats: &mut RewireStats,
     ) -> bool {
-        self.place_with_diagnosis(mapping, candidates, deadline, stats, &mut None)
-    }
-
-    /// [`place`](ClusterPlacer::place), additionally reporting through
-    /// `emptied` which member's candidate list the arc-consistency pass
-    /// proved unsupportable (its anchors are the nodes to rip next).
-    pub fn place_with_diagnosis(
-        &self,
-        mapping: &mut Mapping,
-        candidates: &[PlacementCandidates],
-        deadline: Instant,
-        stats: &mut RewireStats,
-        emptied: &mut Option<rewire_dfg::NodeId>,
-    ) -> bool {
         if candidates.iter().any(|c| c.options.is_empty()) {
             return false;
         }
@@ -66,8 +52,7 @@ impl<'a> ClusterPlacer<'a> {
         // search budget) and shrinks the enumeration space.
         let mut candidates = candidates.to_vec();
         let pairs = PairEdges::new(self.dfg, mapping.ii(), &candidates);
-        if let Err(victim) = self.arc_reduce(&pairs, &mut candidates) {
-            *emptied = Some(victim);
+        if !self.arc_reduce(&pairs, &mut candidates) {
             return false;
         }
         let candidates = &candidates[..];
@@ -89,13 +74,9 @@ impl<'a> ClusterPlacer<'a> {
     /// AC-3-style reduction over cluster-internal dependency edges: a
     /// candidate of one member survives only if some candidate of each
     /// connected member is timing- and reach-compatible with it. Returns
-    /// the emptied member when a candidate list runs dry (no joint
-    /// placement exists at all).
-    fn arc_reduce(
-        &self,
-        pairs: &PairEdges,
-        candidates: &mut [PlacementCandidates],
-    ) -> Result<(), NodeId> {
+    /// `false` when a candidate list runs dry (no joint placement exists
+    /// at all).
+    fn arc_reduce(&self, pairs: &PairEdges, candidates: &mut [PlacementCandidates]) -> bool {
         loop {
             let mut changed = false;
             for i in 0..candidates.len() {
@@ -116,13 +97,13 @@ impl<'a> ClusterPlacer<'a> {
                         })
                     });
                     if candidates[i].options.is_empty() {
-                        return Err(candidates[i].node);
+                        return false;
                     }
                     changed |= candidates[i].options.len() != before;
                 }
             }
             if !changed {
-                return Ok(());
+                return true;
             }
         }
     }
@@ -486,12 +467,8 @@ mod tests {
             },
         ];
         let mut stats = RewireStats::default();
-        let mut emptied = None;
-        assert!(!placer.place_with_diagnosis(&mut m, &cands, deadline(), &mut stats, &mut emptied));
+        assert!(!placer.place(&mut m, &cands, deadline(), &mut stats));
         assert_eq!(stats.verifications, 0, "never reaches routing");
-        // The arc-consistency pre-pass proves the pair unsatisfiable and
-        // names the unsupportable member.
-        assert_eq!(emptied, Some(a));
         assert!(!m.is_placed(a), "rollback leaves nothing placed");
     }
 

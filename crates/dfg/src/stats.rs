@@ -2,7 +2,6 @@
 //! benchmark suites and that mappers use for difficulty triage.
 
 use crate::Dfg;
-use rewire_arch::OpKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -124,11 +123,6 @@ pub fn suite_stats<'a, I: IntoIterator<Item = &'a Dfg>>(dfgs: I) -> SuiteStats {
         },
         count: sizes.len(),
     }
-}
-
-/// Convenience: which operations of `ops` appear in the DFG.
-pub fn uses_ops(dfg: &Dfg, ops: &[OpKind]) -> bool {
-    dfg.nodes().any(|n| ops.contains(&n.op()))
 }
 
 #[cfg(test)]

@@ -212,9 +212,9 @@ pub fn check_mii_bound(name: &str, mii: Option<u32>, outcome: &MapOutcome) -> Op
 /// Check 4: the sweep contract.
 ///
 /// A mapper that claims infeasibility must have swept the entire
-/// `mii..=max_ii` range. The engine has no reason to skip an II when no
-/// total budget is set (per-II budgets truncate *within* an II, never the
-/// sweep itself), so `iis_explored < full span` on a failed run means the
+/// `mii..=max_ii` range. The engine never skips an II (per-II budgets
+/// truncate *within* an II, never the sweep itself), so
+/// `iis_explored < full span` on a failed run means the
 /// mapper bailed below its budget — the "infeasibility claimed below the
 /// time budget" class. This is sound for incomplete heuristics: failing a
 /// full sweep where another mapper succeeds is incompleteness, not a bug.

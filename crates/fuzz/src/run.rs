@@ -72,7 +72,6 @@ pub fn differential_mappers() -> Vec<Box<dyn Mapper>> {
         Box::new(SaMapper::with_config(SaConfig {
             max_iterations_per_ii: 150,
             max_restarts_per_ii: 1,
-            ..Default::default()
         })),
         Box::new(ExactSatMapper::new()),
     ]

@@ -1,10 +1,9 @@
 //! Scenario generation: one fuzz seed ⇒ one (DFG, fabric) pair.
 //!
 //! A scenario is fully determined by its seed: the seed is split (via
-//! SplitMix64, the same mix the engine uses for per-worker seeds) into
-//! independent streams for the DFG-shape draw, the DFG itself, the fabric,
-//! and the mapper RNGs, so regenerating any part never perturbs the
-//! others.
+//! SplitMix64) into independent streams for the DFG-shape draw, the DFG
+//! itself, the fabric, and the mapper RNGs, so regenerating any part never
+//! perturbs the others.
 
 use rewire_arch::random::{random_cgra_spec, CgraSpec, RandomCgraParams};
 use rewire_arch::Cgra;
@@ -12,9 +11,8 @@ use rewire_dfg::generate::{random_dfg, RandomDfgParams};
 use rewire_dfg::Dfg;
 
 /// SplitMix64: decorrelates a base seed and a salt into an independent
-/// stream seed. Matches the finalizer used by `rewire_mappers::engine`'s
-/// `worker_seed`, reused here so one fuzz seed can deterministically spawn
-/// many sub-streams.
+/// stream seed, so one fuzz seed can deterministically spawn many
+/// sub-streams.
 pub fn mix(seed: u64, salt: u64) -> u64 {
     let mut z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -43,7 +41,10 @@ impl Scenario {
     ///
     /// The DFG-shape knobs themselves are drawn from the seed, so the
     /// population covers sizes 4–14 nodes (well inside the exact SAT
-    /// oracle's limits of 48 nodes and 40 PEs, so it takes every scenario),
+    /// oracle's size guard,
+    /// [`ExactSatMapper::MAX_NODES`](rewire_mappers::ExactSatMapper::MAX_NODES)
+    /// and [`MAX_PES`](rewire_mappers::ExactSatMapper::MAX_PES), so it
+    /// takes every scenario),
     /// recurrence counts 0–3, depths 1–3, carry distances up to 3,
     /// memory fractions 0–0.35 and a *promoted* fan-out-skew knob: a base
     /// skew of 1–3 (salt 16) escalated 2.5× on a quarter of the seeds
@@ -146,6 +147,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rewire_mappers::ExactSatMapper;
 
     #[test]
     fn same_seed_same_scenario() {
@@ -186,8 +188,11 @@ mod tests {
         for seed in 0..128 {
             let s = Scenario::generate(seed);
             // Inside the exact SAT backend's size guard: it never refuses.
-            assert!(s.dfg.num_nodes() <= 48, "seed {seed}");
-            assert!(s.cgra.num_pes() <= 40, "seed {seed}");
+            assert!(
+                s.dfg.num_nodes() <= ExactSatMapper::MAX_NODES,
+                "seed {seed}"
+            );
+            assert!(s.cgra.num_pes() <= ExactSatMapper::MAX_PES, "seed {seed}");
             if s.dfg.mii(&s.cgra).is_none() {
                 infeasible += 1;
             }

@@ -25,23 +25,23 @@ use rewire_mrrg::{Mrrg, NegotiatedCost, Route, Router};
 use rewire_obs::{self as obs, FlightEvent};
 use std::time::Instant;
 
+/// Starting temperature (cost units).
+const INITIAL_TEMPERATURE: f64 = 20.0;
+/// Geometric cooling factor per move.
+const COOLING: f64 = 0.998;
+/// Stop an annealing run after this many moves without improving the best
+/// cost (the paper's "no mapping cost improvement after 100 iterations").
+const STALL_LIMIT: u64 = 100;
+/// Cost penalty per overused cell.
+const OVERUSE_PENALTY: f64 = 12.0;
+/// Cost penalty per unrouted or timing-violated edge.
+const UNROUTED_PENALTY: f64 = 25.0;
+
 /// Configuration of the SA baseline.
 #[derive(Clone, Debug)]
 pub struct SaConfig {
-    /// Starting temperature (cost units).
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per move.
-    pub cooling: f64,
-    /// Stop an II attempt after this many moves without improving the best
-    /// cost (the paper's "no mapping cost improvement after 100
-    /// iterations").
-    pub stall_limit: u64,
     /// Hard cap on moves per II.
     pub max_iterations_per_ii: u64,
-    /// Cost penalty per overused cell.
-    pub overuse_penalty: f64,
-    /// Cost penalty per unrouted or timing-violated edge.
-    pub unrouted_penalty: f64,
     /// Cap on fresh random restarts per II (a stalled annealing run is
     /// normally restarted until the per-II deadline; tests bound this so
     /// outcomes don't depend on wall-clock timing).
@@ -51,12 +51,7 @@ pub struct SaConfig {
 impl Default for SaConfig {
     fn default() -> Self {
         Self {
-            initial_temperature: 20.0,
-            cooling: 0.998,
-            stall_limit: 100,
             max_iterations_per_ii: 3000,
-            overuse_penalty: 12.0,
-            unrouted_penalty: 25.0,
             max_restarts_per_ii: u64::MAX,
         }
     }
@@ -88,8 +83,8 @@ impl SaMapper {
                 None => missing += 1,
             }
         }
-        c += self.config.unrouted_penalty * missing as f64;
-        c += self.config.overuse_penalty * mapping.total_overuse() as f64;
+        c += UNROUTED_PENALTY * missing as f64;
+        c += OVERUSE_PENALTY * mapping.total_overuse() as f64;
         c
     }
 
@@ -191,12 +186,12 @@ impl SaMapper {
         let m_rejects = obs::counter("sa.rejects");
         let mut current = self.cost(dfg, &mapping);
         let mut best = current;
-        let mut temperature = self.config.initial_temperature;
+        let mut temperature = INITIAL_TEMPERATURE;
         let mut stall = 0u64;
         let mut iterations = 0u64;
 
         while iterations < self.config.max_iterations_per_ii
-            && stall < self.config.stall_limit
+            && stall < STALL_LIMIT
             && Instant::now() < deadline
         {
             if mapping.is_complete(dfg) {
@@ -204,7 +199,7 @@ impl SaMapper {
                 return (Some(mapping), iterations);
             }
             iterations += 1;
-            temperature *= self.config.cooling;
+            temperature *= COOLING;
 
             // Perturb a random node — bias towards ill-mapped ones, which
             // is what real SA mappers do to converge at all.
@@ -290,7 +285,7 @@ pub struct SaAttempt<'m> {
 }
 
 impl IiAttempt for SaAttempt<'_> {
-    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx) -> AttemptOutcome {
         // Use the full per-II budget: each stalled annealing run is
         // followed by a fresh random restart.
         let mut mapping = None;

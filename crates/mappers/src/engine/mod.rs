@@ -17,7 +17,7 @@
 //! ```text
 //! Mapper::map(dfg, cgra, limits)
 //!   └─ IiSearch::run
-//!        ├─ MII, per-II deadline = min(ii_time_budget, total budget left)
+//!        ├─ MII, per-II deadline = now + ii_time_budget
 //!        ├─ for ii in mii..=max_ii: IiAttempt::attempt
 //!        └─ assemble MapStats (achieved II or the GiveUpReason)
 //! ```
@@ -91,23 +91,16 @@ impl StallWatchdog {
 
 /// Everything an attempt may depend on at one II.
 ///
-/// The engine derives the deadline (per-II budget clamped to the total
-/// budget) and a per-II seed; the attempt must not outlive the deadline
-/// and must treat `seed` as its only source of per-II randomness *if* it
-/// wants II-independent streams. (The workspace mappers instead carry one
-/// RNG across IIs — the historical behaviour the determinism tests pin.)
+/// The engine derives the deadline from the per-II budget; the attempt
+/// must not outlive it. Randomness is the attempt's own: the workspace
+/// mappers seed one RNG from [`MapLimits::seed`] when the run starts and
+/// carry it across IIs.
 #[derive(Clone, Copy, Debug)]
-pub struct AttemptCtx<'a> {
+pub struct AttemptCtx {
     /// The II to attempt.
     pub ii: u32,
-    /// The theoretical minimum II the search started from.
-    pub mii: u32,
     /// Hard wall-clock deadline for this attempt.
     pub deadline: Instant,
-    /// Per-II seed, [`worker_seed`]`(limits.seed, ii, 0)`.
-    pub seed: u64,
-    /// The run's budgets.
-    pub limits: &'a MapLimits,
 }
 
 /// A machine-checked claim about one II, produced by *exact* attempts.
@@ -197,14 +190,14 @@ impl AttemptOutcome {
 ///   [`MapStats::remap_iterations`] stays comparable across mappers.
 pub trait IiAttempt {
     /// Attempts to map `dfg` onto `cgra` at `ctx.ii`.
-    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome;
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx) -> AttemptOutcome;
 }
 
 /// The shared ascending-II search driver.
 ///
-/// Owns everything the three mappers used to duplicate: MII computation,
-/// the `for ii in mii..=max_ii` loop, per-II *and* total wall-clock budget
-/// enforcement, per-II seed derivation, and [`MapStats`] assembly.
+/// Owns everything the mappers used to duplicate: MII computation, the
+/// `for ii in mii..=max_ii` loop, per-II wall-clock budget enforcement,
+/// and [`MapStats`] assembly.
 #[derive(Clone, Copy, Debug)]
 pub struct IiSearch<'a> {
     name: &'a str,
@@ -216,12 +209,8 @@ impl<'a> IiSearch<'a> {
         Self { name }
     }
 
-    /// Runs the ascending-II search.
-    ///
-    /// Per II the attempt gets a deadline of `limits.ii_time_budget`,
-    /// clamped so the whole run never exceeds
-    /// [`MapLimits::total_time_budget`] (when set) — previously a failing
-    /// workload could consume `max_ii × ii_time_budget`.
+    /// Runs the ascending-II search. Per II the attempt gets a deadline
+    /// of `limits.ii_time_budget`.
     pub fn run(
         &self,
         dfg: &Dfg,
@@ -230,7 +219,6 @@ impl<'a> IiSearch<'a> {
         attempt: &mut dyn IiAttempt,
     ) -> MapOutcome {
         let start = Instant::now();
-        let total_deadline = limits.total_time_budget.map(|budget| start + budget);
         let mut stats = MapStats {
             mapper: self.name.to_string(),
             kernel: dfg.name().to_string(),
@@ -271,23 +259,10 @@ impl<'a> IiSearch<'a> {
         stats.mii = mii;
 
         for ii in mii..=limits.max_ii {
-            let now = Instant::now();
-            if total_deadline.is_some_and(|td| now >= td) {
-                return give_up(stats, GiveUpReason::TotalBudget, "gave_up_total_budget", ii);
-            }
             stats.iis_explored += 1;
             obs::counter("engine.iis_explored").incr();
-            let mut deadline = now + limits.ii_time_budget;
-            if let Some(td) = total_deadline {
-                deadline = deadline.min(td);
-            }
-            let ctx = AttemptCtx {
-                ii,
-                mii,
-                deadline,
-                seed: worker_seed(limits.seed, ii, 0),
-                limits,
-            };
+            let deadline = Instant::now() + limits.ii_time_budget;
+            let ctx = AttemptCtx { ii, deadline };
             obs::counter("engine.attempts").incr();
             watchdog.attempt_started(ii);
             let attempt_start = Instant::now();
@@ -335,28 +310,15 @@ impl<'a> IiSearch<'a> {
     }
 }
 
-/// SplitMix64-style mix of `(base seed, II, stream rank)` into one derived
-/// seed. A pure function of its inputs, so every derived stream is
-/// reproducible: the engine uses rank 0 for [`AttemptCtx::seed`] and the
-/// Rewire portfolio uses ranks `0..width` for its restart workers.
-pub fn worker_seed(seed: u64, ii: u32, rank: u64) -> u64 {
-    let mut z = seed ^ 0x5E11 ^ (u64::from(ii) << 32) ^ rank.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    /// An attempt that always fails after sleeping, for budget tests.
-    struct SleepyFail(Duration);
+    /// An attempt that always fails after one iteration.
+    struct AlwaysFail;
 
-    impl IiAttempt for SleepyFail {
-        fn attempt(&mut self, _dfg: &Dfg, _cgra: &Cgra, _ctx: &AttemptCtx<'_>) -> AttemptOutcome {
-            std::thread::sleep(self.0);
+    impl IiAttempt for AlwaysFail {
+        fn attempt(&mut self, _dfg: &Dfg, _cgra: &Cgra, _ctx: &AttemptCtx) -> AttemptOutcome {
             AttemptOutcome::failed(1)
         }
     }
@@ -373,75 +335,11 @@ mod tests {
     }
 
     #[test]
-    fn total_budget_caps_the_ii_sweep() {
-        let cgra = rewire_arch::presets::paper_4x4_r4();
-        let dfg = chain();
-        let limits = MapLimits::fast()
-            .with_max_ii(1000)
-            .with_ii_time_budget(Duration::from_millis(1))
-            .with_total_time_budget(Duration::from_millis(40));
-        let start = Instant::now();
-        let out = IiSearch::new("test").run(
-            &dfg,
-            &cgra,
-            &limits,
-            &mut SleepyFail(Duration::from_millis(10)),
-        );
-        assert!(out.mapping.is_none());
-        // Without the total cap this would be 1000 × 10 ms; with it the
-        // sweep stops after ~4 attempts.
-        assert!(
-            out.stats.iis_explored < 100,
-            "explored {} IIs",
-            out.stats.iis_explored
-        );
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert_eq!(out.stats.gave_up, Some(GiveUpReason::TotalBudget));
-    }
-
-    #[test]
-    fn per_ii_deadline_is_clamped_to_the_total_budget() {
-        struct DeadlineProbe(Vec<Duration>);
-        impl IiAttempt for DeadlineProbe {
-            fn attempt(
-                &mut self,
-                _dfg: &Dfg,
-                _cgra: &Cgra,
-                ctx: &AttemptCtx<'_>,
-            ) -> AttemptOutcome {
-                self.0
-                    .push(ctx.deadline.saturating_duration_since(Instant::now()));
-                AttemptOutcome::failed(0)
-            }
-        }
-        let cgra = rewire_arch::presets::paper_4x4_r4();
-        let dfg = chain();
-        let limits = MapLimits::fast()
-            .with_max_ii(4)
-            .with_ii_time_budget(Duration::from_secs(3600))
-            .with_total_time_budget(Duration::from_millis(200));
-        let mut probe = DeadlineProbe(Vec::new());
-        let _ = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut probe);
-        assert!(!probe.0.is_empty());
-        for remaining in &probe.0 {
-            assert!(
-                *remaining <= Duration::from_millis(200),
-                "per-II deadline exceeds the total budget: {remaining:?}"
-            );
-        }
-    }
-
-    #[test]
     fn unmappable_dfg_gives_up_with_no_mii() {
         let cgra = rewire_arch::CgraBuilder::new(2, 2).build().unwrap();
         let mut dfg = Dfg::new("needs-mem");
         dfg.add_node("ld", rewire_arch::OpKind::Load);
-        let out = IiSearch::new("test").run(
-            &dfg,
-            &cgra,
-            &MapLimits::fast(),
-            &mut SleepyFail(Duration::ZERO),
-        );
+        let out = IiSearch::new("test").run(&dfg, &cgra, &MapLimits::fast(), &mut AlwaysFail);
         assert!(out.mapping.is_none());
         assert_eq!(out.stats.iis_explored, 0);
         assert_eq!(out.stats.gave_up, Some(GiveUpReason::NoMii));
@@ -453,7 +351,7 @@ mod tests {
         let dfg = chain();
         let mii = dfg.mii(&cgra).unwrap();
         let limits = MapLimits::fast().with_max_ii(mii + 2).with_seed(5);
-        let out = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut SleepyFail(Duration::ZERO));
+        let out = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut AlwaysFail);
         assert!(out.mapping.is_none());
         assert_eq!(out.stats.iis_explored, 3);
         assert_eq!(out.stats.remap_iterations, 3, "1 per attempted II");
@@ -468,12 +366,7 @@ mod tests {
         let dfg = chain();
         let mii = dfg.mii(&cgra).unwrap();
         let limits = MapLimits::fast().with_max_ii(mii + 1);
-        let out = IiSearch::new("engine-metrics-test").run(
-            &dfg,
-            &cgra,
-            &limits,
-            &mut SleepyFail(Duration::ZERO),
-        );
+        let out = IiSearch::new("engine-metrics-test").run(&dfg, &cgra, &limits, &mut AlwaysFail);
         assert_eq!(out.stats.scope(), "engine-metrics-test/chain@4x4/r4");
         let snap = obs::metrics().snapshot();
         let s = &snap.scopes["engine-metrics-test/chain@4x4/r4"];
@@ -487,38 +380,5 @@ mod tests {
             s.spans["run"].total_ns >= s.spans["run/attempt"].total_ns,
             "parent span covers its children"
         );
-    }
-
-    #[test]
-    fn worker_seeds_are_distinct_and_stable() {
-        let s0 = worker_seed(42, 2, 0);
-        assert_eq!(s0, worker_seed(42, 2, 0), "pure function of its inputs");
-        assert_ne!(s0, worker_seed(42, 2, 1), "ranks get distinct streams");
-        assert_ne!(s0, worker_seed(42, 3, 0), "IIs get distinct streams");
-        assert_ne!(s0, worker_seed(43, 2, 0), "seeds get distinct streams");
-    }
-
-    #[test]
-    fn ctx_seed_is_the_rank_zero_worker_seed() {
-        struct SeedProbe(Vec<(u32, u64)>);
-        impl IiAttempt for SeedProbe {
-            fn attempt(
-                &mut self,
-                _dfg: &Dfg,
-                _cgra: &Cgra,
-                ctx: &AttemptCtx<'_>,
-            ) -> AttemptOutcome {
-                self.0.push((ctx.ii, ctx.seed));
-                AttemptOutcome::failed(0)
-            }
-        }
-        let cgra = rewire_arch::presets::paper_4x4_r4();
-        let dfg = chain();
-        let limits = MapLimits::fast().with_seed(99).with_max_ii(3);
-        let mut probe = SeedProbe(Vec::new());
-        let _ = IiSearch::new("test").run(&dfg, &cgra, &limits, &mut probe);
-        for (ii, seed) in &probe.0 {
-            assert_eq!(*seed, worker_seed(99, *ii, 0));
-        }
     }
 }

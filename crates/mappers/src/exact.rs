@@ -58,13 +58,6 @@ use rewire_sat::{Lit, SolveResult, Solver, Var};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Instances with more DFG nodes are refused outright (CNF size grows with
-/// nodes × windows × fabric). The default admits the whole bundled kernel
-/// suite (29–48 nodes); the conflict budget and the variable-count valve
-/// keep the hard ones truncating to `Unknown` instead of hanging.
-const DEFAULT_MAX_NODES: usize = 48;
-/// Instances on fabrics with more PEs are refused outright.
-const DEFAULT_MAX_PES: usize = 40;
 /// Deterministic per-II conflict budget: the primary truncation knob.
 const DEFAULT_CONFLICT_BUDGET: u64 = 200_000;
 /// Per-II safety valve: an encoding estimated beyond this many variables
@@ -95,37 +88,30 @@ const MAX_ENCODED_VARS: usize = 2_000_000;
 /// ```
 #[derive(Clone, Debug)]
 pub struct ExactSatMapper {
-    max_nodes: usize,
-    max_pes: usize,
     conflict_budget: u64,
 }
 
 impl Default for ExactSatMapper {
     fn default() -> Self {
         Self {
-            max_nodes: DEFAULT_MAX_NODES,
-            max_pes: DEFAULT_MAX_PES,
             conflict_budget: DEFAULT_CONFLICT_BUDGET,
         }
     }
 }
 
 impl ExactSatMapper {
-    /// Creates a mapper with the default size guards and conflict budget.
+    /// Instances with more DFG nodes are refused outright (CNF size grows
+    /// with nodes × windows × fabric). The guard admits the whole bundled
+    /// kernel suite (29–48 nodes); the conflict budget and the
+    /// variable-count valve keep the hard ones truncating to `Unknown`
+    /// instead of hanging.
+    pub const MAX_NODES: usize = 48;
+    /// Instances on fabrics with more PEs are refused outright.
+    pub const MAX_PES: usize = 40;
+
+    /// Creates a mapper with the default conflict budget.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the node-count refusal guard.
-    pub fn with_max_nodes(mut self, max_nodes: usize) -> Self {
-        self.max_nodes = max_nodes;
-        self
-    }
-
-    /// Overrides the PE-count refusal guard.
-    pub fn with_max_pes(mut self, max_pes: usize) -> Self {
-        self.max_pes = max_pes;
-        self
     }
 
     /// Overrides the deterministic per-II conflict budget.
@@ -246,7 +232,7 @@ impl<'m> ExactAttempt<'m> {
 }
 
 impl IiAttempt for ExactAttempt<'_> {
-    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx) -> AttemptOutcome {
         // Solver conflicts stand in for the iteration counter: the unit of
         // search work an exact attempt performs per II.
         match self.mapper.solve_ii(dfg, cgra, ctx.ii, ctx.deadline) {
@@ -280,7 +266,7 @@ impl Mapper for ExactSatMapper {
     fn map(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> MapOutcome {
         // Size guard in front of the engine: refuse instances whose CNF
         // would dwarf the budget.
-        if dfg.num_nodes() > self.max_nodes || cgra.num_pes() > self.max_pes {
+        if dfg.num_nodes() > Self::MAX_NODES || cgra.num_pes() > Self::MAX_PES {
             obs::counter("exact.refused").incr();
             return MapOutcome {
                 mapping: None,

@@ -15,12 +15,6 @@ pub struct MapLimits {
     pub ii_time_budget: Duration,
     /// RNG seed (cluster selection, SA moves, tie-breaking).
     pub seed: u64,
-    /// Total wall-clock budget for the whole II sweep, or `None` for
-    /// unlimited. Enforced by the shared engine ([`crate::IiSearch`]): the
-    /// sweep stops once the budget is spent, and each per-II deadline is
-    /// clamped so no attempt outlives it. Caps the
-    /// `max_ii × ii_time_budget` worst case of an unmappable workload.
-    pub total_time_budget: Option<Duration>,
 }
 
 impl MapLimits {
@@ -31,7 +25,6 @@ impl MapLimits {
             max_ii: 16,
             ii_time_budget: Duration::from_millis(500),
             seed: 0xC0FFEE,
-            total_time_budget: None,
         }
     }
 
@@ -41,7 +34,6 @@ impl MapLimits {
             max_ii: 20,
             ii_time_budget: Duration::from_secs(4),
             seed: 0xC0FFEE,
-            total_time_budget: None,
         }
     }
 
@@ -62,13 +54,6 @@ impl MapLimits {
         self.max_ii = max_ii;
         self
     }
-
-    /// Caps the total wall-clock time of the whole II sweep
-    /// (builder-style).
-    pub fn with_total_time_budget(mut self, budget: Duration) -> Self {
-        self.total_time_budget = Some(budget);
-        self
-    }
 }
 
 impl Default for MapLimits {
@@ -86,18 +71,10 @@ mod tests {
         let l = MapLimits::fast()
             .with_seed(7)
             .with_max_ii(9)
-            .with_ii_time_budget(Duration::from_millis(10))
-            .with_total_time_budget(Duration::from_secs(1));
+            .with_ii_time_budget(Duration::from_millis(10));
         assert_eq!(l.seed, 7);
         assert_eq!(l.max_ii, 9);
         assert_eq!(l.ii_time_budget, Duration::from_millis(10));
-        assert_eq!(l.total_time_budget, Some(Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn total_time_budget_defaults_to_unlimited() {
-        assert_eq!(MapLimits::fast().total_time_budget, None);
-        assert_eq!(MapLimits::benchmark().total_time_budget, None);
     }
 
     #[test]

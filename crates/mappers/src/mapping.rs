@@ -46,8 +46,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct Mapping {
     // One shared MRRG handle between the mapping and its occupancy table;
-    // cloning a mapping (mapper restarts, portfolio workers) copies only
-    // the handle.
+    // cloning a mapping (Rewire's restarts from the initial mapping)
+    // copies only the handle.
     mrrg: Arc<Mrrg>,
     pes: Vec<Option<PeId>>,
     times: Vec<Option<u32>>,
@@ -228,18 +228,6 @@ impl Mapping {
             dst_pe,
             arrive_cycle: t_dst + e.distance() * self.ii(),
         })
-    }
-
-    /// Edges with both endpoints placed but no committed route.
-    pub fn unrouted_edges(&self, dfg: &Dfg) -> Vec<EdgeId> {
-        dfg.edges()
-            .filter(|e| {
-                self.routes[e.id().index()].is_none()
-                    && self.is_placed(e.src())
-                    && self.is_placed(e.dst())
-            })
-            .map(|e| e.id())
-            .collect()
     }
 
     /// Nodes without a placement.

@@ -27,17 +27,16 @@ use rewire_mrrg::{CostModel, Mrrg, NegotiatedCost, Resource, Route, Router};
 use rewire_obs::{self as obs, FlightEvent};
 use std::time::Instant;
 
+/// Present-congestion factor of the negotiated cost.
+const PRESENT_FACTOR: f64 = 4.0;
+/// History increment applied to overused cells each iteration.
+const HISTORY_INCREMENT: f64 = 1.0;
+
 /// Configuration of the PF* baseline.
 #[derive(Clone, Debug)]
 pub struct PathFinderConfig {
-    /// Present-congestion factor of the negotiated cost.
-    pub present_factor: f64,
-    /// History increment applied to overused cells each iteration.
-    pub history_increment: f64,
     /// Hard cap on remapping iterations per II.
     pub max_iterations_per_ii: u64,
-    /// How many schedule times are examined per candidate PE.
-    pub times_per_candidate: u32,
     /// How many promising candidates are fully routed per placement.
     /// The paper's PF* "evaluates all the placement candidates", so the
     /// default is unlimited (the admissible lower-bound cut still applies);
@@ -53,10 +52,7 @@ pub struct PathFinderConfig {
 impl Default for PathFinderConfig {
     fn default() -> Self {
         Self {
-            present_factor: 4.0,
-            history_increment: 1.0,
             max_iterations_per_ii: 900,
-            times_per_candidate: 6,
             max_full_evals: u32::MAX,
             use_full_budget: false,
         }
@@ -86,13 +82,12 @@ impl PathFinderMapper {
     ///
     /// Returns `None` when no modulo schedule exists at `ii` (below
     /// RecMII).
-    pub fn initial_mapping(&self, dfg: &Dfg, cgra: &Cgra, ii: u32, seed: u64) -> Option<Mapping> {
-        let mut rng = StdRng::seed_from_u64(seed);
+    pub fn initial_mapping(&self, dfg: &Dfg, cgra: &Cgra, ii: u32) -> Option<Mapping> {
         let asap = modulo_schedule(dfg, cgra, ii)?;
         let mrrg = Mrrg::new(cgra, ii);
         let router = Router::new(cgra, &mrrg);
         let mut mapping = Mapping::new(dfg, &mrrg);
-        let cost = NegotiatedCost::new(&mrrg, self.config.present_factor, 0.0);
+        let cost = NegotiatedCost::new(&mrrg, PRESENT_FACTOR, 0.0);
         let deadline = Instant::now() + std::time::Duration::from_secs(60);
         let mut placement_history = vec![0.0f64; dfg.num_nodes() * cgra.num_pes()];
         for v in dfg.topo_order() {
@@ -105,7 +100,6 @@ impl PathFinderMapper {
                 v,
                 &cost,
                 &mut placement_history,
-                &mut rng,
                 deadline,
             );
         }
@@ -128,11 +122,7 @@ impl PathFinderMapper {
         let mrrg = Mrrg::new(cgra, ii);
         let router = Router::new(cgra, &mrrg);
         let mut mapping = Mapping::new(dfg, &mrrg);
-        let mut cost = NegotiatedCost::new(
-            &mrrg,
-            self.config.present_factor,
-            self.config.history_increment,
-        );
+        let mut cost = NegotiatedCost::new(&mrrg, PRESENT_FACTOR, HISTORY_INCREMENT);
 
         let m_placements = obs::counter("pf.placements");
         let m_rip_ups = obs::counter("pf.rip_ups");
@@ -154,7 +144,6 @@ impl PathFinderMapper {
                     v,
                     &cost,
                     &mut placement_history,
-                    rng,
                     deadline,
                 );
                 m_placements.incr();
@@ -267,7 +256,6 @@ impl PathFinderMapper {
                 victim,
                 &cost,
                 &mut placement_history,
-                rng,
                 deadline,
             );
             m_placements.incr();
@@ -434,10 +422,8 @@ impl PathFinderMapper {
         v: NodeId,
         cost: &NegotiatedCost,
         placement_history: &mut [f64],
-        rng: &mut StdRng,
         deadline: Instant,
     ) {
-        let _ = rng;
         let ii = mapping.ii();
         let t = asap[v.index()];
         let op = dfg.node(v).op();
@@ -606,7 +592,7 @@ impl PathFinderMapper {
                 }
                 if failed {
                     placement_history[v.index() * cgra.num_pes() + pe.index()] +=
-                        self.config.history_increment * 3.0;
+                        HISTORY_INCREMENT * 3.0;
                 }
                 return;
             }
@@ -691,7 +677,7 @@ pub struct PathFinderAttempt<'m> {
 }
 
 impl IiAttempt for PathFinderAttempt<'_> {
-    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx<'_>) -> AttemptOutcome {
+    fn attempt(&mut self, dfg: &Dfg, cgra: &Cgra, ctx: &AttemptCtx) -> AttemptOutcome {
         // One attempt per II by default: PF* "can terminate early at each
         // II due to the backtracking limitation" (paper §V-B). Under
         // `use_full_budget` the attempt is restarted with fresh randomness
@@ -769,7 +755,7 @@ mod tests {
         // The fanout/memory-padded modulo schedule may need a slightly
         // higher II than the theoretical MII; use the first feasible one.
         let m = (mii..mii + 4)
-            .find_map(|ii| PathFinderMapper::new().initial_mapping(&dfg, &cgra, ii, 1))
+            .find_map(|ii| PathFinderMapper::new().initial_mapping(&dfg, &cgra, ii))
             .unwrap();
         // The initial pass places nearly everything (negotiation allows
         // overuse), though routes may conflict.
@@ -781,7 +767,7 @@ mod tests {
         let cgra = presets::paper_4x4_r4();
         let dfg = kernels::cholesky(); // RecMII 4
         assert!(PathFinderMapper::new()
-            .initial_mapping(&dfg, &cgra, 1, 0)
+            .initial_mapping(&dfg, &cgra, 1)
             .is_none());
     }
 

@@ -15,18 +15,15 @@ pub enum GiveUpReason {
     NoMii,
     /// Every II up to [`crate::MapLimits::max_ii`] failed.
     MaxIiReached,
-    /// The total wall-clock budget expired before `max_ii` was reached.
-    TotalBudget,
     /// The mapper declined the instance outright (the exact SAT backend's
     /// size guard).
     Refused,
 }
 
 impl GiveUpReason {
-    const ALL: [GiveUpReason; 4] = [
+    const ALL: [GiveUpReason; 3] = [
         GiveUpReason::NoMii,
         GiveUpReason::MaxIiReached,
-        GiveUpReason::TotalBudget,
         GiveUpReason::Refused,
     ];
 
@@ -35,7 +32,6 @@ impl GiveUpReason {
         match self {
             GiveUpReason::NoMii => "no_mii",
             GiveUpReason::MaxIiReached => "max_ii_reached",
-            GiveUpReason::TotalBudget => "total_budget",
             GiveUpReason::Refused => "refused",
         }
     }
@@ -397,7 +393,6 @@ mod tests {
     fn give_up_reasons_have_stable_labels() {
         assert_eq!(GiveUpReason::NoMii.label(), "no_mii");
         assert_eq!(GiveUpReason::MaxIiReached.label(), "max_ii_reached");
-        assert_eq!(GiveUpReason::TotalBudget.label(), "total_budget");
         assert_eq!(GiveUpReason::Refused.label(), "refused");
         for r in GiveUpReason::ALL {
             assert_eq!(GiveUpReason::from_label(r.label()), Some(r));

@@ -27,8 +27,9 @@
 //! The tables depend only on the link topology, not on the II or the
 //! occupancy, so they are computed once per fabric and shared: the router
 //! caches them behind [`Arc`]s in [`RouterScratch`](crate::RouterScratch),
-//! keyed by [`Cgra::topology_fingerprint`], and portfolio workers receive
-//! the parent thread's oracle instead of re-running the BFS.
+//! keyed by [`Cgra::topology_fingerprint`], and a caller that already
+//! holds a fabric's oracle can install it on a thread instead of
+//! re-running the BFS.
 
 use rewire_arch::{Cgra, PeId};
 use std::collections::VecDeque;

@@ -9,9 +9,8 @@ use std::sync::Arc;
 ///
 /// A 64×64 fabric time-extended at II 20 has on the order of a million
 /// MRRG cells; a mapper that only ever touches a corner of it should not
-/// pay a million-entry allocation per restart (multiplied by the parallel
-/// portfolio's clones). Chunks of 256 cells keep the directory small while
-/// untouched regions stay as `None`.
+/// pay a million-entry allocation per restart. Chunks of 256 cells keep
+/// the directory small while untouched regions stay as `None`.
 const CHUNK: usize = 256;
 
 /// One chunk's cell lists, boxed so an unallocated chunk costs one `None`.
@@ -51,8 +50,8 @@ type Chunk = Box<[Vec<((NodeId, u32), u32)>]>;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Occupancy {
-    // Shared, not owned: cloning an occupancy (once per mapper restart,
-    // multiplied by the parallel portfolio) must not duplicate the shape.
+    // Shared, not owned: cloning an occupancy (once per mapper restart)
+    // must not duplicate the shape.
     mrrg: Arc<Mrrg>,
     /// Chunked cell directory: `cells[idx / CHUNK]` is `None` until a
     /// claim first touches that chunk, so untouched rows of a big fabric

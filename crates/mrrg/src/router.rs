@@ -509,9 +509,9 @@ pub struct RouterScratch {
     dup_cells: CellBitset,
     /// Hop-distance oracles for recently routed fabrics, most recently
     /// used first, keyed by `Cgra::topology_fingerprint` and bounded at
-    /// [`ORACLE_CACHE_CAP`] entries. Portfolio workers receive the
-    /// parent's oracle via [`install_thread_distance_table`] instead of
-    /// re-running the BFS.
+    /// [`ORACLE_CACHE_CAP`] entries. A caller that already holds a
+    /// fabric's oracle seeds it via [`install_thread_distance_table`]
+    /// instead of re-running the BFS.
     oracles: Vec<Arc<DistanceOracle>>,
     /// Cached `router.*` metric handles, re-resolved when the thread's
     /// metric scope changes (`rewire_obs::scope_epoch`). Keeping handles
@@ -682,19 +682,9 @@ thread_local! {
     static ROUTE_SCRATCH: RefCell<RouterScratch> = RefCell::new(RouterScratch::new());
 }
 
-/// The calling thread's cached [`DistanceOracle`] for `cgra`, building it
-/// on first use. Parents of a worker pool call this once, then hand the
-/// `Arc` to each worker via [`install_thread_distance_table`] so the BFS
-/// runs once per fabric instead of once per thread.
-pub fn thread_distance_table(cgra: &Cgra) -> Arc<DistanceOracle> {
-    ROUTE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => scratch.distances_for(cgra),
-        Err(_) => DistanceOracle::shared(cgra),
-    })
-}
-
 /// Seeds the calling thread's router scratch with a prebuilt distance
-/// oracle (see [`thread_distance_table`]).
+/// oracle, so [`Router::route`] on this thread skips the BFS for that
+/// fabric.
 pub fn install_thread_distance_table(oracle: Arc<DistanceOracle>) {
     ROUTE_SCRATCH.with(|cell| {
         if let Ok(mut scratch) = cell.try_borrow_mut() {
@@ -758,8 +748,8 @@ impl<'a> Router<'a> {
     }
 
     /// [`route`](Router::route) with an explicit scratch buffer, for
-    /// callers that manage their own pools (e.g. per-worker scratch in a
-    /// parallel portfolio).
+    /// differential harnesses that give each router its own scratch (the
+    /// dense-versus-pruned checks).
     pub fn route_with(
         &self,
         occ: &Occupancy,

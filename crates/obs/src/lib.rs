@@ -112,19 +112,6 @@ pub fn span(name: &str) -> ScopedTimer<'static> {
     metrics().span(name)
 }
 
-/// Starts a span timer on the global registry at an explicit parent path,
-/// ignoring the thread's span stack. See [`Registry::span_under`].
-pub fn span_under(parent: &str, name: &str) -> ScopedTimer<'static> {
-    metrics().span_under(parent, name)
-}
-
-/// The calling thread's innermost live span path on the global registry
-/// (empty when no span is open). Capture this before spawning workers and
-/// pass it to [`span_under`] so their spans nest consistently.
-pub fn current_span_path() -> String {
-    metrics().current_span_path()
-}
-
 /// The process-wide flight recorder (disabled until
 /// [`FlightRecorder::enable`] is called). The mappers and engine record
 /// decision events into this instance; `--flight FILE` on the experiment

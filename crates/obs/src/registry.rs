@@ -189,24 +189,6 @@ impl Registry {
         self.start_span(path)
     }
 
-    /// Starts a span at `parent/name` regardless of the thread's span
-    /// stack. Worker threads use this with the spawner's
-    /// [`current_span_path`](Registry::current_span_path) so their spans
-    /// nest under the spawning run instead of starting a new hierarchy.
-    pub fn span_under(&self, parent: &str, name: &str) -> ScopedTimer<'_> {
-        let path = if parent.is_empty() {
-            name.to_string()
-        } else {
-            format!("{parent}/{name}")
-        };
-        self.start_span(path)
-    }
-
-    /// The calling thread's innermost live span path (empty if none).
-    pub fn current_span_path(&self) -> String {
-        self.with_state(|s| s.span_stack.last().cloned().unwrap_or_default())
-    }
-
     fn start_span(&self, path: String) -> ScopedTimer<'_> {
         self.with_state(|s| s.span_stack.push(path.clone()));
         let scope = self.current_scope();
@@ -408,14 +390,14 @@ mod tests {
                 let inner = r.span("route");
                 assert_eq!(inner.path(), "run/route");
             }
-            let sibling = r.span_under("run", "attempt");
+            let sibling = r.span("attempt");
             assert_eq!(sibling.path(), "run/attempt");
             {
                 let nested = r.span("inner");
                 assert_eq!(nested.path(), "run/attempt/inner");
             }
         }
-        assert_eq!(r.current_span_path(), "");
+        assert!(r.with_state(|s| s.span_stack.is_empty()));
         let snap = r.snapshot();
         let spans = &snap.scopes[""].spans;
         for path in ["run", "run/route", "run/attempt", "run/attempt/inner"] {

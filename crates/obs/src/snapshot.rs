@@ -137,11 +137,6 @@ impl SpanSnapshot {
     pub fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
     }
-
-    /// Mean span duration in nanoseconds, `None` when empty.
-    pub fn mean_ns(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.total_ns as f64 / self.count as f64)
-    }
 }
 
 impl Snapshot {

@@ -3,6 +3,14 @@
 //! (same achieved IIs, same iteration counts, same placements), and
 //! enabling the observability collectors must not move them.
 //!
+//! The fingerprints are also pinned across commits by
+//! `tests/golden/engine_digest.txt`, one line per mapper and kernel.
+//! Intentional changes are blessed with:
+//!
+//! ```text
+//! REWIRE_BLESS=1 cargo test --test engine_determinism
+//! ```
+//!
 //! All configs bound every stochastic loop by *deterministic caps*
 //! (iterations, restarts, cluster attempts) under a budget so generous the
 //! wall-clock deadline never binds — the precondition for byte-identical
@@ -10,7 +18,13 @@
 
 use rewire::prelude::*;
 use rewire_mappers::{PathFinderConfig, SaConfig};
+use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::time::Duration;
+
+fn digest_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine_digest.txt")
+}
 
 /// Everything a mapping run produces, down to the exact placement.
 #[derive(Debug, PartialEq, Eq)]
@@ -30,6 +44,33 @@ fn fingerprint(dfg: &Dfg, out: &MapOutcome) -> Fingerprint {
             .mapping
             .as_ref()
             .map(|m| dfg.node_ids().map(|n| m.placement(n)).collect()),
+    }
+}
+
+impl Fingerprint {
+    /// The digest line: II, IIs explored, remap iterations and an FNV-1a
+    /// hash of the placements.
+    fn line(&self, mapper: &str, kernel: &str) -> String {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for slot in self.placements.iter().flatten() {
+            match slot {
+                Some((pe, cycle)) => {
+                    mix(pe.index() as u64);
+                    mix(u64::from(*cycle));
+                }
+                None => mix(u64::MAX),
+            }
+        }
+        format!(
+            "{mapper} {kernel} ii={:?} iis={} iterations={} placements={hash:016x}",
+            self.achieved_ii, self.iis_explored, self.remap_iterations
+        )
     }
 }
 
@@ -62,7 +103,6 @@ fn capped_mappers() -> Vec<Box<dyn Mapper>> {
         Box::new(SaMapper::with_config(SaConfig {
             max_iterations_per_ii: 150,
             max_restarts_per_ii: 1,
-            ..Default::default()
         })),
     ]
 }
@@ -72,16 +112,63 @@ fn suite_results_are_byte_identical_run_to_run() {
     let cgra = presets::paper_4x4_r4();
     let suite = kernels::all();
     assert!(suite.len() >= 30, "the full benchmark suite");
+    let mut current = String::new();
+    current.push_str("# Engine digest: capped Rewire, PF* and SA on paper_4x4_r4 (seed 0xFACADE, max_ii = MII + 1).\n");
+    current.push_str("# <mapper> <kernel> ii=<achieved> iis=<explored> iterations=<remap> placements=<FNV-1a> | infeasible\n");
+    current.push_str("# Regenerate with: REWIRE_BLESS=1 cargo test --test engine_determinism\n");
     for mapper in capped_mappers() {
         for (name, dfg) in &suite {
             let Some(limits) = limits_for(dfg, &cgra) else {
+                writeln!(current, "{} {name} infeasible", mapper.name()).unwrap();
                 continue;
             };
             let a = fingerprint(dfg, &mapper.map(dfg, &cgra, &limits));
             let b = fingerprint(dfg, &mapper.map(dfg, &cgra, &limits));
             assert_eq!(a, b, "{} on {name} diverged between reruns", mapper.name());
+            writeln!(current, "{}", a.line(mapper.name(), name)).unwrap();
         }
     }
+    check_digest(&current);
+}
+
+/// Compares the rendered digest with the checked-in golden file, or
+/// rewrites the file when `REWIRE_BLESS` is set.
+fn check_digest(current: &str) {
+    let path = digest_path();
+    if std::env::var_os("REWIRE_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, current).unwrap();
+        eprintln!(
+            "blessed {} ({} lines)",
+            path.display(),
+            current.lines().count()
+        );
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden digest {} ({e}); run REWIRE_BLESS=1 cargo test --test engine_determinism",
+            path.display()
+        )
+    });
+    if golden == current {
+        return;
+    }
+    let mut drifted = String::new();
+    for (g, c) in golden.lines().zip(current.lines()) {
+        if g != c {
+            writeln!(drifted, "  -{g}\n  +{c}").unwrap();
+        }
+    }
+    let (gn, cn) = (golden.lines().count(), current.lines().count());
+    if gn != cn {
+        writeln!(drifted, "  (line count {gn} -> {cn})").unwrap();
+    }
+    panic!(
+        "engine results drifted from {}:\n{drifted}\
+         if intentional, re-bless with REWIRE_BLESS=1 cargo test --test engine_determinism",
+        path.display()
+    );
 }
 
 /// Observability must be observe-only: the metrics registry records every

@@ -69,29 +69,6 @@ fn returned_mappings_validate_and_match_achieved_ii() {
 }
 
 #[test]
-fn exhausted_total_budget_returns_none_with_populated_stats() {
-    let cgra = presets::paper_4x4_r4();
-    let dfg = small_kernel();
-    // A zero total budget deterministically exhausts before the first II.
-    let limits = MapLimits::fast().with_total_time_budget(Duration::ZERO);
-    for mapper in mappers() {
-        let out = mapper.map(&dfg, &cgra, &limits);
-        assert!(out.mapping.is_none(), "{}", mapper.name());
-        assert_eq!(out.stats.mapper, mapper.name());
-        assert_eq!(out.stats.kernel, dfg.name());
-        assert!(out.stats.mii >= 1, "{}: MII still computed", mapper.name());
-        assert_eq!(out.stats.achieved_ii, None);
-        assert_eq!(out.stats.iis_explored, 0);
-        assert_eq!(
-            out.stats.gave_up,
-            Some(GiveUpReason::TotalBudget),
-            "{}",
-            mapper.name()
-        );
-    }
-}
-
-#[test]
 fn exhausted_max_ii_returns_none_with_populated_stats() {
     // An accumulator loop (RecMII 2) cannot map at II 1, so capping the
     // search at max_ii = 1 exhausts the sweep without any timing effects.
@@ -204,11 +181,11 @@ fn run_record_is_well_formed() {
             mapper.name()
         );
     }
-    // The exact backend's refusal is a record too.
-    let refused = ExactSatMapper::new()
-        .with_max_nodes(1)
-        .map(&dfg, &cgra, &limits)
-        .stats;
+    // The exact backend's refusal is a record too: 64 PEs exceed its
+    // size guard.
+    let big = presets::paper_8x8_r4();
+    assert!(big.num_pes() > ExactSatMapper::MAX_PES);
+    let refused = ExactSatMapper::new().map(&dfg, &big, &limits).stats;
     assert_eq!(refused.gave_up, Some(GiveUpReason::Refused));
-    assert_eq!((refused.fabric.as_str(), refused.seed), ("4x4/r4", 0x5EED));
+    assert_eq!((refused.fabric.as_str(), refused.seed), ("8x8/r4", 0x5EED));
 }
