@@ -8,14 +8,22 @@
 //! check. Surviving `Placement(U)` combinations are verified by exclusive
 //! routing of every incident edge; the first verified placement is
 //! committed.
+//!
+//! The depth-first enumeration changes one member at a time, so most of a
+//! combination's edges ask the router what an earlier combination already
+//! asked. Each request's route on the call's base occupancy is kept with
+//! its [`RouteCertificate`] and reused while the certificate holds (see
+//! [`Verifier`]); every route, and so every outcome, is what routing it
+//! again would give.
 
 use crate::intersect::PlacementCandidates;
 use crate::{RewireConfig, RewireStats};
 use rewire_arch::{Cgra, PeId};
 use rewire_dfg::{Dfg, EdgeId, NodeId};
 use rewire_mappers::Mapping;
-use rewire_mrrg::{Router, UnitCost};
+use rewire_mrrg::{Route, RouteCertificate, RouteError, RouteRequest, Router, UnitCost};
 use rewire_obs::{self as obs, FlightEvent};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Algorithm 2: searches for a routable placement of a whole cluster.
@@ -59,16 +67,45 @@ impl<'a> ClusterPlacer<'a> {
         let table = SearchTable::new(self.cgra, mapping, pairs, candidates);
         let budget = stats.verifications + self.config.max_verifications;
         let mut partial = table.empty_partial();
+        let mrrg = mapping.mrrg().clone();
+        let mut verifier = Verifier {
+            router: Router::new(self.cgra, &mrrg),
+            edges: self.verification_edges(mapping, candidates),
+            base: HashMap::new(),
+        };
         self.search(
             mapping,
             candidates,
             &table,
             &mut partial,
+            &mut verifier,
             deadline,
             stats,
             &mut 0,
             budget,
         )
+    }
+
+    /// The edges every combination routes, sorted: each edge with an
+    /// endpoint in the cluster whose other endpoint is a member or already
+    /// placed, and which has no route yet. The cluster's members are
+    /// unplaced on entry and after every failed verification, so the set
+    /// is the same for every combination of one call.
+    fn verification_edges(
+        &self,
+        mapping: &Mapping,
+        candidates: &[PlacementCandidates],
+    ) -> Vec<EdgeId> {
+        let placed = |n: NodeId| mapping.is_placed(n) || candidates.iter().any(|c| c.node == n);
+        let mut edges: Vec<EdgeId> = candidates
+            .iter()
+            .flat_map(|c| self.dfg.in_edges(c.node).chain(self.dfg.out_edges(c.node)))
+            .filter(|e| placed(e.src()) && placed(e.dst()) && mapping.route(e.id()).is_none())
+            .map(|e| e.id())
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
     }
 
     /// AC-3-style reduction over cluster-internal dependency edges: a
@@ -117,6 +154,7 @@ impl<'a> ClusterPlacer<'a> {
         candidates: &[PlacementCandidates],
         table: &SearchTable,
         partial: &mut Partial,
+        verifier: &mut Verifier,
         deadline: Instant,
         stats: &mut RewireStats,
         steps: &mut u64,
@@ -124,7 +162,7 @@ impl<'a> ClusterPlacer<'a> {
     ) -> bool {
         let depth = partial.chosen.len();
         if depth == candidates.len() {
-            return self.verify_and_commit(mapping, candidates, &partial.chosen, stats);
+            return self.verify_and_commit(mapping, candidates, &partial.chosen, verifier, stats);
         }
         for idx in 0..candidates[depth].options.len() {
             *steps += 1;
@@ -144,6 +182,7 @@ impl<'a> ClusterPlacer<'a> {
                 candidates,
                 table,
                 partial,
+                verifier,
                 deadline,
                 stats,
                 steps,
@@ -164,56 +203,34 @@ impl<'a> ClusterPlacer<'a> {
         mapping: &mut Mapping,
         candidates: &[PlacementCandidates],
         chosen: &[usize],
+        verifier: &mut Verifier,
         stats: &mut RewireStats,
     ) -> bool {
         stats.verifications += 1;
-        let members: Vec<NodeId> = candidates.iter().map(|c| c.node).collect();
         for (cand, &idx) in candidates.iter().zip(chosen) {
             let (pe, c) = cand.options[idx];
             mapping.place(cand.node, pe, c);
         }
-
-        // Route every edge with at least one endpoint in the cluster whose
-        // endpoints are both placed, deterministically ordered.
-        let mut edges: Vec<EdgeId> = Vec::new();
-        for &v in &members {
-            for e in self.dfg.in_edges(v).chain(self.dfg.out_edges(v)) {
-                if !edges.contains(&e.id())
-                    && mapping.is_placed(e.src())
-                    && mapping.is_placed(e.dst())
-                    && mapping.route(e.id()).is_none()
-                {
-                    edges.push(e.id());
-                }
-            }
-        }
-        edges.sort_unstable();
-
-        let mrrg = mapping.mrrg().clone();
-        let router = Router::new(self.cgra, &mrrg);
-        let mut routed: Vec<EdgeId> = Vec::new();
-        for e in &edges {
-            let Some(req) = mapping.request_for(self.dfg, *e) else {
-                continue;
-            };
-            match router.route(mapping.occupancy(), &req, &UnitCost) {
-                Ok(route) => {
-                    mapping.set_route(*e, route);
-                    routed.push(*e);
-                }
+        for at in 0..verifier.edges.len() {
+            let e = verifier.edges[at];
+            let req = mapping
+                .request_for(self.dfg, e)
+                .expect("both endpoints of a verification edge are placed");
+            match verifier.route(mapping, at, &req) {
+                Ok(route) => mapping.set_route(e, route),
                 Err(err) => {
-                    let ed = self.dfg.edge(*e);
+                    let ed = self.dfg.edge(e);
                     obs::flight_event(FlightEvent::RouteFailed {
                         edge: (ed.src().index() as u32, ed.dst().index() as u32),
                         ii: mapping.ii(),
                         reason: err.label(),
                     });
                     // Rollback.
-                    for r in routed {
+                    for &r in &verifier.edges[..at] {
                         mapping.clear_route(r);
                     }
-                    for &v in &members {
-                        mapping.unplace(self.dfg, v);
+                    for cand in candidates {
+                        mapping.unplace(self.dfg, cand.node);
                     }
                     return false;
                 }
@@ -221,6 +238,91 @@ impl<'a> ClusterPlacer<'a> {
         }
         stats.verification_successes += 1;
         true
+    }
+}
+
+/// Algorithm 2's verification routing for one [`ClusterPlacer::place`]
+/// call: the edges every combination routes, one router, and each
+/// request's route on the call's *base* occupancy — the mapping at entry,
+/// which has none of the cluster's edge routes.
+///
+/// A verification routes its edges in order, so the edge at position `at`
+/// sees the base plus the member FU claims plus the routes committed at
+/// positions `..at`. The router reads no FU cell, so at position 0 it
+/// sees exactly the base. A base route is reused whenever its
+/// [`RouteCertificate`] holds on the current occupancy, which only adds
+/// claims to the base: by the certificate's reuse lemma it is the route
+/// the router would return there. Every other route goes to the router.
+struct Verifier<'r> {
+    router: Router<'r>,
+    /// The edges every combination routes, sorted.
+    edges: Vec<EdgeId>,
+    /// What is known about each request on the base occupancy.
+    base: HashMap<RouteRequest, BaseRoute>,
+}
+
+/// A request's entry in [`Verifier::base`].
+enum BaseRoute {
+    /// Met once, behind committed routes, and routed there as usual; the
+    /// second sight routes it on the base.
+    Seen,
+    /// Its outcome on the base occupancy, with the certificate.
+    Routed(Result<Route, RouteError>, RouteCertificate),
+}
+
+impl Verifier<'_> {
+    /// Routes `req`, the edge at position `at` of the current
+    /// verification, under [`UnitCost`].
+    fn route(
+        &mut self,
+        mapping: &mut Mapping,
+        at: usize,
+        req: &RouteRequest,
+    ) -> Result<Route, RouteError> {
+        match self.base.get(req) {
+            Some(BaseRoute::Routed(result, certificate))
+                if certificate.holds(mapping.occupancy(), req.signal) =>
+            {
+                return result.clone();
+            }
+            Some(BaseRoute::Routed(..)) => {
+                return self.router.route(mapping.occupancy(), req, &UnitCost);
+            }
+            // A first sight behind committed routes routes as usual, so a
+            // request met only once still costs one router call; the
+            // second sight routes it on the base.
+            None if at > 0 => {
+                self.base.insert(*req, BaseRoute::Seen);
+                return self.router.route(mapping.occupancy(), req, &UnitCost);
+            }
+            Some(BaseRoute::Seen) | None => {}
+        }
+        // Route on the base: lift this verification's committed routes off
+        // for the call and put them back. Each route was claimed on cells
+        // usable by its key, so its claims only ever made an empty owner
+        // list or raised a count, and lifting them and putting them back
+        // restores every owner list exactly.
+        let committed = &self.edges[..at];
+        let lifted: Vec<Route> = committed
+            .iter()
+            .map(|&e| {
+                let route = mapping.route(e).expect("earlier edges are routed").clone();
+                mapping.clear_route(e);
+                route
+            })
+            .collect();
+        let (result, certificate) = self.router.route_certified(mapping.occupancy(), req);
+        for (&e, route) in committed.iter().zip(lifted) {
+            mapping.set_route(e, route);
+        }
+        let outcome = if certificate.holds(mapping.occupancy(), req.signal) {
+            result.clone()
+        } else {
+            self.router.route(mapping.occupancy(), req, &UnitCost)
+        };
+        self.base
+            .insert(*req, BaseRoute::Routed(result, certificate));
+        outcome
     }
 }
 
@@ -553,6 +655,137 @@ mod tests {
         assert_eq!(m.placement(b).unwrap().0, pe(&cgra, 0, 1));
         assert!(stats.verifications >= 1);
         assert!(m.is_valid(&dfg, &cgra));
+    }
+
+    /// Router calls made in the calling thread's `scope` so far.
+    fn route_calls(scope: &str) -> u64 {
+        let snap = obs::metrics().snapshot();
+        snap.scopes
+            .get(scope)
+            .and_then(|s| s.counters.get("router.route_calls").copied())
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn combinations_failing_at_their_last_edge_reuse_the_earlier_routes() {
+        // `b` has one option, so `a → b` asks the same request in every
+        // combination; every option of `c` is out of `f`'s reach, so each
+        // combination fails at its last edge, `c → f`. The geometric
+        // pre-check covers only member pairs, so each one is verified.
+        let cgra = presets::paper_4x4_r4();
+        let mut dfg = Dfg::new("t");
+        let a = dfg.add_node("a", OpKind::Add);
+        let b = dfg.add_node("b", OpKind::Add);
+        let c = dfg.add_node("c", OpKind::Add);
+        let f = dfg.add_node("f", OpKind::Add);
+        dfg.add_edge(a, b, 0).unwrap();
+        dfg.add_edge(c, f, 0).unwrap();
+        let mrrg = Mrrg::new(&cgra, 4);
+        let mut m = Mapping::new(&dfg, &mrrg);
+        m.place(a, pe(&cgra, 0, 0), 0);
+        m.place(f, pe(&cgra, 3, 3), 5);
+        let config = RewireConfig::default();
+        let placer = ClusterPlacer::new(&dfg, &cgra, &config);
+        let cands = vec![
+            PlacementCandidates {
+                node: b,
+                options: vec![(pe(&cgra, 0, 1), 1)],
+            },
+            PlacementCandidates {
+                node: c,
+                options: vec![
+                    (pe(&cgra, 0, 2), 3),
+                    (pe(&cgra, 0, 3), 3),
+                    (pe(&cgra, 1, 2), 3),
+                ],
+            },
+        ];
+        let scope = "test/placement_last_edge_failures";
+        let _scope = obs::scope(scope);
+        let mut stats = RewireStats::default();
+        assert!(!placer.place(&mut m, &cands, deadline(), &mut stats));
+        let combinations = stats.verifications;
+        assert_eq!(combinations, 3, "every combination reaches verification");
+        // Two routes per combination: `a → b` goes to the router once and
+        // is reused after, and each `c → f` is new.
+        let consumed = 2 * combinations;
+        let calls = route_calls(scope);
+        assert!(
+            calls < consumed,
+            "{calls} router calls for {consumed} routes"
+        );
+        assert_eq!(calls, 1 + combinations);
+        assert!(
+            !m.is_placed(b) && !m.is_placed(c),
+            "every failure rolled back"
+        );
+        assert_eq!(m.occupancy().used_cells(), 2, "only a's and f's FU cells");
+    }
+
+    #[test]
+    fn a_base_route_crossed_by_an_earlier_edge_is_routed_again() {
+        // Edges in routing order: `a → b`, `c → d`, `b → f`. `d` has one
+        // option, so `c → d` asks one request; `b` moves. With `b` at
+        // (1,0) the last edge is out of reach, so the first combination
+        // fails and `c → d` has been met once. With `b` at (0,2), `a → b`
+        // takes the link (0,1)→(0,2) at slot 2, which `c → d`'s base
+        // route crosses: its second sight routes it on the base, finds
+        // the certificate broken and routes it again.
+        let cgra = presets::paper_4x4_r4();
+        let mut dfg = Dfg::new("t");
+        let a = dfg.add_node("a", OpKind::Add);
+        let b = dfg.add_node("b", OpKind::Add);
+        let c = dfg.add_node("c", OpKind::Add);
+        let d = dfg.add_node("d", OpKind::Add);
+        let f = dfg.add_node("f", OpKind::Add);
+        let ab = dfg.add_edge(a, b, 0).unwrap();
+        let cd = dfg.add_edge(c, d, 0).unwrap();
+        let bf = dfg.add_edge(b, f, 0).unwrap();
+        let mrrg = Mrrg::new(&cgra, 4);
+        let mut m = Mapping::new(&dfg, &mrrg);
+        m.place(a, pe(&cgra, 0, 1), 1);
+        m.place(c, pe(&cgra, 0, 0), 0);
+        m.place(f, pe(&cgra, 1, 2), 4);
+        let router = Router::new(&cgra, &mrrg);
+        let base_cd = {
+            let mut base = m.clone();
+            base.place(d, pe(&cgra, 0, 3), 4);
+            let req = base.request_for(&dfg, cd).unwrap();
+            router.route(base.occupancy(), &req, &UnitCost).unwrap()
+        };
+        let config = RewireConfig::default();
+        let placer = ClusterPlacer::new(&dfg, &cgra, &config);
+        let cands = vec![
+            PlacementCandidates {
+                node: d,
+                options: vec![(pe(&cgra, 0, 3), 4)],
+            },
+            PlacementCandidates {
+                node: b,
+                options: vec![(pe(&cgra, 1, 0), 3), (pe(&cgra, 0, 2), 2)],
+            },
+        ];
+        let mut stats = RewireStats::default();
+        assert!(placer.place(&mut m, &cands, deadline(), &mut stats));
+        assert_eq!(stats.verifications, 2);
+        assert!(m.is_valid(&dfg, &cgra));
+        let taken = m.route(ab).unwrap().resources();
+        assert!(
+            base_cd.resources().iter().any(|cell| taken.contains(cell)),
+            "the base route {base_cd} crosses a → b's {}",
+            m.route(ab).unwrap()
+        );
+        // `c → d` was routed behind `a → b` alone: the committed route is
+        // what the router returns on that occupancy, not the base route.
+        let committed = m.route(cd).unwrap().clone();
+        let mut at_cd = m.clone();
+        at_cd.clear_route(cd);
+        at_cd.clear_route(bf);
+        let fresh = router
+            .route(at_cd.occupancy(), committed.request(), &UnitCost)
+            .unwrap();
+        assert_eq!(committed, fresh);
+        assert_ne!(committed, base_cd);
     }
 
     #[test]

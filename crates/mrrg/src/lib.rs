@@ -77,6 +77,6 @@ pub use resource::Resource;
 pub use route::{Route, RouteError, RouteRequest};
 pub use route_tree::{RouteTree, RouteTreeError};
 pub use router::{
-    install_thread_distance_table, CostModel, NegotiatedCost, Router, RouterMode, RouterScratch,
-    TreeCost, UnitCost,
+    install_thread_distance_table, CostModel, NegotiatedCost, RouteCertificate, Router, RouterMode,
+    RouterScratch, TreeCost, UnitCost,
 };

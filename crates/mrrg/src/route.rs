@@ -12,7 +12,7 @@ use std::fmt;
 /// Both cycles are *absolute* schedule times; the router reduces them to
 /// modulo slots when touching cells. For a DFG edge `(u, v, dist)`:
 /// `depart_cycle = t_u + 1` and `arrive_cycle = t_v + dist·II`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RouteRequest {
     /// The producing DFG node (sharing key).
     pub signal: NodeId,

@@ -6,6 +6,13 @@
 //! consumes exactly one MRRG cell. A min-cost path is found with one dynamic
 //! -programming sweep per layer — no priority queue needed because all
 //! edges advance exactly one layer.
+//!
+//! Under the exclusive [`UnitCost`] model a route's outcome depends only on
+//! the cells its DP attempts' paths took: [`Router::route_certified`]
+//! returns them as a [`RouteCertificate`], and while those cells stay
+//! usable on an occupancy that only adds claims, the outcome is the same
+//! (the reuse lemma on [`RouteCertificate`]). Rewire's Algorithm 2 reuses
+//! its verification routes this way.
 
 use crate::distance::{DistanceBound, DistanceOracle};
 use crate::{Mrrg, Occupancy, Resource, Route, RouteError, RouteRequest};
@@ -347,9 +354,79 @@ impl<'t> Transitions<'t> {
 #[derive(Default)]
 struct RouteTally {
     expansions: u64,
+    /// The share of `expansions` made by DP attempts after the first: the
+    /// duplicate-cell retry loop's work.
+    retry_expansions: u64,
     pruned: u64,
     frontier_peak: u64,
     retries: u64,
+}
+
+/// How many DP attempts one route call makes before a path that keeps
+/// revisiting cells is declared [`RouteError::NoPath`].
+const MAX_ATTEMPTS: usize = 10;
+
+/// The cells an exclusive-cost route outcome depends on, from
+/// [`Router::route_certified`]: the `(cell, phase)` pairs of every DP
+/// attempt's path — each duplicate-cell retry's path as well as the
+/// returned one — including the delivery cell at phase `len`.
+///
+/// # The reuse lemma
+///
+/// Let a request route under [`UnitCost`] on occupancy `O` with
+/// certificate `C`. If `O′` only adds claims to `O` and every pair of
+/// `C` is still usable under `O′` ([`holds`](RouteCertificate::holds)),
+/// the same request routes under `O′` to the identical [`Route`] (cells
+/// and cost) or the identical error.
+///
+/// Proof. `UnitCost` prices a usable cell by its class alone, so `O′`
+/// only removes DP transitions, never re-prices one, and every DP value
+/// under `O′` is at least its value under `O`. Take an attempt with the
+/// same overlay under both. Its path under `O` only uses pairs in `C`,
+/// so each prefix still exists under `O′` and every state on the path
+/// keeps its value. Any candidate that came earlier in relaxation order
+/// lost with a strictly larger value under `O` and cannot get cheaper, so
+/// each path state keeps its first strict-`<` parent, and the arrival
+/// scan keeps its winner: the attempt returns the same path and cost.
+/// The same path has the same duplicate cells, so the same penalties
+/// make the same next attempt, by induction over the attempts. An
+/// infeasible first attempt (no finite arrival) stays infeasible under
+/// `O′`, since values only rise; its certificate is empty, and penalties
+/// never make a feasible DP infeasible, so no later attempt can fail
+/// that way.
+///
+/// The lemma does not hold for [`NegotiatedCost`], whose prices move with
+/// foreign claims; the certified call is exclusive-cost only.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RouteCertificate {
+    /// `(dense cell index, phase)`, sorted and deduplicated.
+    cells: Vec<(u32, u32)>,
+}
+
+impl RouteCertificate {
+    /// Whether every certified cell is still usable by `signal` at its
+    /// phase under `occ` (free, or held only by that exact key), so the
+    /// certified outcome is what routing on `occ` would return — provided
+    /// `occ` only adds claims to the occupancy the certificate was
+    /// computed on (see the type's docs).
+    pub fn holds(&self, occ: &Occupancy, signal: NodeId) -> bool {
+        self.cells
+            .iter()
+            .all(|&(cell, phase)| occ.usable_at_index(cell as usize, signal, phase))
+    }
+
+    /// The certified `(cell, phase)` pairs, in dense-index order.
+    pub fn pairs<'m>(&'m self, mrrg: &'m Mrrg) -> impl Iterator<Item = (Resource, u32)> + 'm {
+        self.cells
+            .iter()
+            .map(|&(cell, phase)| (mrrg.resource_of(cell as usize), phase))
+    }
+
+    /// Whether nothing is certified: the request was backwards in time or
+    /// its first DP attempt found no path.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
 }
 
 /// A reusable bitset over dense MRRG cell indices with O(touched words)
@@ -531,6 +608,7 @@ struct RouteMetricHandles {
     expansions: obs::Counter,
     pruned_states: obs::Counter,
     retries: obs::Counter,
+    retry_expansions: obs::Counter,
     route_len: obs::Histogram,
     frontier_size: obs::Histogram,
 }
@@ -546,6 +624,7 @@ impl RouteMetricHandles {
             expansions: obs::counter("router.expansions"),
             pruned_states: obs::counter("router.pruned_states"),
             retries: obs::counter("router.retries"),
+            retry_expansions: obs::counter("router.retry_expansions"),
             route_len: obs::histogram("router.route_len"),
             frontier_size: obs::histogram("router.frontier_size"),
         }
@@ -682,6 +761,16 @@ thread_local! {
     static ROUTE_SCRATCH: RefCell<RouterScratch> = RefCell::new(RouterScratch::new());
 }
 
+/// Runs `f` on the calling thread's router scratch.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut RouterScratch) -> R) -> R {
+    ROUTE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        // Re-entrant call (a cost model routing from inside `cell_cost`):
+        // fall back to a fresh scratch.
+        Err(_) => f(&mut RouterScratch::new()),
+    })
+}
+
 /// Seeds the calling thread's router scratch with a prebuilt distance
 /// oracle, so [`Router::route`] on this thread skips the BFS for that
 /// fabric.
@@ -727,7 +816,8 @@ impl<'a> Router<'a> {
     /// A path may never use the same cell twice (a same-slot revisit would
     /// carry the value at two different ages on one physical resource), so
     /// a returned path containing duplicates is retried with those cells
-    /// penalised; after a few attempts the request is declared unroutable.
+    /// penalised (8.0 per looped cell); after ten attempts the request is
+    /// declared unroutable.
     ///
     /// # Errors
     ///
@@ -739,12 +829,30 @@ impl<'a> Router<'a> {
         req: &RouteRequest,
         cost: &impl CostModel,
     ) -> Result<Route, RouteError> {
-        ROUTE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.route_with(occ, req, cost, &mut scratch),
-            // Re-entrant call (a cost model routing from inside
-            // `cell_cost`): fall back to a fresh scratch.
-            Err(_) => self.route_with(occ, req, cost, &mut RouterScratch::new()),
-        })
+        with_thread_scratch(|scratch| self.route_counted(occ, req, cost, scratch, None))
+    }
+
+    /// [`route`](Router::route) under [`UnitCost`] that also returns the
+    /// outcome's [`RouteCertificate`]: while the certificate
+    /// [`holds`](RouteCertificate::holds) on an occupancy that only adds
+    /// claims to `occ`, routing `req` there returns this same outcome, so
+    /// a caller may reuse it instead of routing again.
+    ///
+    /// The route, the error and the `router.*` counts are exactly
+    /// [`route`](Router::route)'s; collecting the certificate is the only
+    /// extra work.
+    pub fn route_certified(
+        &self,
+        occ: &Occupancy,
+        req: &RouteRequest,
+    ) -> (Result<Route, RouteError>, RouteCertificate) {
+        let mut cells = Vec::new();
+        let result = with_thread_scratch(|scratch| {
+            self.route_counted(occ, req, &UnitCost, scratch, Some(&mut cells))
+        });
+        cells.sort_unstable();
+        cells.dedup();
+        (result, RouteCertificate { cells })
     }
 
     /// [`route`](Router::route) with an explicit scratch buffer, for
@@ -757,14 +865,28 @@ impl<'a> Router<'a> {
         cost: &impl CostModel,
         scratch: &mut RouterScratch,
     ) -> Result<Route, RouteError> {
+        self.route_counted(occ, req, cost, scratch, None)
+    }
+
+    /// One route call with its `router.*` accounting, adding every DP
+    /// attempt's path to `certificate` when one is asked for.
+    fn route_counted(
+        &self,
+        occ: &Occupancy,
+        req: &RouteRequest,
+        cost: &impl CostModel,
+        scratch: &mut RouterScratch,
+        certificate: Option<&mut Vec<(u32, u32)>>,
+    ) -> Result<Route, RouteError> {
         let start = Instant::now();
         let mut tally = RouteTally::default();
-        let result = self.route_inner(occ, req, cost, scratch, &mut tally);
+        let result = self.route_inner(occ, req, cost, scratch, &mut tally, certificate);
         let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Observe-only accounting: never feeds back into routing decisions.
         let m = scratch.metrics();
         m.route_calls.incr();
         m.expansions.add(tally.expansions);
+        m.retry_expansions.add(tally.retry_expansions);
         m.pruned_states.add(tally.pruned);
         if self.mode == RouterMode::Pruned {
             m.frontier_size.record(tally.frontier_peak);
@@ -871,10 +993,27 @@ impl<'a> Router<'a> {
         cost: &impl CostModel,
         scratch: &mut RouterScratch,
         tally: &mut RouteTally,
+        mut certificate: Option<&mut Vec<(u32, u32)>>,
     ) -> Result<Route, RouteError> {
         scratch.reset_overlay(self.mrrg.num_cells());
-        for _attempt in 0..10 {
-            let route = self.route_attempt(occ, req, cost, scratch, tally)?;
+        for attempt in 0..MAX_ATTEMPTS {
+            let before = tally.expansions;
+            let route = self.route_attempt(occ, req, cost, scratch, tally);
+            if attempt > 0 {
+                tally.retry_expansions += tally.expansions - before;
+            }
+            let route = route?;
+            if let Some(cells) = certificate.as_deref_mut() {
+                // Step `k` of a path holds its cell at phase `k`; the
+                // delivery cell is step `len`.
+                cells.extend(
+                    route
+                        .resources()
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &res)| (self.mrrg.index_of(res) as u32, k as u32)),
+                );
+            }
             let duplicates = scratch.duplicate_cells(self.mrrg, route.resources());
             if duplicates.is_empty() {
                 return Ok(route);
