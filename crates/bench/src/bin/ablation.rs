@@ -4,13 +4,13 @@
 //! * Algorithm 2 search budgets (tiny verification budget vs default),
 //! * amendment restarts on vs off.
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin ablation [seconds_per_ii] [--jobs N] [--kernels a,b] [--trace FILE] [--metrics FILE]`
+//! Usage: `cargo run -p rewire-bench --release --bin ablation [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR]`
 
 use rewire_arch::presets;
 use rewire_bench::{parallel_map, parse_cli, Workload};
 use rewire_core::{RewireConfig, RewireMapper};
 use rewire_dfg::{kernels, Dfg};
-use rewire_mappers::{MapLimits, MapStats, Mapper};
+use rewire_mappers::{observe, MapLimits, MapStats, Mapper};
 use std::time::Duration;
 
 fn achieved(stats: &MapStats) -> String {
@@ -43,7 +43,7 @@ fn main() {
             .map(dfg, &cgra, &limits)
             .stats
     };
-    // Every run's record, in table order, for `--trace`.
+    // Every run's record, in table order, for `--observe`.
     let mut records: Vec<MapStats> = Vec::new();
 
     println!("== ablation: cluster size cap α ==");
@@ -136,5 +136,7 @@ fn main() {
     }
     records.extend(restart_rows.into_iter().flatten());
 
-    args.write_outputs(&records);
+    if let Some(dir) = &args.observe {
+        observe::write(dir, &records).unwrap_or_else(|e| panic!("--observe: {e}"));
+    }
 }

@@ -1,138 +1,89 @@
-//! `rewire-doctor` — diagnoses a mapping run from its observability
-//! artefacts.
+//! `rewire-doctor` — diagnoses mapping runs from their observe
+//! directories.
 //!
-//! Reads whatever the run left behind — the run records (`--trace`, one
-//! `MapStats` JSON line per run), metrics snapshots (`--metrics`,
-//! repeatable), and the flight-recorder decision log (`--flight`) — and
-//! prints a diagnosis: II-vs-MII gap per run with failures first, the
-//! most-failed DFG edges, the top contended resources with one ASCII
-//! fabric heatmap per run scope, the span-tree time breakdown, and the
-//! flight summary (ring drops, phase heartbeats, detected stalls).
+//! Reads one or more directories written by `--observe DIR` (run records,
+//! metrics snapshot, flight log; several directories are joined) and
+//! prints the diagnosis: one row per run with II vs MII, failures first,
+//! joined with its scope's router counters; the most-failed DFG edges;
+//! the top contended resources with one ASCII fabric heatmap per run
+//! scope; the merged span tree; each scope's own span tree, gauges and
+//! histogram tails; and the flight summary (ring drops, phase heartbeats,
+//! detected stalls).
 //!
 //! `--validate-chrome FILE` instead validates a Chrome `trace_event`
-//! export (written by `--chrome-trace`): well-formed JSON, balanced
-//! `B`/`E` pairs in stack order per thread, monotonic per-thread
-//! timestamps. CI runs this against the fig5 smoke trace.
+//! export (an observe directory's `chrome.json`, or the benchmark's
+//! `<workload>.chrome.json`): well-formed JSON, balanced `B`/`E` pairs in
+//! stack order per thread, monotonic per-thread timestamps.
 //!
 //! Usage:
-//!   rewire-doctor [--trace FILE] [--metrics FILE ...] [--flight FILE] [--top K]
+//!   rewire-doctor [--top K] DIR...
 //!   rewire-doctor --validate-chrome FILE
 //!
 //! Exit status: 0 = diagnosis printed / trace valid, 1 = malformed input
 //! or invalid trace, 2 = usage error.
 
-use rewire_bench::doctor::{diagnose, parse_flight, validate_chrome, FlightData};
-use rewire_bench::obs_report::{load_snapshots, parse_records};
-use rewire_mappers::MapStats;
-use rewire_obs::Snapshot;
+use rewire_bench::doctor::{diagnose, validate_chrome, Evidence};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: rewire-doctor [--top K] DIR...\n       rewire-doctor --validate-chrome FILE";
+
 struct Args {
-    trace: Option<String>,
-    metrics: Vec<String>,
-    flight: Option<String>,
+    dirs: Vec<PathBuf>,
     validate_chrome: Option<String>,
     top: usize,
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
-        trace: None,
-        metrics: Vec::new(),
-        flight: None,
+        dirs: Vec::new(),
         validate_chrome: None,
         top: 10,
     };
     while let Some(arg) = args.next() {
-        let mut take = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a file path"))
+        let mut take = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let top = |v: String| {
+            v.parse()
+                .map_err(|_| "--top needs a positive integer".to_string())
         };
-        if arg == "--trace" {
-            parsed.trace = Some(take("--trace")?);
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            parsed.trace = Some(v.to_string());
-        } else if arg == "--metrics" {
-            parsed.metrics.push(take("--metrics")?);
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            parsed.metrics.push(v.to_string());
-        } else if arg == "--flight" {
-            parsed.flight = Some(take("--flight")?);
-        } else if let Some(v) = arg.strip_prefix("--flight=") {
-            parsed.flight = Some(v.to_string());
-        } else if arg == "--validate-chrome" {
+        if arg == "--validate-chrome" {
             parsed.validate_chrome = Some(take("--validate-chrome")?);
         } else if let Some(v) = arg.strip_prefix("--validate-chrome=") {
             parsed.validate_chrome = Some(v.to_string());
         } else if arg == "--top" {
-            parsed.top = take("--top")?
-                .parse()
-                .map_err(|_| "--top needs a positive integer".to_string())?;
+            parsed.top = top(take("--top")?)?;
         } else if let Some(v) = arg.strip_prefix("--top=") {
-            parsed.top = v
-                .parse()
-                .map_err(|_| "--top needs a positive integer".to_string())?;
-        } else {
+            parsed.top = top(v.to_string())?;
+        } else if arg.starts_with("--") {
             return Err(format!("unrecognised argument {arg:?}"));
+        } else {
+            parsed.dirs.push(arg.into());
         }
     }
-    if parsed.validate_chrome.is_none()
-        && parsed.trace.is_none()
-        && parsed.metrics.is_empty()
-        && parsed.flight.is_none()
-    {
-        return Err("nothing to do: give --trace/--metrics/--flight or --validate-chrome".into());
+    if parsed.validate_chrome.is_none() && parsed.dirs.is_empty() {
+        return Err("nothing to do: give an observe directory or --validate-chrome".into());
     }
     Ok(parsed)
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
-}
-
 fn run(args: &Args) -> Result<String, String> {
     if let Some(path) = &args.validate_chrome {
-        let summary = validate_chrome(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let summary = validate_chrome(&text).map_err(|e| format!("{path}: {e}"))?;
         return Ok(format!(
             "{path}: valid chrome trace ({} events, {} span pairs, {} instants)\n",
             summary.events, summary.spans, summary.instants
         ));
     }
-
-    let runs: Vec<MapStats> = match &args.trace {
-        Some(path) => parse_records(&read(path)?).map_err(|e| format!("{path}: {e}"))?,
-        None => Vec::new(),
-    };
-    let snapshot: Option<Snapshot> = if args.metrics.is_empty() {
-        None
-    } else {
-        let mut texts = Vec::new();
-        for path in &args.metrics {
-            texts.push((path.clone(), read(path)?));
-        }
-        Some(load_snapshots(&texts)?)
-    };
-    let flight: Option<FlightData> = match &args.flight {
-        Some(path) => Some(parse_flight(&read(path)?).map_err(|e| format!("{path}: {e}"))?),
-        None => None,
-    };
-    Ok(diagnose(
-        &runs,
-        snapshot.as_ref(),
-        flight.as_ref(),
-        args.top,
-    ))
+    Ok(diagnose(&Evidence::load(&args.dirs)?, args.top))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("rewire-doctor: {e}");
-            eprintln!(
-                "usage: rewire-doctor [--trace FILE] [--metrics FILE ...] [--flight FILE] [--top K]"
-            );
-            eprintln!("       rewire-doctor --validate-chrome FILE");
+            eprintln!("rewire-doctor: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };

@@ -1,9 +1,10 @@
 //! Regenerates Fig 5: mapping quality (II) of Rewire vs PF* vs SA on the
 //! paper's four CGRA configurations.
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin fig5 [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--kernels a,b]`
+//! Usage: `cargo run -p rewire-bench --release --bin fig5 [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR]`
 
 use rewire_bench::{fig5_workloads, parse_cli, print_fig5, run_workloads, MapperKind};
+use rewire_mappers::observe;
 
 fn main() {
     let args = parse_cli(2.0);
@@ -32,5 +33,8 @@ fn main() {
         },
     );
     print_fig5(&rows);
-    args.write_outputs(rows.iter().flat_map(|row| &row.results));
+    if let Some(dir) = &args.observe {
+        observe::write(dir, rows.iter().flat_map(|row| &row.results))
+            .unwrap_or_else(|e| panic!("--observe: {e}"));
+    }
 }

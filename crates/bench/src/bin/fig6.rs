@@ -3,9 +3,10 @@
 //! budget at a failing II; see DESIGN.md §2 on the wall-clock
 //! substitution).
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin fig6 [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--kernels a,b]`
+//! Usage: `cargo run -p rewire-bench --release --bin fig6 [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR]`
 
 use rewire_bench::{fig6_workloads, parse_cli, print_fig6, run_workloads, MapperKind};
+use rewire_mappers::observe;
 
 fn main() {
     let args = parse_cli(2.0);
@@ -33,5 +34,8 @@ fn main() {
         },
     );
     print_fig6(&rows);
-    args.write_outputs(rows.iter().flat_map(|row| &row.results));
+    if let Some(dir) = &args.observe {
+        observe::write(dir, rows.iter().flat_map(|row| &row.results))
+            .unwrap_or_else(|e| panic!("--observe: {e}"));
+    }
 }

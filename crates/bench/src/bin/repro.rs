@@ -1,14 +1,14 @@
 //! Runs the complete reproduction (Fig 5, Fig 6, Table I) in one go and
 //! prints every table plus the Rewire verification-success statistic.
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin repro [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--kernels a,b]`
+//! Usage: `cargo run -p rewire-bench --release --bin repro [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR]`
 
 use rewire_bench::{
     fig5_workloads, fig6_workloads, parallel_map, parse_cli, print_fig5, print_fig6, print_table1,
     run_workloads, table1_workloads, MapperKind,
 };
 use rewire_core::RewireMapper;
-use rewire_mappers::MapLimits;
+use rewire_mappers::{observe, MapLimits};
 use std::time::Duration;
 
 fn main() {
@@ -80,10 +80,13 @@ fn main() {
         "propagation tuples generated: {} across {} cluster attempts",
         total.tuples_generated, total.clusters_attempted
     );
-    let experiments = [fig5, fig6, table1];
-    let rows = experiments.iter().flatten();
-    args.write_outputs(
-        rows.flat_map(|row| &row.results)
-            .chain(per_kernel.iter().map(|(stats, _)| stats)),
-    );
+    if let Some(dir) = &args.observe {
+        let experiments = [fig5, fig6, table1];
+        let records = experiments
+            .iter()
+            .flatten()
+            .flat_map(|row| &row.results)
+            .chain(per_kernel.iter().map(|(stats, _)| stats));
+        observe::write(dir, records).unwrap_or_else(|e| panic!("--observe: {e}"));
+    }
 }

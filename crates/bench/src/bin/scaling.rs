@@ -10,12 +10,13 @@
 //! pinned cap (2 MB — the dense table on 32×32 alone is 4.2 MB, so a
 //! regression to the dense tier past [`DENSE_PE_LIMIT`] trips it).
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin scaling [seconds_per_ii] [--smoke] [--jobs N] [--trace FILE] [--metrics FILE]`
+//! Usage: `cargo run -p rewire-bench --release --bin scaling [seconds_per_ii] [--smoke] [--jobs N] [--observe DIR]`
 //!
 //! [`DENSE_PE_LIMIT`]: rewire_mrrg::DistanceOracle
 
-use rewire_bench::{run_workloads, scaling_workloads, write_trace, MapperKind, Row, Workload};
+use rewire_bench::{run_workloads, scaling_workloads, MapperKind, Row, Workload};
 use rewire_dfg::kernels;
+use rewire_mappers::observe;
 use rewire_mrrg::DistanceOracle;
 use std::process::exit;
 
@@ -29,8 +30,7 @@ struct Args {
     smoke: bool,
     seconds_per_ii: Option<f64>,
     jobs: usize,
-    trace: Option<String>,
-    metrics: Option<String>,
+    observe: Option<std::path::PathBuf>,
 }
 
 /// Hand-rolled CLI: the shared `parse_cli` rejects flags it does not know,
@@ -40,8 +40,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Args {
         smoke: false,
         seconds_per_ii: None,
         jobs: 1,
-        trace: None,
-        metrics: None,
+        observe: None,
     };
     while let Some(arg) = args.next() {
         if arg == "--smoke" {
@@ -53,31 +52,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Args {
                 .expect("--jobs needs a positive integer");
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
             parsed.jobs = v.parse().expect("--jobs needs a positive integer");
-        } else if arg == "--trace" {
-            parsed.trace = Some(args.next().expect("--trace needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            parsed.trace = Some(v.to_string());
-        } else if arg == "--metrics" {
-            parsed.metrics = Some(args.next().expect("--metrics needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            parsed.metrics = Some(v.to_string());
+        } else if arg == "--observe" {
+            parsed.observe = Some(args.next().expect("--observe needs a directory").into());
+        } else if let Some(v) = arg.strip_prefix("--observe=") {
+            parsed.observe = Some(v.into());
         } else if let Ok(v) = arg.parse::<f64>() {
             parsed.seconds_per_ii = Some(v);
         } else {
             panic!(
-                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--smoke] [--jobs N] [--trace FILE] [--metrics FILE])"
+                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--smoke] [--jobs N] [--observe DIR])"
             );
         }
     }
     parsed.jobs = parsed.jobs.max(1);
     parsed
-}
-
-fn write_metrics(path: &str) {
-    let mut json = rewire_obs::metrics().snapshot().to_json();
-    json.push('\n');
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
-    eprintln!("metrics written to {path}");
 }
 
 /// Max `router.distance_table_bytes` over every metric scope. Gauges sum
@@ -181,16 +169,17 @@ fn run_curve(secs: f64, jobs: usize) -> Vec<Row> {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1));
+    if args.observe.is_some() {
+        observe::enable_collectors();
+    }
     let rows = if args.smoke {
         run_smoke(args.seconds_per_ii.unwrap_or(10.0), args.jobs)
     } else {
         run_curve(args.seconds_per_ii.unwrap_or(2.0), args.jobs)
     };
-    if let Some(path) = &args.trace {
-        write_trace(path, rows.iter().flat_map(|row| &row.results));
-    }
-    if let Some(path) = &args.metrics {
-        write_metrics(path);
+    if let Some(dir) = &args.observe {
+        observe::write(dir, rows.iter().flat_map(|row| &row.results))
+            .unwrap_or_else(|e| panic!("--observe: {e}"));
     }
     if args.smoke {
         match check_smoke(&rows) {

@@ -2,9 +2,10 @@
 //! and SA on 4×4 CGRAs with one and with four registers per PE, averaged
 //! per explored II.
 //!
-//! Usage: `cargo run -p rewire-bench --release --bin table1 [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--kernels a,b]`
+//! Usage: `cargo run -p rewire-bench --release --bin table1 [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR]`
 
 use rewire_bench::{parse_cli, print_table1, run_workloads, table1_workloads, MapperKind};
+use rewire_mappers::observe;
 
 fn main() {
     let args = parse_cli(2.0);
@@ -28,5 +29,8 @@ fn main() {
         },
     );
     print_table1(&rows);
-    args.write_outputs(rows.iter().flat_map(|row| &row.results));
+    if let Some(dir) = &args.observe {
+        observe::write(dir, rows.iter().flat_map(|row| &row.results))
+            .unwrap_or_else(|e| panic!("--observe: {e}"));
+    }
 }

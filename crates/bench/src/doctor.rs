@@ -1,20 +1,38 @@
-//! Failure forensics behind the `rewire-doctor` binary.
+//! The reader behind `rewire-doctor`: joins observe directories and
+//! prints one diagnosis of the runs they hold.
 //!
-//! Ingests the three observability artefacts a run can leave behind — the
-//! run records (`--trace`, one `MapStats` line per run), metrics
-//! snapshots (`--metrics`), and the flight-recorder decision log
-//! (`--flight`) — and prints a diagnosis: the II-vs-MII gap per run, the
-//! most-failed DFG edges, the top contended resources with one ASCII
-//! fabric heatmap per run scope, and the span-tree time breakdown. Also
-//! hosts the Chrome `trace_event` validator the CI uses to prove exported
-//! traces are well-formed (balanced `B`/`E` pairs, per-thread monotonic
-//! timestamps).
+//! [`Evidence::load`] reads one or more observe directories
+//! ([`rewire_mappers::observe`]) and joins them: run records concatenated,
+//! metrics snapshots summed, flight logs concatenated. [`diagnose`]
+//! prints, top to bottom:
+//!
+//! * `== II vs MII ==` — one row per run record, failures first, then by
+//!   gap to the MII: II, MII, gap, IIs explored, iterations and time from
+//!   the record, joined with the router and PF* counters of the record's
+//!   scope (`mapper/kernel@fabric`), and the give-up reason. Records that
+//!   share a scope share its counters, so `scope_runs` says how many
+//!   records a row's counters total over;
+//! * `== most-failed edges ==` — DFG edges that failed to route, grouped
+//!   by reason;
+//! * `== top contended resources ==` — the hottest cells of the
+//!   congestion heatmap, then one ASCII fabric grid per run scope, shaped
+//!   by the fabric label the scope ends in;
+//! * `== span tree ==` — every scope's span timers merged into one tree;
+//! * `== per-scope breakdown ==` — each scope's own span tree, its gauges
+//!   and its histogram tails (p50/p90/p99);
+//! * `== flight summary ==` — ring drops, phase heartbeats, stalls.
+//!
+//! Also hosts the Chrome `trace_event` validator the CI uses to prove
+//! exported traces are well-formed (balanced `B`/`E` pairs, per-thread
+//! monotonic timestamps).
 
-use rewire_mappers::MapStats;
+use rewire_mappers::observe::{self, FLIGHT};
+use rewire_mappers::{GiveUpReason, MapStats};
 use rewire_obs::json::{self, Json};
-use rewire_obs::Snapshot;
+use rewire_obs::{ScopeSnapshot, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// One `(scope, pe, class, cycle)` row of the congestion heatmap.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,112 +59,142 @@ pub struct FailedEdge {
     /// Recording scope (`"<mapper>/<kernel>@<fabric>"`).
     pub scope: String,
     /// Source DFG node index.
-    pub src: u64,
+    pub src: u32,
     /// Destination DFG node index.
-    pub dst: u64,
+    pub dst: u32,
     /// Router failure label.
     pub reason: String,
 }
 
-/// The flight-recorder log, parsed generically from its JSON export.
+/// Flight-recorder logs, parsed strictly and concatenated.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlightData {
-    /// Records evicted because the ring was full.
+    /// Records evicted because a ring was full.
     pub dropped: u64,
-    /// Failed edges with multiplicity, most frequent first.
-    pub failed_edges: Vec<(FailedEdge, u64)>,
+    /// How often each edge failed.
+    pub failed_edges: BTreeMap<FailedEdge, u64>,
     /// `attempt_phase` label counts (`"stall_detected"`, ...).
     pub phases: BTreeMap<String, u64>,
-    /// Total events in the ring.
+    /// Events in the rings.
     pub events: usize,
-    /// Heatmap rows, most overused first.
+    /// Heatmap rows, in log order.
     pub heatmap: Vec<HeatRow>,
 }
 
-fn u64_field(obj: &Json, name: &str) -> u64 {
-    obj.get(name).and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn str_field(obj: &Json, name: &str) -> String {
-    obj.get(name)
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string()
-}
-
-/// Parses a flight-recorder JSON export (version 1).
-pub fn parse_flight(text: &str) -> Result<FlightData, String> {
-    let root = json::parse(text).map_err(|e| format!("flight log: {e}"))?;
-    match root.get("version").and_then(Json::as_u64) {
-        Some(1) => {}
-        other => return Err(format!("flight log: unsupported version {other:?}")),
-    }
-    let mut data = FlightData {
-        dropped: u64_field(&root, "dropped"),
-        ..FlightData::default()
-    };
-    let events = root
-        .get("events")
-        .and_then(Json::as_array)
-        .ok_or("flight log: missing events array")?;
-    data.events = events.len();
-    let mut fails: BTreeMap<FailedEdge, u64> = BTreeMap::new();
-    for e in events {
-        match e.get("kind").and_then(Json::as_str) {
-            Some("route_failed") => {
-                let key = FailedEdge {
-                    scope: str_field(e, "scope"),
-                    src: u64_field(e, "src"),
-                    dst: u64_field(e, "dst"),
-                    reason: str_field(e, "reason"),
-                };
-                *fails.entry(key).or_insert(0) += 1;
-            }
-            Some("attempt_phase") => {
-                let phase = e.get("phase").and_then(Json::as_str).unwrap_or("");
-                *data.phases.entry(phase.to_string()).or_insert(0) += 1;
-            }
-            _ => {}
+impl FlightData {
+    /// Appends one flight-recorder log (version 1). A flight file is input
+    /// from outside the process, so every field the doctor reads is
+    /// required and range-checked into its type; an error names the
+    /// event or heatmap row it came from.
+    pub fn add_log(&mut self, log: &Json) -> Result<(), String> {
+        match log.int::<u64>("version") {
+            Ok(1) => {}
+            other => return Err(format!("unsupported flight log version: {other:?}")),
         }
+        let array = |name: &str| {
+            log.field(name)?
+                .as_array()
+                .ok_or_else(|| format!("field {name:?} is not an array"))
+        };
+        let (events, heatmap) = (array("events")?, array("heatmap")?);
+        self.dropped = self.dropped.saturating_add(log.int("dropped")?);
+        self.events += events.len();
+        for (i, e) in events.iter().enumerate() {
+            let kind = e
+                .string("kind")
+                .map_err(|err| format!("event {i}: {err}"))?;
+            let at = |err: String| format!("event {i} ({kind}): {err}");
+            match kind {
+                "route_failed" => {
+                    let edge = FailedEdge {
+                        scope: e.string("scope").map_err(at)?.to_string(),
+                        src: e.int("src").map_err(at)?,
+                        dst: e.int("dst").map_err(at)?,
+                        reason: e.string("reason").map_err(at)?.to_string(),
+                    };
+                    *self.failed_edges.entry(edge).or_insert(0) += 1;
+                }
+                "attempt_phase" => {
+                    let phase = e.string("phase").map_err(at)?.to_string();
+                    *self.phases.entry(phase).or_insert(0) += 1;
+                }
+                _ => {}
+            }
+        }
+        for (i, cell) in heatmap.iter().enumerate() {
+            let at = |err: String| format!("heatmap row {i}: {err}");
+            self.heatmap.push(HeatRow {
+                scope: cell.string("scope").map_err(at)?.to_string(),
+                pe: cell.int("pe").map_err(at)?,
+                class: cell.string("class").map_err(at)?.to_string(),
+                cycle: cell.int("cycle").map_err(at)?,
+                overuse: cell.int("overuse").map_err(at)?,
+                peak: cell.int("peak").map_err(at)?,
+                rounds: cell.int("rounds").map_err(at)?,
+            });
+        }
+        Ok(())
     }
-    data.failed_edges = fails.into_iter().collect();
-    data.failed_edges
-        .sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let heat = root
-        .get("heatmap")
-        .and_then(Json::as_array)
-        .ok_or("flight log: missing heatmap array")?;
-    for cell in heat {
-        data.heatmap.push(HeatRow {
-            scope: str_field(cell, "scope"),
-            pe: u64_field(cell, "pe") as u32,
-            class: str_field(cell, "class"),
-            cycle: u64_field(cell, "cycle") as u32,
-            overuse: u64_field(cell, "overuse"),
-            peak: u64_field(cell, "peak"),
-            rounds: u64_field(cell, "rounds"),
-        });
-    }
-    data.heatmap
-        .sort_by_key(|row| std::cmp::Reverse(row.overuse));
-    Ok(data)
 }
 
-/// `scope`'s fabric `(rows, cols)`, read from that scope's
-/// `engine.fabric_rows`/`_cols` gauges; falls back to a square grid just
-/// covering the highest PE index in its heatmap rows.
-fn fabric_dims(snap: Option<&Snapshot>, scope: &str, heat: &[&HeatRow]) -> (u32, u32) {
-    let gauge = |name: &str| {
-        snap.and_then(|s| s.scopes.get(scope))
-            .and_then(|sc| sc.gauges.get(name).copied())
-            .and_then(|v| u32::try_from(v).ok())
-            .filter(|&v| v > 0)
-    };
-    if let (Some(r), Some(c)) = (gauge("engine.fabric_rows"), gauge("engine.fabric_cols")) {
-        return (r, c);
+/// Everything the doctor reads, joined from one or more observe
+/// directories.
+#[derive(Clone, Debug, Default)]
+pub struct Evidence {
+    /// Run records, in directory then file order.
+    pub runs: Vec<MapStats>,
+    /// The directories' metrics snapshots, summed.
+    pub metrics: Snapshot,
+    /// The directories' flight logs, concatenated.
+    pub flight: FlightData,
+}
+
+impl Evidence {
+    /// Loads each directory with [`observe::load`] and joins them in the
+    /// given order. An error names the file it came from.
+    pub fn load(dirs: &[impl AsRef<Path>]) -> Result<Evidence, String> {
+        let mut evidence = Evidence::default();
+        for dir in dirs {
+            let dir = dir.as_ref();
+            let observed = observe::load(dir)?;
+            evidence.runs.extend(observed.runs);
+            evidence.metrics.merge(&observed.metrics);
+            evidence
+                .flight
+                .add_log(&observed.flight)
+                .map_err(|e| format!("{}: {e}", dir.join(FLIGHT).display()))?;
+        }
+        Ok(evidence)
     }
-    let max_pe = heat.iter().map(|h| h.pe).max().unwrap_or(0);
-    let side = (1u32..).find(|s| s * s > max_pe).unwrap_or(1);
+}
+
+/// `(rows, cols, registers per PE)` of a fabric label (`RxC/rN`, as
+/// `Cgra::label` writes it).
+fn parse_fabric_label(label: &str) -> Option<(u16, u16, u8)> {
+    let (grid, regs) = label.split_once("/r")?;
+    let (rows, cols) = grid.split_once('x')?;
+    Some((rows.parse().ok()?, cols.parse().ok()?, regs.parse().ok()?))
+}
+
+/// Largest grid the heatmap draws (a 128×128 fabric); a bigger shape,
+/// which only a hand-edited flight log can name, is reported, not drawn.
+const MAX_GRID_PES: u32 = 128 * 128;
+
+/// `scope`'s fabric `(rows, cols)`, read from the fabric label it ends in
+/// (`mapper/kernel@RxC/rN`); a scope without one falls back to a square
+/// grid just covering the highest PE index in its heatmap rows.
+fn fabric_dims(scope: &str, heat: &[&HeatRow]) -> (u32, u32) {
+    let labelled = scope
+        .rsplit_once('@')
+        .and_then(|(_, label)| parse_fabric_label(label))
+        .filter(|&(rows, cols, _)| rows > 0 && cols > 0);
+    if let Some((rows, cols, _)) = labelled {
+        return (u32::from(rows), u32::from(cols));
+    }
+    let max_pe = u64::from(heat.iter().map(|h| h.pe).max().unwrap_or(0));
+    let side = (1u32..)
+        .find(|&s| u64::from(s) * u64::from(s) > max_pe)
+        .unwrap_or(1);
     (side, side)
 }
 
@@ -156,7 +204,8 @@ fn fabric_dims(snap: Option<&Snapshot>, scope: &str, heat: &[&HeatRow]) -> (u32,
 fn render_fabric_heatmap(heat: &[&HeatRow], rows: u32, cols: u32) -> String {
     let mut per_pe: BTreeMap<u32, u64> = BTreeMap::new();
     for h in heat {
-        *per_pe.entry(h.pe).or_insert(0) += h.overuse;
+        let sum = per_pe.entry(h.pe).or_insert(0);
+        *sum = sum.saturating_add(h.overuse);
     }
     let hottest = per_pe.values().copied().max().unwrap_or(0).max(1);
     let mut out = String::new();
@@ -168,7 +217,7 @@ fn render_fabric_heatmap(heat: &[&HeatRow], rows: u32, cols: u32) -> String {
                 '.'
             } else {
                 // 1..=9 scaled to the hottest PE, '#' for the top decile.
-                let level = (v * 10).div_ceil(hottest).min(10);
+                let level = v.saturating_mul(10).div_ceil(hottest).min(10);
                 if level >= 10 {
                     '#'
                 } else {
@@ -182,155 +231,216 @@ fn render_fabric_heatmap(heat: &[&HeatRow], rows: u32, cols: u32) -> String {
     out
 }
 
-/// Renders the merged span tree: spans aggregated across scopes by path,
-/// indented by tree depth, with call counts and total milliseconds.
-fn render_span_tree(snap: &Snapshot) -> String {
+/// Renders the span tree of `scopes` merged by path, indented by tree
+/// depth below `indent` spaces, with call counts and total milliseconds.
+fn render_span_tree<'a>(
+    out: &mut String,
+    scopes: impl IntoIterator<Item = &'a ScopeSnapshot>,
+    indent: usize,
+) {
     let mut merged: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for scope in snap.scopes.values() {
+    for scope in scopes {
         for (path, span) in &scope.spans {
             let e = merged.entry(path.as_str()).or_insert((0, 0));
-            e.0 += span.count;
-            e.1 += span.total_ns;
+            e.0 = e.0.saturating_add(span.count);
+            e.1 = e.1.saturating_add(span.total_ns);
         }
     }
-    let mut out = String::new();
     for (path, (count, total_ns)) in &merged {
         let depth = path.matches('/').count();
         let name = path.rsplit('/').next().unwrap_or(path);
         let _ = writeln!(
             out,
-            "    {:indent$}{:<24} {:>7}x {:>10.1} ms",
+            "{:indent$}{:<24} {:>7}x {:>10.1} ms",
             "",
             name,
             count,
             *total_ns as f64 / 1e6,
-            indent = depth * 2
+            indent = indent + depth * 2
         );
     }
-    out
 }
 
-/// Builds the full diagnosis from whatever artefacts are present. Never
-/// returns an empty string: even with no inputs it says what is missing.
-pub fn diagnose(
-    runs: &[MapStats],
-    snap: Option<&Snapshot>,
-    flight: Option<&FlightData>,
-    top_k: usize,
-) -> String {
+/// The per-run table: one row per record, failures first, then by gap.
+///
+/// `route_ms` is the scope's `router.route_ns` and `ns/exp` that time per
+/// `router.expansions` — the router DP's cost per relaxed transition;
+/// both read `-` for a scope that never routed.
+fn render_runs(out: &mut String, runs: &[MapStats], snap: &Snapshot) {
+    if runs.is_empty() {
+        out.push_str("  no run records\n");
+        return;
+    }
+    let mut scope_runs: BTreeMap<String, usize> = BTreeMap::new();
+    for r in runs {
+        *scope_runs.entry(r.scope()).or_insert(0) += 1;
+    }
+    out.push_str(
+        "  mapper   kernel         fabric     II  MII  gap   IIs      iters    time_ms   \
+         expansions   route_ms  ns/exp    rip_ups scope_runs  gave_up\n",
+    );
+    let mut sorted: Vec<&MapStats> = runs.iter().collect();
+    // Failures first, then by gap descending: the sickest run leads.
+    sorted.sort_by_key(|r| (r.success(), std::cmp::Reverse(r.gap_to_mii())));
+    let or_dash = |v: Option<u32>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
+    for r in sorted {
+        let scope = r.scope();
+        let counters = snap.scopes.get(&scope).map(|s| &s.counters);
+        let [expansions, route_ns, rip_ups] =
+            ["router.expansions", "router.route_ns", "pf.rip_ups"]
+                .map(|name| counters.and_then(|c| c.get(name)).copied().unwrap_or(0));
+        let (route_ms, ns_per_expansion) = if expansions == 0 {
+            ("-".to_string(), "-".to_string())
+        } else {
+            (
+                format!("{:.1}", route_ns as f64 / 1e6),
+                format!("{:.1}", route_ns as f64 / expansions as f64),
+            )
+        };
+        let _ = writeln!(
+            out,
+            "  {:<8} {:<14} {:<8} {:>4} {:>4} {:>4} {:>5} {:>10} {:>10.1} {:>12} {:>10} {:>7} {:>10} {:>10}  {}",
+            r.mapper,
+            r.kernel,
+            r.fabric,
+            or_dash(r.achieved_ii),
+            r.mii,
+            or_dash(r.gap_to_mii()),
+            r.iis_explored,
+            r.remap_iterations,
+            r.elapsed.as_secs_f64() * 1000.0,
+            expansions,
+            route_ms,
+            ns_per_expansion,
+            rip_ups,
+            scope_runs[&scope],
+            r.gave_up.map_or("-", GiveUpReason::label)
+        );
+    }
+}
+
+/// Each scope's own span tree, gauges and histogram tails. Histogram
+/// quantiles are estimated from the log2 buckets: the p99 of route
+/// lengths or attempt times is where regressions show long before the
+/// mean moves.
+fn render_scopes(out: &mut String, snap: &Snapshot) {
+    let start = out.len();
+    for (name, scope) in &snap.scopes {
+        if scope.spans.is_empty() && scope.gauges.is_empty() && scope.histograms.is_empty() {
+            continue;
+        }
+        let _ = writeln!(out, "  {name}");
+        render_span_tree(out, [scope], 4);
+        for (name, v) in &scope.gauges {
+            let _ = writeln!(out, "    {name:<28} {v:>18} (gauge)");
+        }
+        for (name, h) in &scope.histograms {
+            let q = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.1}"));
+            let _ = writeln!(
+                out,
+                "    {:<28} {:>6}x p50 {:>8} p90 {:>8} p99 {:>8} max {:>8}",
+                name,
+                h.count,
+                q(h.p50()),
+                q(h.p90()),
+                q(h.p99()),
+                h.max.map_or_else(|| "-".to_string(), |m| m.to_string()),
+            );
+        }
+    }
+    if out.len() == start {
+        out.push_str("  no spans, gauges or histograms recorded\n");
+    }
+}
+
+/// Builds the full diagnosis. Never returns an empty string: a section
+/// with nothing to show says so.
+pub fn diagnose(evidence: &Evidence, top_k: usize) -> String {
+    let Evidence {
+        runs,
+        metrics: snap,
+        flight,
+    } = evidence;
     let mut out = String::new();
 
     out.push_str("== II vs MII ==\n");
-    if runs.is_empty() {
-        out.push_str("  no runs (no --trace given or trace was empty)\n");
-    }
-    let mut sorted: Vec<&MapStats> = runs.iter().collect();
-    // Failures first, then by gap descending: the sickest run leads.
-    sorted.sort_by_key(|r| {
-        (
-            r.achieved_ii.is_some(),
-            r.achieved_ii
-                .map_or(0i64, |ii| -(i64::from(ii) - i64::from(r.mii))),
-        )
-    });
-    for r in sorted {
-        match r.achieved_ii {
-            Some(ii) => {
-                let gap = ii.saturating_sub(r.mii);
-                let _ = writeln!(
-                    out,
-                    "  {:<32} II {ii} vs MII {} (gap {gap}{})",
-                    r.scope(),
-                    r.mii,
-                    if gap == 0 { ", optimal" } else { "" }
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "  {:<32} FAILED ({}) after {} IIs",
-                    r.scope(),
-                    r.gave_up.map_or("unknown", |reason| reason.label()),
-                    r.iis_explored
-                );
-            }
-        }
-    }
+    render_runs(&mut out, runs, snap);
 
     out.push_str("\n== most-failed edges ==\n");
-    match flight {
-        None => out.push_str("  no flight log (--flight not given)\n"),
-        Some(f) if f.failed_edges.is_empty() => {
-            out.push_str("  no route failures recorded\n");
-        }
-        Some(f) => {
-            for (edge, n) in f.failed_edges.iter().take(top_k) {
-                let _ = writeln!(
-                    out,
-                    "  {:<32} edge {} -> {} failed {n}x ({})",
-                    edge.scope, edge.src, edge.dst, edge.reason
-                );
-            }
-        }
+    if flight.failed_edges.is_empty() {
+        out.push_str("  no route failures recorded\n");
+    }
+    let mut edges: Vec<(&FailedEdge, u64)> =
+        flight.failed_edges.iter().map(|(e, &n)| (e, n)).collect();
+    edges.sort_by_key(|&(edge, n)| (std::cmp::Reverse(n), edge));
+    for (edge, n) in edges.into_iter().take(top_k) {
+        let _ = writeln!(
+            out,
+            "  {:<32} edge {} -> {} failed {n}x ({})",
+            edge.scope, edge.src, edge.dst, edge.reason
+        );
     }
 
     out.push_str("\n== top contended resources ==\n");
-    match flight {
-        None => out.push_str("  no flight log (--flight not given)\n"),
-        Some(f) if f.heatmap.is_empty() => {
-            out.push_str("  no congestion recorded\n");
+    if flight.heatmap.is_empty() {
+        out.push_str("  no congestion recorded\n");
+    }
+    let mut hottest: Vec<&HeatRow> = flight.heatmap.iter().collect();
+    hottest.sort_by_key(|row| std::cmp::Reverse(row.overuse));
+    for h in hottest.iter().take(top_k) {
+        let _ = writeln!(
+            out,
+            "  {:<32} PE {:>3} {:<4} @cycle {:<3} overuse {:>5} (peak {}, {} rounds)",
+            h.scope, h.pe, h.class, h.cycle, h.overuse, h.peak, h.rounds
+        );
+    }
+    // One grid per run scope: PE ids only mean something on the fabric
+    // that scope ran on.
+    let mut by_scope: BTreeMap<&str, Vec<&HeatRow>> = BTreeMap::new();
+    for h in &flight.heatmap {
+        by_scope.entry(h.scope.as_str()).or_default().push(h);
+    }
+    for (scope, heat) in &by_scope {
+        let (rows, cols) = fabric_dims(scope, heat);
+        if u64::from(rows) * u64::from(cols) > u64::from(MAX_GRID_PES) {
+            let _ = writeln!(
+                out,
+                "  fabric heat {scope} ({rows}x{cols}): too large to draw"
+            );
+            continue;
         }
-        Some(f) => {
-            for h in f.heatmap.iter().take(top_k) {
-                let _ = writeln!(
-                    out,
-                    "  {:<32} PE {:>3} {:<4} @cycle {:<3} overuse {:>5} (peak {}, {} rounds)",
-                    h.scope, h.pe, h.class, h.cycle, h.overuse, h.peak, h.rounds
-                );
-            }
-            // One grid per run scope: PE ids only mean something on the
-            // fabric that scope ran on.
-            let mut by_scope: BTreeMap<&str, Vec<&HeatRow>> = BTreeMap::new();
-            for h in &f.heatmap {
-                by_scope.entry(h.scope.as_str()).or_default().push(h);
-            }
-            for (scope, heat) in &by_scope {
-                let (rows, cols) = fabric_dims(snap, scope, heat);
-                let _ = writeln!(
-                    out,
-                    "  fabric heat {scope} ({rows}x{cols}, '#' = hottest PE):"
-                );
-                out.push_str(&render_fabric_heatmap(heat, rows, cols));
-            }
-        }
+        let _ = writeln!(
+            out,
+            "  fabric heat {scope} ({rows}x{cols}, '#' = hottest PE):"
+        );
+        out.push_str(&render_fabric_heatmap(heat, rows, cols));
     }
 
     out.push_str("\n== span tree ==\n");
-    match snap {
-        None => out.push_str("  no metrics snapshot (--metrics not given)\n"),
-        Some(s) => {
-            let tree = render_span_tree(s);
-            if tree.is_empty() {
-                out.push_str("  no span timers recorded\n");
-            } else {
-                out.push_str(&tree);
-            }
-        }
+    let tree_start = out.len();
+    render_span_tree(&mut out, snap.scopes.values(), 4);
+    if out.len() == tree_start {
+        out.push_str("  no span timers recorded\n");
     }
 
-    if let Some(f) = flight {
-        out.push_str("\n== flight summary ==\n");
-        let _ = writeln!(out, "  {} events in ring, {} dropped", f.events, f.dropped);
-        for (phase, n) in &f.phases {
-            let _ = writeln!(out, "  phase {phase:<20} {n}x");
-        }
-        let stalls = f.phases.get("stall_detected").copied().unwrap_or(0);
-        if stalls > 0 {
-            let _ = writeln!(
-                out,
-                "  WARNING: {stalls} stall(s) detected — attempts overshot their deadline"
-            );
-        }
+    out.push_str("\n== per-scope breakdown ==\n");
+    render_scopes(&mut out, snap);
+
+    out.push_str("\n== flight summary ==\n");
+    let _ = writeln!(
+        out,
+        "  {} events in ring, {} dropped",
+        flight.events, flight.dropped
+    );
+    for (phase, n) in &flight.phases {
+        let _ = writeln!(out, "  phase {phase:<20} {n}x");
+    }
+    let stalls = flight.phases.get("stall_detected").copied().unwrap_or(0);
+    if stalls > 0 {
+        let _ = writeln!(
+            out,
+            "  WARNING: {stalls} stall(s) detected — attempts overshot their deadline"
+        );
     }
     out
 }
@@ -362,22 +472,9 @@ pub fn validate_chrome(text: &str) -> Result<ChromeSummary, String> {
     let mut stacks: BTreeMap<u64, Vec<String>> = BTreeMap::new();
     let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let tid = e
-            .get("tid")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("event {i}: missing tid"))?;
-        let ts = e
-            .get("ts")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("event {i}: missing ts"))?;
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing name"))?;
+        let at = |err: String| format!("event {i}: {err}");
+        let (ph, name) = (e.string("ph").map_err(at)?, e.string("name").map_err(at)?);
+        let (tid, ts): (u64, u64) = (e.int("tid").map_err(at)?, e.int("ts").map_err(at)?);
         let prev = last_ts.entry(tid).or_insert(0);
         if ts < *prev {
             return Err(format!(
@@ -411,15 +508,16 @@ pub fn validate_chrome(text: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rewire_mappers::GiveUpReason;
+    use rewire_arch::presets;
     use rewire_obs::{ChromeTrace, FlightEvent, FlightRecorder};
+    use std::time::Duration;
 
     fn sample_flight_json() -> String {
         let r = FlightRecorder::new(64);
         r.enable(0);
         for _ in 0..3 {
             r.record_in(
-                "PF*/fir",
+                "PF*/fir@4x4/r4",
                 FlightEvent::RouteFailed {
                     edge: (1, 2),
                     ii: 3,
@@ -428,7 +526,7 @@ mod tests {
             );
         }
         r.record_in(
-            "PF*/fir",
+            "PF*/fir@4x4/r4",
             FlightEvent::RouteFailed {
                 edge: (0, 4),
                 ii: 3,
@@ -436,7 +534,7 @@ mod tests {
             },
         );
         r.record_in(
-            "PF*/fir",
+            "PF*/fir@4x4/r4",
             FlightEvent::AttemptPhase {
                 phase: "stall_detected",
                 ii: 3,
@@ -447,59 +545,217 @@ mod tests {
         r.snapshot().to_json()
     }
 
+    fn flight_of(texts: &[&str]) -> Result<FlightData, String> {
+        let mut data = FlightData::default();
+        for text in texts {
+            data.add_log(&json::parse(text).map_err(|e| e.to_string())?)?;
+        }
+        Ok(data)
+    }
+
+    fn record(fabric: &str, achieved_ii: Option<u32>) -> MapStats {
+        MapStats {
+            mapper: "PF*".into(),
+            kernel: "fir".into(),
+            fabric: fabric.into(),
+            seed: 7,
+            mii: 3,
+            achieved_ii,
+            gave_up: achieved_ii.is_none().then_some(GiveUpReason::MaxIiReached),
+            iis_explored: 2,
+            remap_iterations: 123,
+            elapsed: Duration::from_micros(12_300),
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// The per-run table's rows as whitespace-split cells keyed by the
+    /// header, in printed order.
+    fn table(report: &str) -> Vec<BTreeMap<String, String>> {
+        let lines: Vec<&str> = report
+            .lines()
+            .skip_while(|l| !l.starts_with("== II vs MII =="))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        let header: Vec<&str> = lines[0].split_whitespace().collect();
+        lines[1..]
+            .iter()
+            .map(|l| {
+                let cells = l.split_whitespace().map(str::to_string);
+                header.iter().map(|h| h.to_string()).zip(cells).collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn flight_parse_ranks_edges_and_heat() {
-        let data = parse_flight(&sample_flight_json()).unwrap();
-        assert_eq!(data.events, 5);
-        assert_eq!(data.dropped, 0);
-        assert_eq!(data.failed_edges[0].1, 3, "most frequent edge first");
-        assert_eq!(data.failed_edges[0].0.src, 1);
-        assert_eq!(data.heatmap[0].pe, 5, "hottest cell first");
-        assert_eq!(data.heatmap[0].scope, "PF*/fir@4x4/r4");
-        assert_eq!(data.phases.get("stall_detected"), Some(&1));
+    fn flight_logs_rank_edges_and_heat() {
+        let flight = flight_of(&[&sample_flight_json()]).unwrap();
+        assert_eq!(flight.events, 5);
+        assert_eq!(flight.dropped, 0);
+        assert_eq!(flight.phases.get("stall_detected"), Some(&1));
+        let report = diagnose(
+            &Evidence {
+                flight,
+                ..Evidence::default()
+            },
+            5,
+        );
+        let edge = |src| format!("edge {src} -> ");
+        let (first, second) = (report.find(&edge(1)), report.find(&edge(0)));
+        assert!(first < second, "most frequent edge first: {report}");
+        assert!(
+            report.contains("edge 1 -> 2 failed 3x (no_path)"),
+            "{report}"
+        );
+        let (hot, warm) = (report.find("PE   5 link"), report.find("PE   2 fu"));
+        assert!(hot.is_some() && hot < warm, "hottest cell first: {report}");
+        assert!(report.contains("fabric heat PF*/fir@4x4/r4"), "{report}");
+        assert!(report.contains("WARNING: 1 stall(s)"), "{report}");
+        // No span timers: the span sections say so instead of vanishing.
+        assert!(report.contains("no span timers recorded"), "{report}");
+        assert!(
+            report.contains("no spans, gauges or histograms recorded"),
+            "{report}"
+        );
     }
 
     #[test]
     fn flight_parse_rejects_bad_versions() {
-        assert!(parse_flight("{\"version\":99,\"events\":[],\"heatmap\":[]}").is_err());
-        assert!(parse_flight("not json").is_err());
+        let empty = "{\"version\":99,\"dropped\":0,\"events\":[],\"heatmap\":[]}";
+        assert!(flight_of(&[empty]).is_err());
+        assert!(flight_of(&["not json"]).is_err());
     }
 
     #[test]
-    fn diagnosis_covers_all_sections() {
-        let runs = [MapStats {
-            mapper: "PF*".into(),
-            kernel: "fir".into(),
-            fabric: "4x4/r4".into(),
-            mii: 3,
-            gave_up: Some(GiveUpReason::MaxIiReached),
-            iis_explored: 1,
-            ..MapStats::default()
-        }];
-        let flight = parse_flight(&sample_flight_json()).unwrap();
-        let report = diagnose(&runs, None, Some(&flight), 5);
-        let failed = report
-            .lines()
-            .find(|l| l.contains("FAILED"))
-            .unwrap_or_else(|| panic!("{report}"));
-        assert!(failed.contains("PF*/fir@4x4/r4"), "{report}");
-        assert!(
-            failed.contains("FAILED (max_ii_reached) after 1 IIs"),
-            "{report}"
+    fn flight_parse_is_strict_and_names_the_culprit() {
+        let good = sample_flight_json();
+        let bad = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from}");
+            flight_of(&[&good.replacen(from, to, 1)]).unwrap_err()
+        };
+        let err = bad(",\"reason\":\"no_path\"", "");
+        assert_eq!(err, "event 0 (route_failed): missing field \"reason\"");
+        let err = bad("\"pe\":5", "\"pe\":4294967296");
+        assert_eq!(
+            err,
+            "heatmap row 1: field \"pe\": 4294967296 does not fit u32"
         );
-        assert!(report.contains("edge 1 -> 2 failed 3x"), "{report}");
-        assert!(report.contains("PE   5"), "{report}");
-        assert!(report.contains("fabric heat"), "{report}");
-        assert!(report.contains("stall"), "{report}");
-        // No metrics snapshot: the span section says so instead of vanishing.
-        assert!(report.contains("no metrics snapshot"), "{report}");
+        assert!(bad("\"src\":1", "\"src\":-1").contains("event 0 (route_failed)"));
+        assert!(bad("\"phase\":\"stall_detected\"", "\"phase\":7").contains("event 4"));
+        assert!(bad("\"kind\":\"route_failed\"", "\"kind\":1").starts_with("event 0:"));
+        assert!(bad("\"dropped\":0,", "").contains("dropped"));
     }
 
     #[test]
     fn diagnosis_is_never_empty() {
-        let report = diagnose(&[], None, None, 5);
-        assert!(report.contains("no runs"), "{report}");
-        assert!(report.contains("no flight log"), "{report}");
+        let report = diagnose(&Evidence::default(), 5);
+        assert!(report.contains("no run records"), "{report}");
+        assert!(report.contains("no route failures recorded"), "{report}");
+        assert!(report.contains("no congestion recorded"), "{report}");
+        assert!(report.contains("0 events in ring, 0 dropped"), "{report}");
+    }
+
+    #[test]
+    fn run_table_has_one_row_per_record_joined_by_scope() {
+        let runs = vec![
+            record("4x4/r4", Some(4)),
+            record("8x8/r4", None),
+            record("2x2/r1", None),
+            record("4x4/r4", Some(5)),
+        ];
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":9,"router.expansions":432100,"router.route_ns":8642000},"gauges":{"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}},"PF*/fir@8x8/r4":{"counters":{"router.expansions":8765,"router.route_ns":131475},"gauges":{},"histograms":{},"spans":{}}}}"#;
+        let report = diagnose(
+            &Evidence {
+                runs,
+                metrics: Snapshot::from_json(snap_json).unwrap(),
+                ..Evidence::default()
+            },
+            5,
+        );
+        let rows = table(&report);
+        let order: Vec<(&str, &str)> = rows
+            .iter()
+            .map(|r| (r["fabric"].as_str(), r["II"].as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("8x8/r4", "-"),
+                ("2x2/r1", "-"),
+                ("4x4/r4", "5"),
+                ("4x4/r4", "4")
+            ],
+            "failures first, then by gap"
+        );
+        let failed = &rows[0];
+        assert_eq!(failed["gap"], "-", "{report}");
+        assert_eq!(failed["IIs"], "2", "{report}");
+        assert_eq!(failed["gave_up"], "max_ii_reached", "{report}");
+        // Each row carries its own scope's router counters: expansions,
+        // route time (0.131 ms, 8.642 ms) and time per expansion (15 ns,
+        // 20 ns). The two 4x4 records share theirs, and say so.
+        assert_eq!(failed["expansions"], "8765", "{report}");
+        assert_eq!(failed["route_ms"], "0.1", "{report}");
+        assert_eq!(failed["ns/exp"], "15.0", "{report}");
+        assert_eq!(failed["scope_runs"], "1", "{report}");
+        for mapped in &rows[2..] {
+            assert_eq!(mapped["iters"], "123");
+            assert_eq!(mapped["time_ms"], "12.3");
+            assert_eq!(mapped["expansions"], "432100", "{report}");
+            assert_eq!(mapped["route_ms"], "8.6", "{report}");
+            assert_eq!(mapped["ns/exp"], "20.0", "{report}");
+            assert_eq!(mapped["rip_ups"], "9", "{report}");
+            assert_eq!(mapped["scope_runs"], "2", "{report}");
+            assert_eq!(mapped["gave_up"], "-", "{report}");
+        }
+        assert_eq!(rows[2]["gap"], "2");
+        // A run without a scope in the snapshot never routed.
+        assert_eq!(rows[1]["expansions"], "0", "{report}");
+        assert_eq!(rows[1]["route_ms"], "-", "{report}");
+        assert_eq!(rows[1]["ns/exp"], "-", "{report}");
+        // The scope's gauges and spans sit in its own breakdown block.
+        let block = &report[report.find("== per-scope breakdown ==").unwrap()..];
+        assert!(block.contains("  PF*/fir@4x4/r4\n    run "), "{report}");
+        assert!(
+            block.contains("router.distance_table_bytes") && block.contains("16384"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn scope_breakdown_renders_histogram_quantiles() {
+        // Values {1, 2, 3, 900}: log2 buckets [(1,1),(2,2),(10,1)]. The
+        // interpolated quantiles are pinned by the snapshot unit tests:
+        // p50 = 2.25, p90 = p99 = 767.5.
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{},"gauges":{},"histograms":{"pf.route_len":{"count":4,"sum":906,"min":1,"max":900,"buckets":[[1,1],[2,2],[10,1]]}},"spans":{}}}}"#;
+        let report = diagnose(
+            &Evidence {
+                metrics: Snapshot::from_json(snap_json).unwrap(),
+                ..Evidence::default()
+            },
+            5,
+        );
+        let line = report
+            .lines()
+            .find(|l| l.contains("pf.route_len"))
+            .unwrap_or_else(|| panic!("{report}"));
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(
+            cells,
+            [
+                "pf.route_len",
+                "4x",
+                "p50",
+                "2.2",
+                "p90",
+                "767.5",
+                "p99",
+                "767.5",
+                "max",
+                "900"
+            ]
+        );
     }
 
     #[test]
@@ -522,28 +778,29 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_is_drawn_per_scope_at_its_own_shape() {
-        // PE 5 overused on a 4×4 run and on an 8×8 run: two cells, two
-        // grids, each sized from its own scope's gauges.
+    fn heatmap_is_drawn_per_scope_at_its_label_shape() {
+        // PE 5 overused on a 4×4, an 8×8 and a 2×6 run: one grid per
+        // scope, each shaped by the fabric label its scope ends in, with
+        // no metrics snapshot at all.
         let r = FlightRecorder::new(8);
         r.enable(0);
         r.heat("PF*/k@4x4/r4", 5, "fu", 0, 3);
         r.heat("PF*/k@8x8/r4", 5, "fu", 0, 7);
         r.heat("PF*/k@8x8/r4", 9, "fu", 0, 1);
-        let flight = parse_flight(&r.snapshot().to_json()).unwrap();
-        assert_eq!(flight.heatmap.len(), 3, "no cell is shared across scopes");
-        let gauges = |n: u32| {
-            format!(
-                r#"{{"counters":{{}},"gauges":{{"engine.fabric_cols":{n},"engine.fabric_rows":{n}}},"histograms":{{}},"spans":{{}}}}"#
-            )
-        };
-        let snap = Snapshot::from_json(&format!(
-            r#"{{"version":1,"scopes":{{"PF*/k@4x4/r4":{},"PF*/k@8x8/r4":{}}}}}"#,
-            gauges(4),
-            gauges(8)
-        ))
-        .unwrap();
-        let report = diagnose(&[], Some(&snap), Some(&flight), 5);
+        r.heat("SA/k@2x6/r1", 5, "fu", 0, 2);
+        r.heat("SA/unlabelled", 5, "fu", 0, 2);
+        // Shapes only a hand-edited log names are reported, not drawn.
+        r.heat("SA/k@60000x60000/r1", 5, "fu", 0, 3);
+        r.heat("SA/huge", u32::MAX, "fu", 0, 3);
+        let flight = flight_of(&[&r.snapshot().to_json()]).unwrap();
+        assert_eq!(flight.heatmap.len(), 7, "no cell is shared across scopes");
+        let report = diagnose(
+            &Evidence {
+                flight,
+                ..Evidence::default()
+            },
+            5,
+        );
         let grid = |title: &str| -> Vec<String> {
             let lines: Vec<&str> = report.lines().collect();
             let at = lines
@@ -566,6 +823,80 @@ mod tests {
         assert_eq!(
             big[1], ".2......",
             "PE 9 = row 1, col 1, scaled to its own peak"
+        );
+        assert_eq!(grid("fabric heat SA/k@2x6/r1 (2x6"), [".....#", "......"]);
+        assert_eq!(
+            grid("fabric heat SA/unlabelled (3x3"),
+            ["...", "..#", "..."],
+            "a scope without a label falls back to a square"
+        );
+        for too_large in [
+            "SA/k@60000x60000/r1 (60000x60000): too large to draw",
+            "SA/huge (65536x65536): too large to draw",
+        ] {
+            assert!(report.contains(too_large), "{report}");
+        }
+    }
+
+    #[test]
+    fn fabric_labels_of_every_preset_round_trip() {
+        let presets = presets::all_paper_configs()
+            .into_iter()
+            .chain(presets::scaling_configs());
+        for (_, cgra) in presets {
+            let label = cgra.label();
+            let (rows, cols, regs) =
+                parse_fabric_label(&label).unwrap_or_else(|| panic!("{label}"));
+            assert_eq!(
+                (rows, cols, regs),
+                (cgra.rows(), cgra.cols(), cgra.regs_per_pe())
+            );
+            assert_eq!(format!("{rows}x{cols}/r{regs}"), label);
+        }
+        for junk in ["", "4x4", "4x4/r", "4/r4", "ax4/r4", "4x4/r4096"] {
+            assert_eq!(parse_fabric_label(junk), None, "{junk:?}");
+        }
+    }
+
+    #[test]
+    fn directories_join_records_metrics_and_flight_logs() {
+        let root = std::env::temp_dir().join(format!("rewire-doctor-join-{}", std::process::id()));
+        let snap = |n: u64| {
+            format!(
+                r#"{{"version":1,"scopes":{{"PF*/fir@4x4/r4":{{"counters":{{"router.expansions":{n}}},"gauges":{{}},"histograms":{{}},"spans":{{}}}}}}}}"#
+            )
+        };
+        let dirs = [root.join("a"), root.join("b")];
+        for (dir, (fabric, expansions)) in dirs.iter().zip([("4x4/r4", 100), ("8x8/r4", 23)]) {
+            std::fs::create_dir_all(dir).unwrap();
+            let runs = record(fabric, Some(4)).to_json() + "\n";
+            std::fs::write(dir.join(observe::RUNS), runs).unwrap();
+            std::fs::write(dir.join(observe::METRICS), snap(expansions)).unwrap();
+            std::fs::write(dir.join(FLIGHT), sample_flight_json()).unwrap();
+        }
+        let evidence = Evidence::load(&dirs).unwrap();
+        std::fs::write(dirs[1].join(FLIGHT), "{\"version\":1}").unwrap();
+        let err = Evidence::load(&dirs).unwrap_err();
+        let _ = std::fs::remove_dir_all(&root);
+        let fabrics: Vec<&str> = evidence.runs.iter().map(|r| r.fabric.as_str()).collect();
+        assert_eq!(fabrics, ["4x4/r4", "8x8/r4"], "records in directory order");
+        assert_eq!(
+            evidence.metrics.scopes["PF*/fir@4x4/r4"].counters["router.expansions"], 123,
+            "snapshots are summed"
+        );
+        let flight = &evidence.flight;
+        assert_eq!(flight.events, 10, "flight logs are concatenated");
+        assert_eq!(flight.heatmap.len(), 4);
+        let edge = FailedEdge {
+            scope: "PF*/fir@4x4/r4".into(),
+            src: 1,
+            dst: 2,
+            reason: "no_path".into(),
+        };
+        assert_eq!(flight.failed_edges[&edge], 6);
+        assert!(
+            err.contains("flight.json") && err.contains("missing field"),
+            "{err}"
         );
     }
 

@@ -3,6 +3,7 @@
 use crate::workloads::Workload;
 use rewire_core::RewireMapper;
 use rewire_mappers::{MapLimits, MapStats, Mapper, PathFinderConfig, PathFinderMapper, SaMapper};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -174,19 +175,6 @@ pub fn run_workloads(
     skeletons
 }
 
-/// Writes `records` to `path` as JSON Lines, one [`MapStats::to_json`]
-/// record per run, in the given order. Panics with a readable message on
-/// I/O errors: a bench run with an unwritable trace path should fail
-/// loudly, not silently drop its trace.
-pub fn write_trace<'a>(path: &str, records: impl IntoIterator<Item = &'a MapStats>) {
-    let jsonl: String = records
-        .into_iter()
-        .map(|stats| stats.to_json() + "\n")
-        .collect();
-    std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
-    eprintln!("trace written to {path}");
-}
-
 /// Applies `f` to every item on `jobs` threads, returning results in input
 /// order. With `jobs <= 1` this is a plain serial map. Used by the
 /// experiment binaries for coarse-grained fan-out of independent mapper
@@ -233,68 +221,16 @@ pub struct BenchArgs {
     pub seconds_per_ii: f64,
     /// Worker threads for the workload fan-out (`--jobs N`, default 1).
     pub jobs: usize,
-    /// Run-record file path (`--trace FILE`), if requested: one
-    /// [`MapStats`] JSON line per run.
-    pub trace: Option<String>,
-    /// Metrics snapshot file path (`--metrics FILE`), if requested.
-    pub metrics: Option<String>,
     /// Kernel-name filter (`--kernels a,b,c`): restrict every workload to
     /// the named kernels. `None` runs the full suite.
     pub kernels: Option<Vec<String>>,
-    /// Chrome `trace_event` JSON file path (`--chrome-trace FILE`), if
-    /// requested. Enables the span collector and the flight recorder.
-    pub chrome_trace: Option<String>,
-    /// Flight-recorder JSON file path (`--flight FILE`), if requested.
-    pub flight: Option<String>,
+    /// Observe directory (`--observe DIR`), if requested: the binary
+    /// writes its run records and the collectors' output there with
+    /// [`rewire_mappers::observe::write`] when the experiment ends.
+    pub observe: Option<PathBuf>,
 }
 
 impl BenchArgs {
-    /// Enables the process-global flight recorder and Chrome span collector
-    /// when their output files were requested. Call once before mapping
-    /// starts ([`parse_cli`] does this automatically).
-    pub fn enable_collectors(&self) {
-        if self.flight.is_some() || self.chrome_trace.is_some() {
-            rewire_obs::flight().enable(0);
-        }
-        if self.chrome_trace.is_some() {
-            rewire_obs::chrome().enable(0);
-        }
-    }
-
-    /// Writes every requested observability artifact: the `--trace` run
-    /// records (in the given order), the `--metrics` registry snapshot,
-    /// the `--chrome-trace` span timeline (with flight events embedded as
-    /// instants), and the `--flight` decision log. Call once, after every
-    /// run finished. Panics on I/O errors for the same reason as
-    /// [`write_trace`].
-    pub fn write_outputs<'a>(&self, records: impl IntoIterator<Item = &'a MapStats>) {
-        if let Some(path) = &self.trace {
-            write_trace(path, records);
-        }
-        if let Some(path) = &self.metrics {
-            let mut json = rewire_obs::metrics().snapshot().to_json();
-            json.push('\n');
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
-            eprintln!("metrics written to {path}");
-        }
-        if let Some(path) = &self.chrome_trace {
-            let flight = rewire_obs::flight().snapshot();
-            let mut json = rewire_obs::chrome().export_json(Some(&flight));
-            json.push('\n');
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("cannot write chrome trace file {path}: {e}"));
-            eprintln!("chrome trace written to {path}");
-        }
-        if let Some(path) = &self.flight {
-            let mut json = rewire_obs::flight().snapshot().to_json();
-            json.push('\n');
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| panic!("cannot write flight log file {path}: {e}"));
-            eprintln!("flight log written to {path}");
-        }
-    }
-
     /// Applies the `--kernels` filter to a workload list: every workload
     /// keeps only the named kernels, and workloads left empty are dropped.
     /// Panics when a requested name matches no kernel anywhere — a typo'd
@@ -331,15 +267,17 @@ impl BenchArgs {
 
 /// Parses the common experiment-binary CLI: an optional positional per-II
 /// budget in seconds plus optional `--jobs N` (or `--jobs=N`),
-/// `--trace FILE` (or `--trace=FILE`), `--metrics FILE` (or
-/// `--metrics=FILE`), `--kernels a,b` (or `--kernels=a,b`),
-/// `--chrome-trace FILE` and `--flight FILE` flags. Every mapper routes
-/// with the one pruned, tree fan-out router; there is no mode to pick.
+/// `--kernels a,b` (or `--kernels=a,b`) and `--observe DIR` (or
+/// `--observe=DIR`) flags. Every mapper routes with the one pruned, tree
+/// fan-out router; there is no mode to pick.
 ///
-/// Enables the requested observability collectors before returning.
+/// With `--observe`, switches the flight recorder and Chrome collector on
+/// before returning.
 pub fn parse_cli(default_secs: f64) -> BenchArgs {
     let parsed = parse_cli_from(std::env::args().skip(1), default_secs);
-    parsed.enable_collectors();
+    if parsed.observe.is_some() {
+        rewire_mappers::observe::enable_collectors();
+    }
     parsed
 }
 
@@ -347,11 +285,8 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
     let mut parsed = BenchArgs {
         seconds_per_ii: default_secs,
         jobs: 1,
-        trace: None,
-        metrics: None,
         kernels: None,
-        chrome_trace: None,
-        flight: None,
+        observe: None,
     };
     let parse_kernels = |v: &str| {
         v.split(',')
@@ -369,22 +304,10 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
                 .expect("--jobs needs a positive integer");
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
             parsed.jobs = v.parse().expect("--jobs needs a positive integer");
-        } else if arg == "--trace" {
-            parsed.trace = Some(args.next().expect("--trace needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            parsed.trace = Some(v.to_string());
-        } else if arg == "--metrics" {
-            parsed.metrics = Some(args.next().expect("--metrics needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            parsed.metrics = Some(v.to_string());
-        } else if arg == "--chrome-trace" {
-            parsed.chrome_trace = Some(args.next().expect("--chrome-trace needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--chrome-trace=") {
-            parsed.chrome_trace = Some(v.to_string());
-        } else if arg == "--flight" {
-            parsed.flight = Some(args.next().expect("--flight needs a file path"));
-        } else if let Some(v) = arg.strip_prefix("--flight=") {
-            parsed.flight = Some(v.to_string());
+        } else if arg == "--observe" {
+            parsed.observe = Some(args.next().expect("--observe needs a directory").into());
+        } else if let Some(v) = arg.strip_prefix("--observe=") {
+            parsed.observe = Some(v.into());
         } else if arg == "--kernels" {
             parsed.kernels = Some(parse_kernels(
                 &args.next().expect("--kernels needs a comma-separated list"),
@@ -395,7 +318,7 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
             parsed.seconds_per_ii = v;
         } else {
             panic!(
-                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--trace FILE] [--metrics FILE] [--chrome-trace FILE] [--flight FILE] [--kernels a,b])"
+                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR])"
             );
         }
     }
@@ -478,12 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn cli_parsing_accepts_secs_jobs_and_trace() {
+    fn cli_parsing_accepts_secs_jobs_and_observe() {
         let arg = |s: &str| s.to_string();
         let base = parse_cli_from([], 2.0);
         assert_eq!(base.seconds_per_ii, 2.0);
         assert_eq!(base.jobs, 1);
-        assert_eq!(base.trace, None);
+        assert_eq!(base.observe, None);
         assert_eq!(parse_cli_from([arg("0.5")], 2.0).seconds_per_ii, 0.5);
         assert_eq!(parse_cli_from([arg("--jobs"), arg("4")], 2.0).jobs, 4);
         let combined = parse_cli_from([arg("--jobs=8"), arg("1.5")], 2.0);
@@ -491,12 +414,12 @@ mod tests {
         assert_eq!(combined.seconds_per_ii, 1.5);
         assert_eq!(parse_cli_from([arg("--jobs=0")], 2.0).jobs, 1, "clamped");
         assert_eq!(
-            parse_cli_from([arg("--trace"), arg("out.jsonl")], 2.0).trace,
-            Some("out.jsonl".to_string())
+            parse_cli_from([arg("--observe"), arg("obs")], 2.0).observe,
+            Some(PathBuf::from("obs"))
         );
         assert_eq!(
-            parse_cli_from([arg("--trace=t.jsonl")], 2.0).trace,
-            Some("t.jsonl".to_string())
+            parse_cli_from([arg("--observe=out/obs")], 2.0).observe,
+            Some(PathBuf::from("out/obs"))
         );
     }
 
@@ -507,18 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn cli_parsing_accepts_metrics_and_kernels() {
+    fn cli_parsing_accepts_kernels() {
         let arg = |s: &str| s.to_string();
-        assert_eq!(parse_cli_from([], 2.0).metrics, None);
         assert_eq!(parse_cli_from([], 2.0).kernels, None);
-        assert_eq!(
-            parse_cli_from([arg("--metrics"), arg("m.json")], 2.0).metrics,
-            Some("m.json".to_string())
-        );
-        assert_eq!(
-            parse_cli_from([arg("--metrics=out/m.json")], 2.0).metrics,
-            Some("out/m.json".to_string())
-        );
         assert_eq!(
             parse_cli_from([arg("--kernels"), arg("fir,atax")], 2.0).kernels,
             Some(vec!["fir".to_string(), "atax".to_string()])
@@ -527,30 +441,6 @@ mod tests {
             parse_cli_from([arg("--kernels=fir, atax,")], 2.0).kernels,
             Some(vec!["fir".to_string(), "atax".to_string()]),
             "whitespace and empty segments are dropped"
-        );
-    }
-
-    #[test]
-    fn cli_parsing_accepts_chrome_trace_and_flight() {
-        let arg = |s: &str| s.to_string();
-        let base = parse_cli_from([], 2.0);
-        assert_eq!(base.chrome_trace, None);
-        assert_eq!(base.flight, None);
-        assert_eq!(
-            parse_cli_from([arg("--chrome-trace"), arg("t.json")], 2.0).chrome_trace,
-            Some("t.json".to_string())
-        );
-        assert_eq!(
-            parse_cli_from([arg("--chrome-trace=out/t.json")], 2.0).chrome_trace,
-            Some("out/t.json".to_string())
-        );
-        assert_eq!(
-            parse_cli_from([arg("--flight"), arg("f.json")], 2.0).flight,
-            Some("f.json".to_string())
-        );
-        assert_eq!(
-            parse_cli_from([arg("--flight=out/f.json")], 2.0).flight,
-            Some("out/f.json".to_string())
         );
     }
 
@@ -586,31 +476,6 @@ mod tests {
             kernels: vec![kernels::fir()],
         };
         args.filter_workloads(vec![w]);
-    }
-
-    #[test]
-    fn trace_holds_one_record_per_run_in_order() {
-        let records: Vec<MapStats> = ["fir", "atax"]
-            .into_iter()
-            .map(|kernel| MapStats {
-                mapper: "PF*".into(),
-                kernel: kernel.into(),
-                fabric: "4x4/r4".into(),
-                achieved_ii: Some(2),
-                ..MapStats::default()
-            })
-            .collect();
-        let path =
-            std::env::temp_dir().join(format!("rewire-records-{}.jsonl", std::process::id()));
-        let path = path.to_str().unwrap();
-        write_trace(path, &records);
-        let text = std::fs::read_to_string(path).unwrap();
-        let _ = std::fs::remove_file(path);
-        let read: Vec<MapStats> = text
-            .lines()
-            .map(|line| MapStats::from_json(line).unwrap())
-            .collect();
-        assert_eq!(read, records);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //! `rewire-fuzz [--seeds A..B] [--budget-ms N] [--jobs N] [--corpus DIR]
-//!              [--metrics FILE] [--replay DIR]`
+//!              [--observe DIR] [--replay DIR]`
 //!
 //! Every mapper routes with the one pruned router, fan-out as shared
 //! route trees; there is no routing mode to select.
@@ -20,22 +20,29 @@
 //! `--replay DIR` instead replays every `.dfg` artifact in DIR and checks
 //! each against its recorded expectation (the CI regression mode).
 //!
+//! `--observe DIR` writes an observe directory (`rewire_mappers::observe`)
+//! when the campaign ends: every seed's four run records on its original
+//! scenario, the metrics snapshot (the `fuzz` scope holds the campaign
+//! counters), the flight log and the Chrome trace. A replay reports
+//! verdicts, not runs, so its `runs.jsonl` is empty.
+//!
 //! A malformed command line prints the usage and exits 2.
 
 use rewire_fuzz::{fuzz_range, replay, Artifact, CheckKind, FuzzConfig};
+use rewire_mappers::{observe, MapStats};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage: rewire-fuzz [--seeds A..B] [--budget-ms N] [--jobs N] \
-[--corpus DIR] [--metrics FILE] [--replay DIR]";
+[--corpus DIR] [--observe DIR] [--replay DIR]";
 
 struct Args {
     seeds: std::ops::Range<u64>,
     budget_ms: u64,
     jobs: usize,
     corpus: PathBuf,
-    metrics: Option<String>,
+    observe: Option<PathBuf>,
     replay: Option<PathBuf>,
 }
 
@@ -67,7 +74,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         budget_ms: FuzzConfig::default().budget_ms,
         jobs: 1,
         corpus: PathBuf::from("fuzz/corpus"),
-        metrics: None,
+        observe: None,
         replay: None,
     };
     let mut args = args.into_iter();
@@ -87,7 +94,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--budget-ms" => parsed.budget_ms = parse_positive("--budget-ms", &value()?)?,
             "--jobs" => parsed.jobs = parse_positive("--jobs", &value()?)?,
             "--corpus" => parsed.corpus = PathBuf::from(value()?),
-            "--metrics" => parsed.metrics = Some(value()?),
+            "--observe" => parsed.observe = Some(PathBuf::from(value()?)),
             "--replay" => parsed.replay = Some(PathBuf::from(value()?)),
             _ => return Err(format!("unrecognised argument `{arg}`")),
         }
@@ -95,11 +102,9 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(parsed)
 }
 
-fn write_metrics(path: &str) {
-    let mut json = rewire_obs::metrics().snapshot().to_json();
-    json.push('\n');
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write metrics file {path}: {e}"));
-    eprintln!("metrics written to {path}");
+fn write_observe<'a>(dir: &Path, runs: impl IntoIterator<Item = &'a MapStats>) {
+    observe::write(dir, runs).unwrap_or_else(|e| panic!("--observe: {e}"));
+    eprintln!("observe directory written to {}", dir.display());
 }
 
 /// Replay mode: every artifact in the directory must match its recorded
@@ -156,10 +161,13 @@ fn main() -> ExitCode {
         ..FuzzConfig::default()
     };
 
+    if args.observe.is_some() {
+        observe::enable_collectors();
+    }
     if let Some(dir) = &args.replay {
         let code = run_replay(dir, &cfg);
-        if let Some(path) = &args.metrics {
-            write_metrics(path);
+        if let Some(dir) = &args.observe {
+            write_observe(dir, []);
         }
         return code;
     }
@@ -207,8 +215,8 @@ fn main() -> ExitCode {
             .unwrap_or(0);
         println!("  check {kind}: {fired} violation(s)");
     }
-    if let Some(path) = &args.metrics {
-        write_metrics(path);
+    if let Some(dir) = &args.observe {
+        write_observe(dir, reports.iter().flat_map(|r| &r.runs));
     }
     if failing == 0 {
         ExitCode::SUCCESS

@@ -19,7 +19,8 @@ use rewire_bench::parallel_map;
 use rewire_core::{RewireConfig, RewireMapper};
 use rewire_dfg::Dfg;
 use rewire_mappers::{
-    ExactSatMapper, MapLimits, Mapper, PathFinderConfig, PathFinderMapper, SaConfig, SaMapper,
+    ExactSatMapper, MapLimits, MapStats, Mapper, PathFinderConfig, PathFinderMapper, SaConfig,
+    SaMapper,
 };
 use rewire_obs as obs;
 use std::time::Duration;
@@ -123,6 +124,8 @@ pub struct SeedReport {
     pub shrink: Option<ShrinkResult>,
     /// The minimal reproducer artifact, when violations occurred.
     pub artifact: Option<Artifact>,
+    /// The differential mappers' run records on the original scenario.
+    pub runs: Vec<MapStats>,
 }
 
 impl SeedReport {
@@ -254,6 +257,7 @@ pub fn fuzz_one(seed: u64, cfg: &FuzzConfig) -> SeedReport {
         violations,
         shrink: shrink_result,
         artifact,
+        runs: runs.into_iter().map(|r| r.outcome.stats).collect(),
     }
 }
 

@@ -82,8 +82,8 @@ impl StallWatchdog {
 
     /// Terminal heartbeat: the run is over. On failure this is the drain
     /// marker — export readers (the Chrome exporter merges the flight ring
-    /// as instant events, `--flight` writes it verbatim) see the full
-    /// decision record up to this stamp.
+    /// as instant events, an observe directory's `flight.json` holds it
+    /// verbatim) see the full decision record up to this stamp.
     fn run_ended(&self, phase: &'static str, ii: u32) {
         obs::flight_event(FlightEvent::AttemptPhase { phase, ii });
     }
@@ -231,12 +231,6 @@ impl<'a> IiSearch<'a> {
         // time the per-phase breakdown. Neither feeds back into mapping.
         let _scope = obs::scope(stats.scope());
         let _run_span = obs::span("run");
-        // Fabric size alongside the run's metrics, so `rewire-report` can
-        // correlate map time and distance-table memory with PE count, and
-        // the doctor can draw the fabric grid (PE ids are row-major).
-        obs::gauge("engine.fabric_pes").set(cgra.num_pes() as i64);
-        obs::gauge("engine.fabric_rows").set(i64::from(cgra.rows()));
-        obs::gauge("engine.fabric_cols").set(i64::from(cgra.cols()));
         let watchdog = StallWatchdog::new(limits.ii_time_budget);
         let give_up = |mut stats: MapStats, reason: GiveUpReason, phase: &'static str, ii: u32| {
             stats.elapsed = start.elapsed();

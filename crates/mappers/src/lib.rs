@@ -9,7 +9,9 @@
 //! * [`SaMapper`] — `SA`, simulated annealing over placements,
 //! * [`Mapper`] / [`MapOutcome`] / [`MapStats`] / [`MapLimits`] — the
 //!   interface, the per-run record and the budgets the evaluation harness
-//!   consumes.
+//!   consumes,
+//! * [`observe`] — the observe directory every `--observe DIR` writes:
+//!   run records, metrics snapshot, flight log and Chrome trace.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@ mod exact;
 mod fanout;
 mod limits;
 mod mapping;
+pub mod observe;
 mod pathfinder;
 mod render;
 mod schedule;

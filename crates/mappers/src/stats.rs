@@ -1,6 +1,6 @@
 //! The run record: one [`MapStats`] per mapping run — the quantities
 //! Table I and Fig 6 report, the run's identity, and its one-line JSON
-//! form (`--trace FILE` writes one record per run).
+//! form (an observe directory's `runs.jsonl` holds one record per run).
 
 use crate::engine::AttemptVerdict;
 use rewire_obs::json::{self, Json};
@@ -184,17 +184,8 @@ impl MapStats {
     /// truncated.
     pub fn from_json(text: &str) -> Result<MapStats, String> {
         let obj = json::parse(text).map_err(|e| e.to_string())?;
-        let field = |name: &str| {
-            obj.get(name)
-                .ok_or_else(|| format!("missing field {name:?}"))
-        };
-        let string = |name: &str| {
-            field(name)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field {name:?} is not a string"))
-        };
-        let verdicts = field("verdicts")?
+        let verdicts = obj
+            .field("verdicts")?
             .as_array()
             .ok_or("field \"verdicts\" is not an array")?
             .iter()
@@ -203,24 +194,24 @@ impl MapStats {
                     Some("optimal") => AttemptVerdict::Optimal,
                     Some("infeasible") => AttemptVerdict::InfeasibleAtII,
                     Some("unknown") => AttemptVerdict::Unknown {
-                        conflicts: int(v, "conflicts")?,
+                        conflicts: v.int("conflicts")?,
                     },
                     other => return Err(format!("unknown verdict {other:?}")),
                 };
-                Ok((int(v, "ii")?, verdict))
+                Ok((v.int("ii")?, verdict))
             })
             .collect::<Result<_, String>>()?;
         Ok(MapStats {
-            mapper: string("mapper")?,
-            kernel: string("kernel")?,
-            fabric: string("fabric")?,
-            seed: int(&obj, "seed")?,
-            mii: int(&obj, "mii")?,
-            achieved_ii: match field("achieved_ii")? {
+            mapper: obj.string("mapper")?.to_string(),
+            kernel: obj.string("kernel")?.to_string(),
+            fabric: obj.string("fabric")?.to_string(),
+            seed: obj.int("seed")?,
+            mii: obj.int("mii")?,
+            achieved_ii: match obj.field("achieved_ii")? {
                 Json::Null => None,
-                _ => Some(int(&obj, "achieved_ii")?),
+                _ => Some(obj.int("achieved_ii")?),
             },
-            gave_up: match field("gave_up")? {
+            gave_up: match obj.field("gave_up")? {
                 Json::Null => None,
                 Json::Str(label) => Some(
                     GiveUpReason::from_label(label)
@@ -228,37 +219,15 @@ impl MapStats {
                 ),
                 _ => return Err("field \"gave_up\" is not a string or null".to_string()),
             },
-            iis_explored: int(&obj, "iis_explored")?,
-            remap_iterations: int(&obj, "remap_iterations")?,
-            elapsed: Duration::from_micros(int(&obj, "elapsed_us")?),
+            iis_explored: obj.int("iis_explored")?,
+            remap_iterations: obj.int("remap_iterations")?,
+            elapsed: Duration::from_micros(obj.int("elapsed_us")?),
             verdicts,
         })
     }
 }
 
-/// Reads the integer field `name` of `obj` into `T`, rejecting anything
-/// that does not fit `T`.
-fn int<T: TryFrom<u64>>(obj: &Json, name: &str) -> Result<T, String> {
-    let value = obj
-        .get(name)
-        .ok_or_else(|| format!("missing field {name:?}"))?;
-    let Json::Num(raw) = value else {
-        return Err(format!("field {name:?} is not a number"));
-    };
-    raw.parse::<u64>()
-        .ok()
-        .and_then(|v| T::try_from(v).ok())
-        .ok_or_else(|| {
-            format!(
-                "field {name:?}: {raw} does not fit {}",
-                std::any::type_name::<T>()
-            )
-        })
-}
-
-/// One-line human-readable summary. This is the single formatting path
-/// shared by `rewire-map`'s final report and `rewire-report`'s per-run
-/// lines, so the two tools can never drift apart:
+/// One-line human-readable summary, as `rewire-map` prints its run:
 ///
 /// ```text
 /// PF*/fir: II 4 (MII 3) on 4x4/r4 after 2 IIs, 123 iterations, 12.3 ms

@@ -1,14 +1,14 @@
 //! A minimal hand-rolled JSON reader/writer.
 //!
-//! The workspace deliberately has no serde; trace lines and metrics
-//! snapshots are emitted by string building. This module supplies the other
-//! half — a small recursive-descent parser — so `rewire-report` and the
-//! snapshot round-trip tests can read those files back offline. It parses
-//! the full JSON grammar (numbers are kept as raw text so `u64::MAX`
-//! survives), but is tuned for trust-the-producer inputs: errors carry a
-//! byte offset and message, nothing fancier. Nesting is capped at
-//! [`MAX_DEPTH`] so a hostile file fails with an error instead of
-//! overflowing the stack.
+//! The workspace deliberately has no serde; run records, metrics
+//! snapshots and flight logs are emitted by string building. This module
+//! supplies the other half — a small recursive-descent parser plus strict
+//! field readers ([`Json::int`], [`Json::string`]) — so the observe
+//! directory and the snapshot round-trip tests can be read back offline.
+//! It parses the full JSON grammar (numbers are kept as raw text so
+//! `u64::MAX` survives); errors carry a byte offset and message, nothing
+//! fancier. Nesting is capped at [`MAX_DEPTH`] so a hostile file fails
+//! with an error instead of overflowing the stack.
 
 use std::fmt;
 
@@ -92,6 +92,38 @@ impl Json {
             Json::Object(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// The member `name`; absent is an error naming it.
+    pub fn field(&self, name: &str) -> Result<&Json, String> {
+        self.get(name)
+            .ok_or_else(|| format!("missing field {name:?}"))
+    }
+
+    /// The integer member `name`, read into `T`. Absent, not a number, or
+    /// out of `T`'s range is an error naming the member, never a
+    /// truncation.
+    pub fn int<T: TryFrom<u64>>(&self, name: &str) -> Result<T, String> {
+        let Json::Num(raw) = self.field(name)? else {
+            return Err(format!("field {name:?} is not a number"));
+        };
+        raw.parse::<u64>()
+            .ok()
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| {
+                format!(
+                    "field {name:?}: {raw} does not fit {}",
+                    std::any::type_name::<T>()
+                )
+            })
+    }
+
+    /// The string member `name`; absent or not a string is an error
+    /// naming it.
+    pub fn string(&self, name: &str) -> Result<&str, String> {
+        self.field(name)?
+            .as_str()
+            .ok_or_else(|| format!("field {name:?} is not a string"))
     }
 }
 

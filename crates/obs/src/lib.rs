@@ -16,16 +16,21 @@
 //!   associative merge over integers, so the merged [`Snapshot`] is
 //!   deterministic regardless of thread scheduling or merge order.
 //! * **Scoped.** Metrics are grouped under a per-thread *scope* string (the
-//!   engine uses `"<mapper>/<kernel>"`), set with the [`scope`] RAII guard.
+//!   engine uses `"<mapper>/<kernel>@<fabric>"`), set with the [`scope`]
+//!   RAII guard.
 //!   This is what lets one global registry attribute router expansions to
 //!   the individual run that caused them.
 //! * **Handle-based.** Looking a metric up returns a cheap cloneable handle
 //!   (an `Arc` around atomic cells); hot loops resolve handles once and
 //!   then increment lock-free. [`scope_epoch`] lets long-lived caches (the
 //!   router scratch) detect scope changes and refresh their handles.
-//! * **Offline JSON.** [`Snapshot::to_json`] hand-rolls the same minimal
-//!   JSON subset the engine's trace sink uses (the workspace has no serde),
-//!   and [`json`] provides the matching parser used by `rewire-report`.
+//! * **Offline JSON.** [`Snapshot::to_json`] hand-rolls a minimal JSON
+//!   subset (the workspace has no serde), and [`json`] provides the
+//!   matching parser and strict field readers.
+//! * **One observe directory.** `--observe DIR` on every binary writes the
+//!   snapshot next to the run records, the [`flight`] log and the
+//!   [`chrome`] trace (`rewire_mappers::observe`); `rewire-doctor DIR`
+//!   reads them back.
 //!
 //! # Example
 //!
@@ -66,9 +71,9 @@ use std::sync::OnceLock;
 /// The process-wide registry every free function below records into.
 ///
 /// The instrumented crates (`rewire-mrrg`'s router, the mappers, the
-/// engine) all use this instance so a single `--metrics FILE` snapshot
-/// covers the whole run; tests that need isolation construct their own
-/// [`Registry`].
+/// engine) all use this instance so one snapshot (an observe directory's
+/// `metrics.json`) covers the whole run; tests that need isolation
+/// construct their own [`Registry`].
 pub fn metrics() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -114,8 +119,8 @@ pub fn span(name: &str) -> ScopedTimer<'static> {
 
 /// The process-wide flight recorder (disabled until
 /// [`FlightRecorder::enable`] is called). The mappers and engine record
-/// decision events into this instance; `--flight FILE` on the experiment
-/// binaries enables it and writes [`FlightRecorder::snapshot`] at exit.
+/// decision events into this instance; `--observe DIR` enables it and
+/// writes [`FlightRecorder::snapshot`] to `DIR/flight.json` at exit.
 pub fn flight() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(FlightRecorder::default)
@@ -129,8 +134,8 @@ pub fn flight_event(event: FlightEvent) {
 
 /// The process-wide Chrome trace collector (disabled until
 /// [`ChromeTrace::enable`] is called). Every span on every registry feeds
-/// it while enabled; `--chrome-trace FILE` on the experiment binaries
-/// enables it and writes [`ChromeTrace::export_json`] at exit.
+/// it while enabled; `--observe DIR` enables it and writes
+/// [`ChromeTrace::export_json`] to `DIR/chrome.json` at exit.
 pub fn chrome() -> &'static ChromeTrace {
     static GLOBAL: OnceLock<ChromeTrace> = OnceLock::new();
     GLOBAL.get_or_init(ChromeTrace::default)

@@ -199,7 +199,7 @@ impl Snapshot {
     }
 
     /// Folds another snapshot into this one (e.g. snapshots from separate
-    /// processes, merged by `rewire-report`).
+    /// processes, merged by `rewire-doctor` across observe directories).
     pub fn merge(&mut self, other: &Snapshot) {
         for (scope, theirs) in &other.scopes {
             let ours = self.scope_mut(scope);

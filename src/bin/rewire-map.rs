@@ -8,13 +8,15 @@
 //! ```text
 //! rewire-map --kernel gesummv --arch 4x4r4 --mapper rewire --show-grid --verify 8
 //! rewire-map --dfg my_kernel.dfg --rows 6 --cols 6 --regs 2 --mem-cols 0 --banks 4
-//! rewire-map --artifact fuzz/corpus/seed0004-pass.dfg --flight flight.json
+//! rewire-map --artifact fuzz/corpus/seed0004-pass.dfg --observe obs
 //! ```
 //!
 //! Exit status: 0 = mapped, 1 = no mapping within budget, 2 = usage error.
 
+use rewire::mappers::observe;
 use rewire::prelude::*;
 use rewire::sim::config::Configuration;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -37,10 +39,7 @@ struct Args {
     show_config: bool,
     dot: Option<String>,
     verify: u32,
-    trace: Option<String>,
-    metrics: Option<String>,
-    flight: Option<String>,
-    chrome_trace: Option<String>,
+    observe: Option<String>,
 }
 
 impl Args {
@@ -64,10 +63,7 @@ impl Args {
             show_config: false,
             dot: None,
             verify: 0,
-            trace: None,
-            metrics: None,
-            flight: None,
-            chrome_trace: None,
+            observe: None,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -116,10 +112,7 @@ impl Args {
                         .parse()
                         .map_err(|e| format!("--verify: {e}"))?
                 }
-                "--trace" => a.trace = Some(val("--trace")?),
-                "--metrics" => a.metrics = Some(val("--metrics")?),
-                "--flight" => a.flight = Some(val("--flight")?),
-                "--chrome-trace" => a.chrome_trace = Some(val("--chrome-trace")?),
+                "--observe" => a.observe = Some(val("--observe")?),
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
             }
@@ -151,10 +144,8 @@ usage: rewire-map (--kernel <name> | --dfg <file> | --artifact <file>) [options]
   --show-config                    dump the per-slot configuration words
   --dot <file>                     write the DFG in Graphviz DOT
   --verify N                       simulate N iterations and check semantics
-  --trace <file>                   write the run's record (one JSON line, as rewire-report reads)
-  --metrics <file>                 write a metrics snapshot (counters, span timers) as JSON
-  --flight <file>                  write the flight-recorder decision log as JSON
-  --chrome-trace <file>            write a Chrome trace_event JSON (load in Perfetto)
+  --observe <dir>                  write the run's record, metrics snapshot, flight log
+                                   and Chrome trace into <dir> (read it with rewire-doctor)
 Every mapper routes with one router: a distance-pruned DP sweep, with each
 multi-sink signal routed as a shared route tree.";
 
@@ -278,54 +269,19 @@ fn main() -> ExitCode {
         .with_seed(seed);
 
     // The forensics collectors are process-global and off by default;
-    // asking for either output file switches them on for this run.
-    if args.flight.is_some() || args.chrome_trace.is_some() {
-        rewire::obs::flight().enable(0);
-    }
-    if args.chrome_trace.is_some() {
-        rewire::obs::chrome().enable(0);
+    // `--observe` switches them on for this run.
+    if args.observe.is_some() {
+        observe::enable_collectors();
     }
 
     let outcome = mapper.map(&dfg, &cgra, &limits);
-    if let Some(path) = &args.trace {
-        if let Err(e) = std::fs::write(path, format!("{}\n", outcome.stats.to_json())) {
-            eprintln!("{path}: {e}");
+    if let Some(dir) = &args.observe {
+        if let Err(e) = observe::write(Path::new(dir), [&outcome.stats]) {
+            eprintln!("{e}");
             return ExitCode::from(2);
         }
-        println!("trace written to {path}");
+        println!("observe directory written to {dir}");
     }
-    if let Some(path) = &args.metrics {
-        let mut json = rewire::obs::metrics().snapshot().to_json();
-        json.push('\n');
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("metrics written to {path}");
-    }
-    if args.flight.is_some() || args.chrome_trace.is_some() {
-        let flight_log = rewire::obs::flight().snapshot();
-        if let Some(path) = &args.flight {
-            let mut json = flight_log.to_json();
-            json.push('\n');
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("flight log written to {path}");
-        }
-        if let Some(path) = &args.chrome_trace {
-            let mut json = rewire::obs::chrome().export_json(Some(&flight_log));
-            json.push('\n');
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("chrome trace written to {path}");
-        }
-    }
-    // The one-line summary below is the same `MapStats` Display that
-    // `rewire-report` prints per run, so the two tools read identically.
     let report_verdicts = |stats: &MapStats| {
         if !stats.verdicts.is_empty() {
             let line: Vec<String> = stats

@@ -1,5 +1,6 @@
 //! Integration tests of the `rewire-map` CLI binary.
 
+use rewire::mappers::observe;
 use std::process::Command;
 
 fn rewire_map() -> Command {
@@ -82,9 +83,6 @@ fn maps_a_dfg_file_on_a_custom_fabric() {
 #[test]
 fn maps_a_corpus_artifact_and_dumps_forensics() {
     let dir = std::env::temp_dir().join(format!("rewire-cli-forensics-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let flight = dir.join("flight.json");
-    let chrome = dir.join("chrome.json");
     let artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/fuzz/corpus/seed0004-pass.dfg");
     let out = rewire_map()
         .args([
@@ -92,10 +90,8 @@ fn maps_a_corpus_artifact_and_dumps_forensics() {
             artifact,
             "--mapper",
             "pf",
-            "--flight",
-            flight.to_str().unwrap(),
-            "--chrome-trace",
-            chrome.to_str().unwrap(),
+            "--observe",
+            dir.to_str().unwrap(),
         ])
         .output()
         .expect("binary runs");
@@ -109,11 +105,25 @@ fn maps_a_corpus_artifact_and_dumps_forensics() {
     assert!(stdout.contains("artifact:"), "provenance line: {stdout}");
     assert!(stdout.contains("CGRA 3x3"), "artifact fabric: {stdout}");
     assert!(stdout.contains("PF*/hand-backedge-hub: II "), "{stdout}");
-    let flight_json = std::fs::read_to_string(&flight).unwrap();
-    assert!(flight_json.contains("\"version\""), "{flight_json}");
-    let chrome_json = std::fs::read_to_string(&chrome).unwrap();
-    assert!(chrome_json.contains("traceEvents"), "{chrome_json}");
+    // `--observe` writes all four files; the run comes back as one record.
+    for name in [
+        observe::RUNS,
+        observe::METRICS,
+        observe::FLIGHT,
+        observe::CHROME,
+    ] {
+        assert!(dir.join(name).is_file(), "{name} written");
+    }
+    let observed = observe::load(&dir).expect("the directory loads");
+    let chrome_json = std::fs::read_to_string(dir.join(observe::CHROME)).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(observed.runs.len(), 1, "{:?}", observed.runs);
+    let run = &observed.runs[0];
+    assert_eq!(run.scope(), "PF*/hand-backedge-hub@3x3/r2");
+    assert!(run.success(), "{run}");
+    assert!(observed.metrics.scopes.contains_key(&run.scope()));
+    assert!(observed.flight.get("events").is_some());
+    assert!(chrome_json.contains("traceEvents"), "{chrome_json}");
 }
 
 #[test]
