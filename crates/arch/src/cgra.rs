@@ -22,7 +22,6 @@ use std::fmt;
 /// }
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cgra {
     rows: u16,
     cols: u16,
@@ -40,7 +39,6 @@ pub struct Cgra {
     /// Whether any diagonal links exist (changes the hop-distance metric).
     has_diagonals: bool,
     /// Hash of the link topology (see [`Cgra::topology_fingerprint`]).
-    #[cfg_attr(feature = "serde", serde(default))]
     topology_fingerprint: u64,
 }
 

@@ -16,7 +16,6 @@ use std::fmt;
 /// assert_eq!(pe.id().index(), 1 * 4 + 2);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeId(u32);
 
 impl PeId {
@@ -53,7 +52,6 @@ impl From<u32> for PeId {
 ///
 /// Dense indices in `0..cgra.num_links()`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkId(u32);
 
 impl LinkId {
@@ -97,7 +95,6 @@ impl From<u32> for LinkId {
 /// assert_eq!(Coord::from((1, 2)), c);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coord {
     /// Row index (0 = top row).
     pub row: u16,

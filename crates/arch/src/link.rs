@@ -5,7 +5,6 @@ use std::fmt;
 
 /// Compass direction of a mesh link, from the source PE's point of view.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Direction {
     /// Towards row − 1.
     North,
@@ -83,7 +82,6 @@ impl fmt::Display for Direction {
 /// cycle `t + 1`; this single-cycle-per-hop latency is the timing contract
 /// every router in the workspace assumes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Link {
     id: LinkId,
     src: PeId,

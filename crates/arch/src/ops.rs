@@ -19,7 +19,6 @@ use std::fmt;
 /// assert!(OpKind::Store.is_memory());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum OpKind {
     /// Integer or floating-point addition.
@@ -60,7 +59,6 @@ pub enum OpKind {
 
 /// Coarse resource class of an operation: does it need a memory-capable PE?
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OpClass {
     /// Executes on any PE.
     Compute,

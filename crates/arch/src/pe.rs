@@ -11,7 +11,6 @@ use std::fmt;
 /// banks and are the only legal placements for [`OpKind::Load`] /
 /// [`OpKind::Store`] nodes.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Pe {
     id: PeId,
     coord: Coord,

@@ -13,7 +13,8 @@
 //!   share a scope share its counters, so `scope_runs` says how many
 //!   records a row's counters total over;
 //! * `== most-failed edges ==` — DFG edges that failed to route, grouped
-//!   by reason;
+//!   by reason, counted over every failure the recorder saw (the flight
+//!   log's tallies, not its bounded ring);
 //! * `== top contended resources ==` — the hottest cells of the
 //!   congestion heatmap, then one ASCII fabric grid per run scope, shaped
 //!   by the fabric label the scope ends in;
@@ -53,7 +54,7 @@ pub struct HeatRow {
     pub rounds: u64,
 }
 
-/// One `route_failed` flight event, grouped for ranking.
+/// One DFG edge's route-failure tally key.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FailedEdge {
     /// Recording scope (`"<mapper>/<kernel>@<fabric>"`).
@@ -71,9 +72,11 @@ pub struct FailedEdge {
 pub struct FlightData {
     /// Records evicted because a ring was full.
     pub dropped: u64,
-    /// How often each edge failed.
+    /// How often each edge failed, from the logs' route-failure tallies
+    /// (which, unlike the rings, drop nothing).
     pub failed_edges: BTreeMap<FailedEdge, u64>,
-    /// `attempt_phase` label counts (`"stall_detected"`, ...).
+    /// `attempt_phase` label counts (`"stall_detected"`, ...) summed over
+    /// scopes, from the logs' phase tallies.
     pub phases: BTreeMap<String, u64>,
     /// Events in the rings.
     pub events: usize,
@@ -82,13 +85,14 @@ pub struct FlightData {
 }
 
 impl FlightData {
-    /// Appends one flight-recorder log (version 1). A flight file is input
+    /// Appends one flight-recorder log (version 2). A flight file is input
     /// from outside the process, so every field the doctor reads is
     /// required and range-checked into its type; an error names the
-    /// event or heatmap row it came from.
+    /// row it came from. Of the ring's events only their number is read:
+    /// the tallies count every failure and phase, the ring only the last.
     pub fn add_log(&mut self, log: &Json) -> Result<(), String> {
         match log.int::<u64>("version") {
-            Ok(1) => {}
+            Ok(2) => {}
             other => return Err(format!("unsupported flight log version: {other:?}")),
         }
         let array = |name: &str| {
@@ -96,30 +100,32 @@ impl FlightData {
                 .as_array()
                 .ok_or_else(|| format!("field {name:?} is not an array"))
         };
-        let (events, heatmap) = (array("events")?, array("heatmap")?);
+        let events = array("events")?;
+        let (heatmap, failures, phases) = (
+            array("heatmap")?,
+            array("route_failures")?,
+            array("phases")?,
+        );
         self.dropped = self.dropped.saturating_add(log.int("dropped")?);
         self.events += events.len();
-        for (i, e) in events.iter().enumerate() {
-            let kind = e
-                .string("kind")
-                .map_err(|err| format!("event {i}: {err}"))?;
-            let at = |err: String| format!("event {i} ({kind}): {err}");
-            match kind {
-                "route_failed" => {
-                    let edge = FailedEdge {
-                        scope: e.string("scope").map_err(at)?.to_string(),
-                        src: e.int("src").map_err(at)?,
-                        dst: e.int("dst").map_err(at)?,
-                        reason: e.string("reason").map_err(at)?.to_string(),
-                    };
-                    *self.failed_edges.entry(edge).or_insert(0) += 1;
-                }
-                "attempt_phase" => {
-                    let phase = e.string("phase").map_err(at)?.to_string();
-                    *self.phases.entry(phase).or_insert(0) += 1;
-                }
-                _ => {}
-            }
+        for (i, row) in failures.iter().enumerate() {
+            let at = |err: String| format!("route failure row {i}: {err}");
+            let edge = FailedEdge {
+                scope: row.string("scope").map_err(at)?.to_string(),
+                src: row.int("src").map_err(at)?,
+                dst: row.int("dst").map_err(at)?,
+                reason: row.string("reason").map_err(at)?.to_string(),
+            };
+            let n = self.failed_edges.entry(edge).or_insert(0);
+            *n = n.saturating_add(row.int("count").map_err(at)?);
+        }
+        for (i, row) in phases.iter().enumerate() {
+            let at = |err: String| format!("phase row {i}: {err}");
+            let n = self
+                .phases
+                .entry(row.string("phase").map_err(at)?.to_string())
+                .or_insert(0);
+            *n = n.saturating_add(row.int("count").map_err(at)?);
         }
         for (i, cell) in heatmap.iter().enumerate() {
             let at = |err: String| format!("heatmap row {i}: {err}");
@@ -622,9 +628,43 @@ mod tests {
 
     #[test]
     fn flight_parse_rejects_bad_versions() {
-        let empty = "{\"version\":99,\"dropped\":0,\"events\":[],\"heatmap\":[]}";
-        assert!(flight_of(&[empty]).is_err());
+        for version in [1, 99] {
+            let empty = format!(
+                "{{\"version\":{version},\"dropped\":0,\"events\":[],\"heatmap\":[],\
+                 \"route_failures\":[],\"phases\":[]}}"
+            );
+            assert!(flight_of(&[&empty]).is_err(), "{empty}");
+        }
         assert!(flight_of(&["not json"]).is_err());
+    }
+
+    #[test]
+    fn edge_failures_are_counted_past_the_ring() {
+        let r = FlightRecorder::new(4);
+        r.enable(0);
+        for _ in 0..10 {
+            r.record_in(
+                "PF*/fir@4x4/r4",
+                FlightEvent::RouteFailed {
+                    edge: (1, 2),
+                    ii: 3,
+                    reason: "no_path",
+                },
+            );
+        }
+        let flight = flight_of(&[&r.snapshot().to_json()]).unwrap();
+        assert_eq!((flight.events, flight.dropped), (4, 6));
+        let report = diagnose(
+            &Evidence {
+                flight,
+                ..Evidence::default()
+            },
+            5,
+        );
+        assert!(
+            report.contains("edge 1 -> 2 failed 10x (no_path)"),
+            "{report}"
+        );
     }
 
     #[test]
@@ -634,16 +674,18 @@ mod tests {
             assert!(good.contains(from), "{from}");
             flight_of(&[&good.replacen(from, to, 1)]).unwrap_err()
         };
-        let err = bad(",\"reason\":\"no_path\"", "");
-        assert_eq!(err, "event 0 (route_failed): missing field \"reason\"");
+        // Tally rows are sorted by key: edge 0 -> 4 is row 0, 1 -> 2 row 1.
+        let err = bad(",\"reason\":\"no_path\",\"count\":3", ",\"count\":3");
+        assert_eq!(err, "route failure row 1: missing field \"reason\"");
         let err = bad("\"pe\":5", "\"pe\":4294967296");
         assert_eq!(
             err,
             "heatmap row 1: field \"pe\": 4294967296 does not fit u32"
         );
-        assert!(bad("\"src\":1", "\"src\":-1").contains("event 0 (route_failed)"));
-        assert!(bad("\"phase\":\"stall_detected\"", "\"phase\":7").contains("event 4"));
-        assert!(bad("\"kind\":\"route_failed\"", "\"kind\":1").starts_with("event 0:"));
+        assert!(bad("\"count\":3", "\"count\":-1").contains("route failure row 1"));
+        let phase = "\"phase\":\"stall_detected\",\"count\"";
+        assert!(bad(phase, "\"phase\":7,\"count\"").contains("phase row 0"));
+        assert!(bad("\"route_failures\"", "\"failures\"").contains("route_failures"));
         assert!(bad("\"dropped\":0,", "").contains("dropped"));
     }
 
@@ -875,7 +917,7 @@ mod tests {
             std::fs::write(dir.join(FLIGHT), sample_flight_json()).unwrap();
         }
         let evidence = Evidence::load(&dirs).unwrap();
-        std::fs::write(dirs[1].join(FLIGHT), "{\"version\":1}").unwrap();
+        std::fs::write(dirs[1].join(FLIGHT), "{\"version\":2}").unwrap();
         let err = Evidence::load(&dirs).unwrap_err();
         let _ = std::fs::remove_dir_all(&root);
         let fabrics: Vec<&str> = evidence.runs.iter().map(|r| r.fabric.as_str()).collect();

@@ -7,7 +7,6 @@ use std::fmt;
 ///
 /// Dense indices in `0..dfg.num_edges()`, assigned in insertion order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(u32);
 
 impl EdgeId {
@@ -46,7 +45,6 @@ impl From<u32> for EdgeId {
 /// is loop-carried: with initiation interval `II`, the value produced at
 /// schedule time `t_src` must reach the consumer at `t_dst + d·II`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DfgEdge {
     id: EdgeId,
     src: NodeId,

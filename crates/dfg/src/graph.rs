@@ -70,7 +70,6 @@ impl Error for GraphError {}
 /// # }
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dfg {
     name: String,
     nodes: Vec<DfgNode>,

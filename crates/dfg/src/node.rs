@@ -7,7 +7,6 @@ use std::fmt;
 ///
 /// Dense indices in `0..dfg.num_nodes()`, assigned in insertion order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -42,7 +41,6 @@ impl From<u32> for NodeId {
 
 /// A DFG operation node.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DfgNode {
     id: NodeId,
     name: String,

@@ -146,7 +146,7 @@ mod tests {
         let chrome = std::fs::read_to_string(dir.join(CHROME)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(back.runs, records);
-        assert_eq!(back.flight.int::<u64>("version"), Ok(1));
+        assert_eq!(back.flight.int::<u64>("version"), Ok(2));
         assert!(json::parse(&chrome).unwrap().get("traceEvents").is_some());
     }
 

@@ -739,12 +739,14 @@ mod tests {
     fn maps_gesummv_on_baseline_cgra() {
         let cgra = presets::paper_4x4_r4();
         let dfg = kernels::gesummv();
-        let out = PathFinderMapper::new().map(&dfg, &cgra, &MapLimits::fast());
+        // A per-II budget no debug run reaches: the iteration cap ends
+        // every II, so the achieved II does not depend on machine load.
+        let limits = MapLimits::fast().with_ii_time_budget(std::time::Duration::from_secs(600));
+        let out = PathFinderMapper::new().map(&dfg, &cgra, &limits);
         let m = out.mapping.expect("gesummv maps on 4x4/r4");
         assert!(m.is_valid(&dfg, &cgra));
-        let ii = out.stats.achieved_ii.unwrap();
-        assert!(ii >= out.stats.mii);
-        assert!(ii <= 12, "II {ii} unexpectedly high");
+        assert_eq!(out.stats.mii, 3);
+        assert_eq!(out.stats.achieved_ii, Some(8));
     }
 
     #[test]

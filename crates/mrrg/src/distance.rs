@@ -494,15 +494,33 @@ mod tests {
 
     #[test]
     fn tiered_is_admissible_on_a_plain_mesh() {
-        let cgra = CgraBuilder::new(10, 10).build().unwrap();
-        let exact = DistanceTable::build(&cgra);
-        let tiered = TieredDistance::build(&cgra);
-        assert_eq!(tiered.num_landmarks(), 4, "10x10 with 8x8 tiles");
-        for a in cgra.pes() {
-            for b in cgra.pes() {
-                let lb = tiered.lower_bound(a.id(), b.id());
-                let d = exact.hops(a.id(), b.id());
-                assert!(lb <= d, "{} -> {}: lb {lb} > true {d}", a.id(), b.id());
+        let plain = CgraBuilder::new(10, 10).build().unwrap();
+        assert_eq!(
+            TieredDistance::build(&plain).num_landmarks(),
+            4,
+            "10x10 with 8x8 tiles"
+        );
+        let fabrics = [
+            plain,
+            presets::paper_8x8_r4(),
+            presets::mesh16(),
+            presets::mesh32(),
+        ];
+        for cgra in &fabrics {
+            let exact = DistanceTable::build(cgra);
+            let tiered = TieredDistance::build(cgra);
+            for a in cgra.pes() {
+                for b in cgra.pes() {
+                    let lb = tiered.lower_bound(a.id(), b.id());
+                    let d = exact.hops(a.id(), b.id());
+                    assert!(
+                        lb <= d,
+                        "{}: {} -> {}: lb {lb} > true {d}",
+                        cgra.label(),
+                        a.id(),
+                        b.id()
+                    );
+                }
             }
         }
     }

@@ -8,7 +8,6 @@ use std::fmt;
 /// `slot` is always a *modulo* cycle in `0..II`; absolute schedule times are
 /// reduced by the owning [`Mrrg`](crate::Mrrg) before cells are touched.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Resource {
     /// The ALU of `pe` in modulo slot `slot` (exclusive to one DFG node).
     Fu {

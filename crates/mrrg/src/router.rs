@@ -182,7 +182,7 @@ pub enum RouterMode {
     /// The original dense `0..num_states` sweep: the reference the pruned
     /// path is checked against. Reachable only through
     /// [`Router::with_mode`]; kept compiled (not just `#[cfg(test)]`) so
-    /// the differential tests and the `router_prune` bench can run it.
+    /// the differential integration tests can run it.
     Dense,
 }
 
@@ -1278,6 +1278,22 @@ mod tests {
         }
     }
 
+    /// Runs `f` under the global registry scope `scope`, which no other
+    /// call uses, and returns its result with what it recorded there.
+    fn recorded<T>(scope: &str, f: impl FnOnce() -> T) -> (T, obs::ScopeSnapshot) {
+        let out = {
+            let _scope = obs::scope(scope);
+            f()
+        };
+        let mut snap = obs::metrics().snapshot();
+        (out, snap.scopes.remove(scope).unwrap_or_default())
+    }
+
+    /// Counter `name` of a recorded scope (0 if never incremented).
+    fn count(scope: &obs::ScopeSnapshot, name: &str) -> u64 {
+        scope.counters.get(name).copied().unwrap_or(0)
+    }
+
     #[test]
     fn single_hop() {
         let (cgra, mrrg) = setup(2);
@@ -1645,37 +1661,67 @@ mod tests {
 
     #[test]
     fn dense_and_pruned_routers_agree_and_prune() {
-        let (cgra, mrrg) = setup(4);
-        let occ = Occupancy::new(&mrrg);
-        let dense = Router::with_mode(&cgra, &mrrg, RouterMode::Dense);
-        let pruned = Router::with_mode(&cgra, &mrrg, RouterMode::Pruned);
-        let _scope = obs::scope("test/dense_vs_pruned_unit");
-        let mut ds = RouterScratch::new();
-        let mut ps = RouterScratch::new();
-        for (src, dst, depart, arrive) in [
-            ((0, 0), (2, 3), 1, 6),
-            ((0, 0), (0, 1), 1, 4),
-            ((3, 3), (0, 0), 2, 9),
-            ((1, 1), (1, 1), 1, 3),
-        ] {
-            let r = req(
-                0,
-                pe(&cgra, src.0, src.1),
-                depart,
-                pe(&cgra, dst.0, dst.1),
-                arrive,
-            );
-            let a = dense.route_with(&occ, &r, &UnitCost, &mut ds).unwrap();
-            let b = pruned.route_with(&occ, &r, &UnitCost, &mut ps).unwrap();
-            assert_eq!(a, b, "{r:?}");
+        // Mixed requests on the 4x4 fabric, all routable; then the 8x8
+        // fabric's long-haul corner route (0,0) -> (7,7) at slack 0, 2 and
+        // 6, where the two modes must agree on failures too.
+        let corner = |slack: u32| ((0, 0), (7, 7), 1, 1 + 14 + slack);
+        let cases = [
+            (
+                presets::paper_4x4_r4(),
+                true,
+                vec![
+                    ((0, 0), (2, 3), 1, 6),
+                    ((0, 0), (0, 1), 1, 4),
+                    ((3, 3), (0, 0), 2, 9),
+                    ((1, 1), (1, 1), 1, 3),
+                ],
+            ),
+            (
+                presets::paper_8x8_r4(),
+                false,
+                vec![corner(0), corner(2), corner(6)],
+            ),
+        ];
+        for (cgra, must_route, requests) in &cases {
+            let mrrg = Mrrg::new(cgra, 4);
+            let occ = Occupancy::new(&mrrg);
+            let dense = Router::with_mode(cgra, &mrrg, RouterMode::Dense);
+            let pruned = Router::with_mode(cgra, &mrrg, RouterMode::Pruned);
+            let mut ds = RouterScratch::new();
+            let mut ps = RouterScratch::new();
+            let (mut pruned_states, mut frontiers) = (0, 0);
+            for &(src, dst, depart, arrive) in requests {
+                let r = req(
+                    0,
+                    pe(cgra, src.0, src.1),
+                    depart,
+                    pe(cgra, dst.0, dst.1),
+                    arrive,
+                );
+                let at = format!("test/dense_vs_pruned_unit/{}/{r:?}", cgra.label());
+                let (a, dense_run) = recorded(&format!("{at}/dense"), || {
+                    dense.route_with(&occ, &r, &UnitCost, &mut ds)
+                });
+                let (b, pruned_run) = recorded(&format!("{at}/pruned"), || {
+                    pruned.route_with(&occ, &r, &UnitCost, &mut ps)
+                });
+                assert_eq!(a, b, "{r:?}");
+                assert!(a.is_ok() || !must_route, "{r:?}: {a:?}");
+                let (d, p) = (
+                    count(&dense_run, "router.expansions"),
+                    count(&pruned_run, "router.expansions"),
+                );
+                assert!(p <= d, "{r:?}: pruned {p} > dense {d} expansions");
+                pruned_states += count(&pruned_run, "router.pruned_states");
+                frontiers += pruned_run
+                    .histograms
+                    .get("router.frontier_size")
+                    .map_or(0, |h| h.count);
+            }
+            let label = cgra.label();
+            assert!(pruned_states > 0, "the oracle pruned something on {label}");
+            assert!(frontiers > 0, "{label}");
         }
-        let snap = obs::metrics().snapshot();
-        let s = &snap.scopes["test/dense_vs_pruned_unit"];
-        assert!(
-            s.counters["router.pruned_states"] > 0,
-            "the oracle pruned something on a 4x4 fabric"
-        );
-        assert!(s.histograms["router.frontier_size"].count > 0);
     }
 
     #[test]
@@ -1913,33 +1959,69 @@ mod tests {
 
     #[test]
     fn route_fanout_footprint_never_exceeds_per_edge() {
-        let (cgra, mrrg) = setup(4);
-        let router = Router::new(&cgra, &mrrg);
-        let src = pe(&cgra, 1, 1);
-        let reqs = [
-            req(2, src, 1, pe(&cgra, 3, 3), 6),
-            req(2, src, 1, pe(&cgra, 3, 2), 5),
-            req(2, src, 1, pe(&cgra, 2, 3), 5),
-        ];
-        // Per-edge baseline: route each branch independently against the
-        // accumulating occupancy (the mappers' sequential commit order).
-        let mut per_edge = Occupancy::new(&mrrg);
-        let mut baseline = Vec::new();
-        for r in &reqs {
-            let route = router.route(&per_edge, r, &UnitCost).unwrap();
-            per_edge.claim_route(&route);
-            baseline.push(route);
+        // A hub at (1,1) of the 4x4 fabric; then a corner hub at (0,0) of
+        // the 8x8 fabric fanning out to 2, 4 and 8 sinks over its far half,
+        // with per-sink slack so the branches differ in length.
+        let small = presets::paper_4x4_r4();
+        let hub = pe(&small, 1, 1);
+        let mut cases = vec![(
+            small.clone(),
+            vec![
+                req(2, hub, 1, pe(&small, 3, 3), 6),
+                req(2, hub, 1, pe(&small, 3, 2), 5),
+                req(2, hub, 1, pe(&small, 2, 3), 5),
+            ],
+        )];
+        let big = presets::paper_8x8_r4();
+        for n in [2u16, 4, 8] {
+            let sinks = (0..n).map(|i| {
+                let (row, col) = (3 + i % 5, 7 - i % 3);
+                let arrive = 1 + u32::from(row + col + i % 3);
+                req(0, pe(&big, 0, 0), 1, pe(&big, row, col), arrive)
+            });
+            cases.push((big.clone(), sinks.collect()));
         }
-        let baseline_tree = crate::RouteTree::from_branches(baseline).unwrap();
-        let mut occ = Occupancy::new(&mrrg);
-        let routes = router.route_fanout(&mut occ, &reqs, &UnitCost).unwrap();
-        let tree = crate::RouteTree::from_branches(routes).unwrap();
-        assert!(
-            tree.footprint() <= baseline_tree.footprint(),
-            "tree {} vs per-edge {}",
-            tree.footprint(),
-            baseline_tree.footprint()
-        );
+        for (cgra, reqs) in &cases {
+            let mrrg = Mrrg::new(cgra, 4);
+            let router = Router::new(cgra, &mrrg);
+            let at = format!("test/fanout_vs_per_edge/{}/{}", cgra.label(), reqs.len());
+            // Per-edge baseline: route each branch independently against
+            // the accumulating occupancy (the mappers' sequential commit
+            // order).
+            let mut per_edge = Occupancy::new(&mrrg);
+            let (baseline, edge_run) = recorded(&format!("{at}/per_edge"), || {
+                let claim = |r| {
+                    let route = router.route(&per_edge, r, &UnitCost).unwrap();
+                    per_edge.claim_route(&route);
+                    route
+                };
+                reqs.iter().map(claim).collect::<Vec<_>>()
+            });
+            let baseline_tree = crate::RouteTree::from_branches(baseline).unwrap();
+            let mut occ = Occupancy::new(&mrrg);
+            let (routes, tree_run) = recorded(&format!("{at}/tree"), || {
+                router.route_fanout(&mut occ, reqs, &UnitCost).unwrap()
+            });
+            let tree = crate::RouteTree::from_branches(routes).unwrap();
+            assert!(
+                tree.footprint() <= baseline_tree.footprint(),
+                "{at}: tree {} vs per-edge {}",
+                tree.footprint(),
+                baseline_tree.footprint()
+            );
+            // TreeCost re-prices cells but never widens the DP sweep.
+            let (tree_exp, edge_exp) = (
+                count(&tree_run, "router.expansions"),
+                count(&edge_run, "router.expansions"),
+            );
+            assert!(tree_exp <= edge_exp, "{at}: {tree_exp} > {edge_exp}");
+            if reqs.len() == 8 {
+                assert!(
+                    count(&tree_run, "router.tree_reuse") > 0,
+                    "{at}: no trunk reuse"
+                );
+            }
+        }
     }
 
     #[test]

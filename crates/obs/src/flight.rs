@@ -6,9 +6,12 @@
 //! [`FlightEvent`]s (route failures, rip-ups, evictions, congestion peaks,
 //! attempt phase transitions) into one process-global bounded ring buffer;
 //! when the ring is full the oldest record is dropped and a saturating
-//! drop counter remembers how many were lost. Everything here is
-//! observe-only: recording never feeds back into mapping decisions, and
-//! the disabled fast path is a single relaxed atomic load.
+//! drop counter remembers how many were lost. Route failures and phase
+//! labels are also tallied per scope outside the ring, like the heatmap,
+//! so their counts cover the whole recording however much the ring
+//! dropped. Everything here is observe-only: recording never feeds back
+//! into mapping decisions, and the disabled fast path is a single relaxed
+//! atomic load.
 
 use crate::json;
 use std::collections::{BTreeMap, VecDeque};
@@ -129,8 +132,16 @@ pub struct HeatCell {
 /// A heatmap cell's key: `(scope, pe, class, cycle)`.
 pub type HeatKey = (String, u32, &'static str, u32);
 
+/// A route-failure tally's key: `(scope, src, dst, reason)` of one DFG
+/// edge (see [`FlightEvent::RouteFailed`]).
+pub type FailKey = (String, u32, u32, &'static str);
+
+/// A phase tally's key: `(scope, phase label)`.
+pub type PhaseKey = (String, &'static str);
+
 /// A point-in-time copy of the recorder: events in ring order, the drop
-/// counter, and the congestion heatmap.
+/// counter, the congestion heatmap, and the route-failure and phase
+/// tallies.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlightLog {
     /// Events still in the ring, oldest first.
@@ -141,6 +152,13 @@ pub struct FlightLog {
     /// The scope keeps runs on different fabrics apart: PE 5 of a 4×4
     /// run and PE 5 of an 8×8 run are different cells.
     pub heatmap: Vec<(HeatKey, HeatCell)>,
+    /// Every `route_failed` event ever recorded, counted per
+    /// `(scope, src, dst, reason)`, sorted. Unlike the ring it drops
+    /// nothing.
+    pub route_failures: Vec<(FailKey, u64)>,
+    /// Every `attempt_phase` event ever recorded, counted per
+    /// `(scope, phase)`, sorted.
+    pub phases: Vec<(PhaseKey, u64)>,
 }
 
 impl FlightLog {
@@ -148,7 +166,7 @@ impl FlightLog {
     /// back with [`crate::json::parse`]). Byte-stable for a given log.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("{\"version\":1,\"dropped\":");
+        let mut out = String::from("{\"version\":2,\"dropped\":");
         let _ = write!(out, "{}", self.dropped);
         out.push_str(",\"events\":[");
         for (i, rec) in self.events.iter().enumerate() {
@@ -225,6 +243,27 @@ impl FlightLog {
                 cell.overuse, cell.peak, cell.rounds
             );
         }
+        out.push_str("],\"route_failures\":[");
+        for (i, ((scope, src, dst, reason), count)) in self.route_failures.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"scope\":");
+            json::write_str(&mut out, scope);
+            let _ = write!(
+                out,
+                ",\"src\":{src},\"dst\":{dst},\"reason\":\"{reason}\",\"count\":{count}}}"
+            );
+        }
+        out.push_str("],\"phases\":[");
+        for (i, ((scope, phase), count)) in self.phases.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"scope\":");
+            json::write_str(&mut out, scope);
+            let _ = write!(out, ",\"phase\":\"{phase}\",\"count\":{count}}}");
+        }
         out.push_str("]}");
         out
     }
@@ -237,6 +276,8 @@ struct RingState {
     seq: u64,
     dropped: u64,
     heat: BTreeMap<HeatKey, HeatCell>,
+    route_failures: BTreeMap<FailKey, u64>,
+    phases: BTreeMap<PhaseKey, u64>,
 }
 
 /// The bounded decision-event ring buffer. One process-global instance
@@ -298,13 +339,29 @@ impl FlightRecorder {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Records one event under an explicit scope. No-op while disabled.
+    /// Records one event under an explicit scope, and counts a route
+    /// failure or phase label in `scope`'s tallies. No-op while disabled.
     pub fn record_in(&self, scope: &str, event: FlightEvent) {
         if !self.is_enabled() {
             return;
         }
-        let ts_us = epoch_us();
         let mut s = self.state.lock().expect("flight state poisoned");
+        // Stamped under the lock, so ring order is timestamp order even
+        // when several threads record (Chrome needs per-`tid` monotonic
+        // timestamps, and every flight instant shares `tid` 0).
+        let ts_us = epoch_us();
+        match event {
+            FlightEvent::RouteFailed { edge, reason, .. } => {
+                let key = (scope.to_string(), edge.0, edge.1, reason);
+                let n = s.route_failures.entry(key).or_default();
+                *n = n.saturating_add(1);
+            }
+            FlightEvent::AttemptPhase { phase, .. } => {
+                let n = s.phases.entry((scope.to_string(), phase)).or_default();
+                *n = n.saturating_add(1);
+            }
+            _ => {}
+        }
         let seq = s.seq;
         s.seq = s.seq.saturating_add(1);
         if s.buf.len() >= s.capacity {
@@ -346,14 +403,21 @@ impl FlightRecorder {
         cell.rounds = cell.rounds.saturating_add(1);
     }
 
-    /// A copy of the current ring contents, drop counter, and heatmap.
-    /// Does not clear anything; safe to call while recording continues.
+    /// A copy of the current ring contents, drop counter, heatmap and
+    /// tallies. Does not clear anything; safe to call while recording
+    /// continues.
     pub fn snapshot(&self) -> FlightLog {
         let s = self.state.lock().expect("flight state poisoned");
         FlightLog {
             events: s.buf.iter().cloned().collect(),
             dropped: s.dropped,
             heatmap: s.heat.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            route_failures: s
+                .route_failures
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            phases: s.phases.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         }
     }
 
@@ -362,14 +426,16 @@ impl FlightRecorder {
         self.state.lock().expect("flight state poisoned").seq
     }
 
-    /// Clears events, drop counter, sequence numbers, and the heatmap.
-    /// The enabled flag and capacity are kept.
+    /// Clears events, drop counter, sequence numbers, the heatmap and
+    /// the tallies. The enabled flag and capacity are kept.
     pub fn reset(&self) {
         let mut s = self.state.lock().expect("flight state poisoned");
         s.buf.clear();
         s.seq = 0;
         s.dropped = 0;
         s.heat.clear();
+        s.route_failures.clear();
+        s.phases.clear();
     }
 }
 
@@ -417,6 +483,11 @@ mod tests {
             vec![2, 3, 4],
             "sequence numbers keep counting across drops"
         );
+        assert_eq!(
+            log.phases,
+            vec![(("s".to_string(), "test"), 5)],
+            "the tallies count dropped records too"
+        );
     }
 
     #[test]
@@ -459,7 +530,7 @@ mod tests {
         r.heat("PF*/fir@4x4/r4", 5, "link", 2, 4);
         let json = r.snapshot().to_json();
         let root = crate::json::parse(&json).expect("flight log JSON parses");
-        assert_eq!(root.get("version").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(root.get("version").and_then(|v| v.as_u64()), Some(2));
         let events = root.get("events").and_then(|v| v.as_array()).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(
@@ -478,6 +549,18 @@ mod tests {
         );
         assert_eq!(heat[0].get("pe").and_then(|v| v.as_u64()), Some(5));
         assert_eq!(heat[0].get("overuse").and_then(|v| v.as_u64()), Some(4));
+        let fails = root
+            .get("route_failures")
+            .and_then(|v| v.as_array())
+            .unwrap();
+        assert_eq!(fails[0].get("dst").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(fails[0].get("count").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(
+            root.get("phases")
+                .and_then(|v| v.as_array())
+                .map(<[_]>::len),
+            Some(0)
+        );
     }
 
     #[test]

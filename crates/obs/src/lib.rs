@@ -58,7 +58,7 @@ mod snapshot;
 mod trace;
 
 pub use flight::{
-    FlightEvent, FlightLog, FlightRecord, FlightRecorder, HeatCell, HeatKey,
+    FailKey, FlightEvent, FlightLog, FlightRecord, FlightRecorder, HeatCell, HeatKey, PhaseKey,
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use hist::{Histogram, NUM_BUCKETS};
