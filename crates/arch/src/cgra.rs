@@ -203,11 +203,6 @@ impl Cgra {
         self.pes.iter().filter(move |p| p.supports(op))
     }
 
-    /// Number of PEs that can execute `op` — the denominator in resource-MII.
-    pub fn capacity_for(&self, op: OpKind) -> usize {
-        self.pes_supporting(op).count()
-    }
-
     /// Hop-distance lower bound between two PEs: Manhattan on orthogonal
     /// meshes, Chebyshev when diagonal links exist.
     pub fn distance(&self, a: PeId, b: PeId) -> u32 {
@@ -320,8 +315,8 @@ mod tests {
     #[test]
     fn capacity_counts_memory_ops() {
         let c = cgra();
-        assert_eq!(c.capacity_for(OpKind::Load), 3); // one column of 3 rows
-        assert_eq!(c.capacity_for(OpKind::Add), 12);
+        assert_eq!(c.pes_supporting(OpKind::Load).count(), 3); // one column of 3 rows
+        assert_eq!(c.pes_supporting(OpKind::Add).count(), 12);
     }
 
     #[test]

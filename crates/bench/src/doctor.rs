@@ -281,9 +281,18 @@ fn render_runs(out: &mut String, runs: &[MapStats], snap: &Snapshot) {
     for r in runs {
         *scope_runs.entry(r.scope()).or_insert(0) += 1;
     }
-    out.push_str(
-        "  mapper   kernel         fabric     II  MII  gap   IIs      iters    time_ms   \
-         expansions   route_ms  ns/exp    rip_ups scope_runs  gave_up\n",
+    // Ablation variants carry long mapper names (`Rewire:restarts=1`).
+    let width = runs
+        .iter()
+        .map(|r| r.mapper.len())
+        .max()
+        .unwrap_or(0)
+        .max(8);
+    let _ = writeln!(
+        out,
+        "  {:<width$} kernel         fabric     II  MII  gap   IIs      iters    time_ms   \
+         expansions   route_ms  ns/exp    rip_ups scope_runs  gave_up",
+        "mapper"
     );
     let mut sorted: Vec<&MapStats> = runs.iter().collect();
     // Failures first, then by gap descending: the sickest run leads.
@@ -305,7 +314,7 @@ fn render_runs(out: &mut String, runs: &[MapStats], snap: &Snapshot) {
         };
         let _ = writeln!(
             out,
-            "  {:<8} {:<14} {:<8} {:>4} {:>4} {:>4} {:>5} {:>10} {:>10.1} {:>12} {:>10} {:>7} {:>10} {:>10}  {}",
+            "  {:<width$} {:<14} {:<8} {:>4} {:>4} {:>4} {:>5} {:>10} {:>10.1} {:>12} {:>10} {:>7} {:>10} {:>10}  {}",
             r.mapper,
             r.kernel,
             r.fabric,

@@ -20,12 +20,12 @@
 //! backend's instance-size refusal bound, so it has no proven floor to
 //! compare against.
 
-use rewire_arch::{presets, Cgra};
-use rewire_core::{RewireConfig, RewireMapper};
+use crate::runner::{MapperKind, Row};
+use crate::workloads::Workload;
+use rewire_arch::presets;
+use rewire_core::RewireConfig;
 use rewire_dfg::kernels;
-use rewire_mappers::{
-    ExactSatMapper, MapLimits, Mapper, PathFinderConfig, PathFinderMapper, SaConfig, SaMapper,
-};
+use rewire_mappers::{MapLimits, PathFinderConfig, SaConfig};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -39,6 +39,36 @@ pub const STUDY_CONFLICTS: u64 = 50_000;
 /// more reports `-`. The study is about tightness near the bound, not
 /// about how far a heuristic can crawl.
 pub const EXTRA_II: u32 = 2;
+
+/// Snapshot labels of the capped heuristics, in the order they follow
+/// the exact backend in [`study_mappers`].
+const HEURISTICS: [&str; 3] = ["rewire", "pf", "sa"];
+
+/// The study's mappers: the exact backend under [`STUDY_CONFLICTS`], then
+/// the capped deterministic Rewire, PF\* and SA of the engine-determinism
+/// suite.
+pub fn study_mappers() -> Vec<MapperKind> {
+    vec![
+        MapperKind::Exact(STUDY_CONFLICTS),
+        MapperKind::Rewire {
+            name: "Rewire",
+            config: RewireConfig {
+                max_cluster_attempts: 6,
+                max_restarts_per_ii: 1,
+                ..Default::default()
+            },
+        },
+        MapperKind::PathFinder(PathFinderConfig {
+            max_iterations_per_ii: 60,
+            max_full_evals: 6,
+            ..Default::default()
+        }),
+        MapperKind::Annealing(SaConfig {
+            max_iterations_per_ii: 150,
+            max_restarts_per_ii: 1,
+        }),
+    ]
+}
 
 /// One kernel × fabric line of the study.
 #[derive(Clone, Debug)]
@@ -71,88 +101,57 @@ impl TightnessRow {
     }
 }
 
-/// The fig5 fabrics the exact backend can decide (everything but 8×8).
-pub fn study_fabrics() -> Vec<(&'static str, Cgra)> {
-    vec![
+/// The study's workloads: the whole suite on each fig5 fabric the exact
+/// backend can decide (everything but 8×8).
+pub fn study_workloads() -> Vec<Workload> {
+    [
         ("4x4 4reg", presets::paper_4x4_r4()),
         ("4x4 2reg", presets::paper_4x4_r2()),
         ("4x4 1reg", presets::paper_4x4_r1()),
     ]
+    .into_iter()
+    .map(|(label, cgra)| Workload {
+        label,
+        cgra,
+        kernels: kernels::all().into_iter().map(|(_, dfg)| dfg).collect(),
+        budget_scale: 1.0,
+    })
+    .collect()
 }
 
-/// The capped deterministic heuristics of the engine-determinism suite.
-fn heuristics() -> Vec<(&'static str, Box<dyn Mapper>)> {
-    vec![
-        (
-            "rewire",
-            Box::new(RewireMapper::with_config(RewireConfig {
-                max_cluster_attempts: 6,
-                max_restarts_per_ii: 1,
-                ..Default::default()
-            })),
-        ),
-        (
-            "pf",
-            Box::new(PathFinderMapper::with_config(PathFinderConfig {
-                max_iterations_per_ii: 60,
-                max_full_evals: 6,
-                ..Default::default()
-            })),
-        ),
-        (
-            "sa",
-            Box::new(SaMapper::with_config(SaConfig {
-                max_iterations_per_ii: 150,
-                max_restarts_per_ii: 1,
-            })),
-        ),
-    ]
-}
-
-fn study_limits(mii: u32) -> MapLimits {
-    // The wall clock must never bind — determinism comes from conflict
-    // and iteration caps.
+/// The study's limits for a kernel of MII `mii`. The wall clock must
+/// never bind — determinism comes from conflict and iteration caps.
+pub(crate) fn study_limits(mii: u32) -> MapLimits {
     MapLimits::fast()
         .with_seed(0xFACADE)
         .with_ii_time_budget(Duration::from_secs(600))
         .with_max_ii(mii + EXTRA_II)
 }
 
-/// Runs the full study: every kernel of the suite on every decidable
-/// fig5 fabric, exact backend plus the three capped heuristics.
-/// `progress` fires after each row.
-pub fn mii_tightness_rows(mut progress: impl FnMut(&TightnessRow)) -> Vec<TightnessRow> {
-    let suite = kernels::all();
-    let mut rows = Vec::new();
-    for (fabric, cgra) in study_fabrics() {
-        for (kernel, dfg) in &suite {
-            let Some(mii) = dfg.mii(&cgra) else {
-                continue;
-            };
-            let limits = study_limits(mii);
-            let exact = ExactSatMapper::new()
-                .with_conflict_budget(STUDY_CONFLICTS)
-                .map(dfg, &cgra, &limits);
-            if let Some(m) = &exact.mapping {
-                assert!(m.is_valid(dfg, &cgra), "{fabric}/{kernel}: exact model");
-            }
-            let row = TightnessRow {
-                fabric,
-                kernel: (*kernel).to_string(),
-                mii,
-                exact_ii: exact.stats.achieved_ii,
-                exact_optimal: exact.stats.proven_optimal(),
-                refuted: exact.stats.proven_infeasible_iis(),
-                heuristics: heuristics()
+/// Reads the rows of [`study_mappers`] on [`study_workloads`] as the
+/// study's lines.
+pub fn tightness_rows(rows: &[Row]) -> Vec<TightnessRow> {
+    rows.iter()
+        .map(|row| {
+            let (exact, heuristics) = row
+                .results
+                .split_first()
+                .expect("the exact backend runs first");
+            TightnessRow {
+                fabric: row.config,
+                kernel: row.kernel.clone(),
+                mii: row.mii,
+                exact_ii: exact.achieved_ii,
+                exact_optimal: exact.proven_optimal(),
+                refuted: exact.proven_infeasible_iis(),
+                heuristics: HEURISTICS
                     .into_iter()
-                    .map(|(label, h)| (label, h.map(dfg, &cgra, &limits).stats.achieved_ii))
+                    .zip(heuristics)
+                    .map(|(label, stats)| (label, stats.achieved_ii))
                     .collect(),
-            };
-            progress(&row);
-            rows.push(row);
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Renders the golden-snapshot form: one stable line per row.
@@ -191,12 +190,15 @@ pub fn render_snapshot(rows: &[TightnessRow]) -> String {
 /// Renders the EXPERIMENTS.md markdown table, one section per fabric,
 /// with the per-fabric tightness tallies the study is after.
 pub fn render_markdown(rows: &[TightnessRow]) -> String {
-    let mut out = String::new();
-    for (fabric, _) in study_fabrics() {
-        let section: Vec<&TightnessRow> = rows.iter().filter(|r| r.fabric == fabric).collect();
-        if section.is_empty() {
-            continue;
+    let mut fabrics: Vec<&str> = Vec::new();
+    for r in rows {
+        if !fabrics.contains(&r.fabric) {
+            fabrics.push(r.fabric);
         }
+    }
+    let mut out = String::new();
+    for fabric in fabrics {
+        let section: Vec<&TightnessRow> = rows.iter().filter(|r| r.fabric == fabric).collect();
         writeln!(out, "### {fabric}\n").unwrap();
         writeln!(out, "| kernel | MII | exact | Rewire | PF\\* | SA |").unwrap();
         writeln!(out, "|---|---|---|---|---|---|").unwrap();

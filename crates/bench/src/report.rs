@@ -94,7 +94,8 @@ pub fn summarize(rows: &[Row]) -> Summary {
     s
 }
 
-fn fmt_ii(ii: Option<u32>) -> String {
+/// An achieved II, or `-` for a failed run.
+pub(crate) fn fmt_ii(ii: Option<u32>) -> String {
     ii.map_or("-".into(), |x| x.to_string())
 }
 
@@ -203,6 +204,7 @@ mod tests {
                     ..MapStats::default()
                 },
             ],
+            rewire: Default::default(),
         }
     }
 
@@ -250,66 +252,5 @@ mod tests {
     fn empty_rows_are_fine() {
         let s = summarize(&[]);
         assert_eq!(s.total, 0);
-    }
-}
-
-/// Renders a compact markdown table of one experiment's rows — used by
-/// downstream tooling that embeds results in reports.
-pub fn to_markdown(rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if rows.is_empty() {
-        return out;
-    }
-    let _ = write!(out, "| config | kernel | MII |");
-    for r in &rows[0].results {
-        let _ = write!(out, " {} |", r.mapper);
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|---|---|");
-    for _ in &rows[0].results {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
-    for row in rows {
-        let _ = write!(out, "| {} | {} | {} |", row.config, row.kernel, row.mii);
-        for r in &row.results {
-            let _ = write!(
-                out,
-                " {} |",
-                r.achieved_ii.map_or("-".into(), |ii| ii.to_string())
-            );
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-#[cfg(test)]
-mod markdown_tests {
-    use super::*;
-    use rewire_mappers::MapStats;
-
-    #[test]
-    fn markdown_table_shape() {
-        let rows = vec![Row {
-            config: "4x4 4reg",
-            kernel: "fir".into(),
-            mii: 3,
-            results: vec![MapStats {
-                mapper: "Rewire".into(),
-                achieved_ii: Some(3),
-                ..MapStats::default()
-            }],
-        }];
-        let md = to_markdown(&rows);
-        assert!(md.starts_with("| config | kernel | MII | Rewire |"));
-        assert!(md.contains("| 4x4 4reg | fir | 3 | 3 |"));
-        assert_eq!(md.lines().count(), 3);
-    }
-
-    #[test]
-    fn empty_markdown_is_empty() {
-        assert!(to_markdown(&[]).is_empty());
     }
 }

@@ -1,40 +1,101 @@
-//! Runs mappers over workloads and collects result rows.
+//! Runs mappers over workloads and collects result rows, and parses the
+//! `repro` command line that selects them.
 
+use crate::experiments::{Experiment, DEFAULT_EXPERIMENTS, EXPERIMENTS};
 use crate::workloads::Workload;
-use rewire_core::RewireMapper;
-use rewire_mappers::{MapLimits, MapStats, Mapper, PathFinderConfig, PathFinderMapper, SaMapper};
+use rewire_arch::Cgra;
+use rewire_core::{RewireConfig, RewireMapper, RewireStats};
+use rewire_dfg::Dfg;
+use rewire_mappers::{
+    ExactSatMapper, IiSearch, MapLimits, MapOutcome, MapStats, Mapper, PathFinderConfig,
+    PathFinderMapper, SaConfig, SaMapper,
+};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-/// The three mappers of the evaluation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// A mapper of the evaluation under the configuration its experiment sets.
+#[derive(Clone, Debug)]
 pub enum MapperKind {
-    /// The paper's contribution.
-    Rewire,
-    /// PathFinder-style baseline, faithful early termination.
-    PathFinder,
-    /// PathFinder-style baseline consuming the full per-II budget with
-    /// randomised restarts (the equal-budget compile-time setup).
-    PathFinderFullBudget,
-    /// Simulated-annealing baseline (re-anneals until the budget).
-    Annealing,
+    /// Rewire under `config`, recorded as `name`: `"Rewire"` for the
+    /// paper's mapper, a name of its own (no spaces, `/` or `@`) for an
+    /// ablation variant, so that every variant has its own metric scope.
+    Rewire {
+        /// Mapper name in the run record and its metric scope.
+        name: &'static str,
+        /// The variant's configuration.
+        config: RewireConfig,
+    },
+    /// The PF* baseline (`use_full_budget` for Fig 6's equal budgets).
+    PathFinder(PathFinderConfig),
+    /// The simulated-annealing baseline.
+    Annealing(SaConfig),
+    /// The exact SAT backend under a conflict budget per II.
+    Exact(u64),
 }
 
 impl MapperKind {
-    /// Instantiates the mapper.
-    pub fn build(self) -> Box<dyn Mapper> {
+    /// The paper's Rewire mapper under its default configuration.
+    pub fn rewire() -> Self {
+        MapperKind::Rewire {
+            name: "Rewire",
+            config: RewireConfig::default(),
+        }
+    }
+
+    /// Maps `dfg`, returning the outcome and, for Rewire, its Algorithm 2
+    /// tallies (zero for the other mappers).
+    fn run(&self, dfg: &Dfg, cgra: &Cgra, limits: &MapLimits) -> (MapOutcome, RewireStats) {
+        let mapped = |mapper: &dyn Mapper| (mapper.map(dfg, cgra, limits), RewireStats::default());
         match self {
-            MapperKind::Rewire => Box::new(RewireMapper::new()),
-            MapperKind::PathFinder => Box::new(PathFinderMapper::new()),
-            MapperKind::PathFinderFullBudget => {
-                Box::new(PathFinderMapper::with_config(PathFinderConfig {
-                    use_full_budget: true,
-                    ..Default::default()
-                }))
+            MapperKind::Rewire { name, config } => {
+                let mapper = RewireMapper::with_config(config.clone());
+                let mut attempt = mapper.ii_attempt(limits);
+                let outcome = IiSearch::new(name).run(dfg, cgra, limits, &mut attempt);
+                (outcome, attempt.rstats)
             }
-            MapperKind::Annealing => Box::new(SaMapper::new()),
+            MapperKind::PathFinder(config) => {
+                mapped(&PathFinderMapper::with_config(config.clone()))
+            }
+            MapperKind::Annealing(config) => mapped(&SaMapper::with_config(config.clone())),
+            MapperKind::Exact(conflicts) => {
+                mapped(&ExactSatMapper::new().with_conflict_budget(*conflicts))
+            }
+        }
+    }
+}
+
+/// How long each II of a run may search.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Budget {
+    /// Wall-clock seconds per II per mapper, scaled by the workload's
+    /// `budget_scale`, under [`MapLimits::benchmark`].
+    Seconds(f64),
+    /// Cap-bound: the [MII-tightness study](crate::mii_tightness)'s
+    /// limits — II ceiling MII + [`EXTRA_II`](crate::mii_tightness::EXTRA_II),
+    /// a fixed seed, and a per-II wall clock that never binds, so every
+    /// search ends on its mapper's own caps.
+    Caps,
+}
+
+impl std::fmt::Display for Budget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Budget::Seconds(secs) => write!(f, "{secs} s per II"),
+            Budget::Caps => f.write_str("cap-bound"),
+        }
+    }
+}
+
+impl Budget {
+    fn limits(self, workload: &Workload, mii: u32) -> MapLimits {
+        match self {
+            Budget::Seconds(secs) => MapLimits::benchmark().with_ii_time_budget(
+                Duration::from_millis((secs * workload.budget_scale * 1000.0) as u64),
+            ),
+            Budget::Caps => crate::mii_tightness::study_limits(mii),
         }
     }
 }
@@ -51,134 +112,66 @@ pub struct Row {
     pub mii: u32,
     /// Per-mapper run records, in the order the mappers were passed.
     pub results: Vec<MapStats>,
-}
-
-/// One `(kernel, architecture, mapper)` unit of work for the fan-out.
-struct Task<'a> {
-    row: usize,
-    slot: usize,
-    kind: MapperKind,
-    dfg: &'a rewire_dfg::Dfg,
-    cgra: &'a rewire_arch::Cgra,
-    label: &'static str,
-    limits: MapLimits,
-}
-
-impl Task<'_> {
-    fn run(&self) -> MapStats {
-        let outcome = self.kind.build().map(self.dfg, self.cgra, &self.limits);
-        if let Some(m) = &outcome.mapping {
-            assert!(
-                m.is_valid(self.dfg, self.cgra),
-                "{} on {}",
-                self.dfg.name(),
-                self.label
-            );
-        }
-        outcome.stats
-    }
+    /// Algorithm 2's tallies summed over the row's Rewire runs (§IV-D's
+    /// verification rate).
+    pub rewire: RewireStats,
 }
 
 /// Runs every `(kernel, architecture)` combination of `workloads` through
-/// `mappers` with the given per-II budget on `jobs` OS threads, calling
-/// `progress` after each row (for live output).
+/// `mappers` under `budget` on `jobs` OS threads, calling `progress` as
+/// each row completes (for live output).
 ///
-/// Work is pulled from a shared atomic index, so thread scheduling decides
-/// only *who* runs a combination — each combination itself is mapped with
-/// exactly the same limits and seed as with `jobs = 1`, and the returned
-/// rows are assembled in the serial order regardless of completion order.
-/// `progress` fires on the calling thread as rows *complete*, which under
-/// `jobs > 1` may be out of row order.
+/// Each row is one [`parallel_map`] item, so thread scheduling decides
+/// only *who* maps a row — every run uses exactly the limits and seed it
+/// gets with `jobs = 1`, and the rows come back in the serial order.
+/// `progress` may fire out of row order under `jobs > 1`. Kernels without
+/// an MII on their fabric are skipped.
 pub fn run_workloads(
     workloads: &[Workload],
     mappers: &[MapperKind],
-    seconds_per_ii: f64,
+    budget: Budget,
     jobs: usize,
-    mut progress: impl FnMut(&Row),
+    progress: impl FnMut(&Row) + Send,
 ) -> Vec<Row> {
-    // Flatten into row skeletons (one per kernel × architecture) and
-    // per-mapper tasks, preserving the serial iteration order.
-    let mut skeletons: Vec<Row> = Vec::new();
-    let mut tasks: Vec<Task> = Vec::new();
-    for w in workloads {
-        let limits = MapLimits::benchmark().with_ii_time_budget(Duration::from_millis(
-            (seconds_per_ii * w.budget_scale * 1000.0) as u64,
-        ));
-        for dfg in &w.kernels {
-            let Some(mii) = dfg.mii(&w.cgra) else {
-                continue;
-            };
-            let row = skeletons.len();
-            skeletons.push(Row {
-                config: w.label,
-                kernel: dfg.name().to_string(),
-                mii,
-                results: Vec::new(),
-            });
-            for (slot, &kind) in mappers.iter().enumerate() {
-                tasks.push(Task {
-                    row,
-                    slot,
-                    kind,
-                    dfg,
-                    cgra: &w.cgra,
-                    label: w.label,
-                    limits,
-                });
-            }
-        }
-    }
-
-    if jobs <= 1 {
-        // Serial path: run in order, fire progress per finished row.
-        for task in &tasks {
-            let result = task.run();
-            skeletons[task.row].results.push(result);
-            if skeletons[task.row].results.len() == mappers.len() {
-                progress(&skeletons[task.row]);
-            }
-        }
-        return skeletons;
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, MapStats)>();
-    let mut slots: Vec<Vec<Option<MapStats>>> = vec![vec![None; mappers.len()]; skeletons.len()];
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(tasks.len().max(1)) {
-            let tx = tx.clone();
-            let next = &next;
-            let tasks = &tasks;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                if tx.send((i, task.run())).is_err() {
-                    break;
+    let cells: Vec<(&Workload, &Dfg, u32)> = workloads
+        .iter()
+        .flat_map(|w| {
+            w.kernels
+                .iter()
+                .filter_map(move |dfg| Some((w, dfg, dfg.mii(&w.cgra)?)))
+        })
+        .collect();
+    let progress = Mutex::new(progress);
+    parallel_map(&cells, jobs, |&(w, dfg, mii)| {
+        let limits = budget.limits(w, mii);
+        let mut rewire = RewireStats::default();
+        let results = mappers
+            .iter()
+            .map(|kind| {
+                let (outcome, rstats) = kind.run(dfg, &w.cgra, &limits);
+                if let Some(m) = &outcome.mapping {
+                    assert!(m.is_valid(dfg, &w.cgra), "{} on {}", dfg.name(), w.label);
                 }
-            });
-        }
-        drop(tx);
-        // Collect on the calling thread; fire progress as rows fill up.
-        for (i, result) in rx {
-            let task = &tasks[i];
-            slots[task.row][task.slot] = Some(result);
-            if slots[task.row].iter().all(Option::is_some) {
-                let results: Vec<MapStats> = slots[task.row]
-                    .iter_mut()
-                    .map(|s| s.take().expect("slot just checked full"))
-                    .collect();
-                skeletons[task.row].results = results;
-                progress(&skeletons[task.row]);
-            }
-        }
-    });
-    skeletons
+                rewire.merge(&rstats);
+                outcome.stats
+            })
+            .collect();
+        let row = Row {
+            config: w.label,
+            kernel: dfg.name().to_string(),
+            mii,
+            results,
+            rewire,
+        };
+        (progress.lock().expect("a progress callback panicked"))(&row);
+        row
+    })
 }
 
 /// Applies `f` to every item on `jobs` threads, returning results in input
-/// order. With `jobs <= 1` this is a plain serial map. Used by the
-/// experiment binaries for coarse-grained fan-out of independent mapper
-/// runs (each item's computation must not depend on the others).
+/// order. With `jobs <= 1` this is a plain serial map. The one worker pool
+/// of the experiments and the fuzzer (each item's computation must not
+/// depend on the others).
 pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -214,76 +207,111 @@ where
         .collect()
 }
 
-/// Parsed common experiment-binary CLI options.
+/// The parsed `repro` command line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchArgs {
-    /// Per-II wall-clock budget in seconds.
-    pub seconds_per_ii: f64,
-    /// Worker threads for the workload fan-out (`--jobs N`, default 1).
+    /// The experiments to run, in command-line order (default: Fig 5,
+    /// Fig 6, Table I and the §IV-D verification rate).
+    pub experiments: Vec<&'static str>,
+    /// Per-II wall-clock budget in seconds; `None` keeps each experiment's
+    /// own default. Cap-bound experiments take none.
+    pub seconds_per_ii: Option<f64>,
+    /// Worker threads for the row fan-out (`--jobs N`, default 1).
     pub jobs: usize,
-    /// Kernel-name filter (`--kernels a,b,c`): restrict every workload to
-    /// the named kernels. `None` runs the full suite.
+    /// Kernel-name filter (`--kernels a,b,c`): restrict every experiment to
+    /// the named kernels. `None` runs the full suites.
     pub kernels: Option<Vec<String>>,
-    /// Observe directory (`--observe DIR`), if requested: the binary
-    /// writes its run records and the collectors' output there with
-    /// [`rewire_mappers::observe::write`] when the experiment ends.
+    /// Observe directory (`--observe DIR`), if requested: `repro` writes
+    /// every run record and the collectors' output there with
+    /// [`rewire_mappers::observe::write`] once the last experiment ends.
     pub observe: Option<PathBuf>,
 }
 
 impl BenchArgs {
-    /// Applies the `--kernels` filter to a workload list: every workload
-    /// keeps only the named kernels, and workloads left empty are dropped.
-    /// Panics when a requested name matches no kernel anywhere — a typo'd
-    /// filter should fail loudly, not silently run nothing.
-    pub fn filter_workloads(&self, workloads: Vec<Workload>) -> Vec<Workload> {
-        let Some(keep) = &self.kernels else {
-            return workloads;
-        };
-        let mut matched: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let filtered: Vec<Workload> = workloads
-            .into_iter()
-            .filter_map(|mut w| {
-                w.kernels.retain(|dfg| {
-                    keep.iter().any(|k| {
-                        let hit = k == dfg.name();
-                        if hit {
-                            matched.insert(dfg.name().to_string());
-                        }
-                        hit
-                    })
-                });
-                (!w.kernels.is_empty()).then_some(w)
+    /// The selected experiments with their workloads narrowed by
+    /// `--kernels`: every workload keeps only the named kernels, and
+    /// workloads and experiments left empty are dropped. Panics when a
+    /// name matches no kernel of any selected experiment.
+    pub fn plan(&self) -> Vec<(&'static Experiment, Vec<Workload>)> {
+        let planned = self
+            .experiments
+            .iter()
+            .map(|name| {
+                let e = EXPERIMENTS
+                    .iter()
+                    .find(|e| e.name == *name)
+                    .expect("parsed names are experiments");
+                (e, (e.workloads)())
             })
             .collect();
-        for k in keep {
-            assert!(
-                matched.contains(k),
-                "--kernels: `{k}` matches no kernel in this experiment"
-            );
+        filter_workloads(self.kernels.as_deref(), planned)
+    }
+
+    /// The budget `experiment` runs under: its own, with the command
+    /// line's seconds in place of its default ones.
+    pub fn budget(&self, experiment: &Experiment) -> Budget {
+        match (experiment.budget, self.seconds_per_ii) {
+            (Budget::Seconds(_), Some(secs)) => Budget::Seconds(secs),
+            (budget, _) => budget,
         }
-        filtered
     }
 }
 
-/// Parses the common experiment-binary CLI: an optional positional per-II
-/// budget in seconds plus optional `--jobs N` (or `--jobs=N`),
-/// `--kernels a,b` (or `--kernels=a,b`) and `--observe DIR` (or
-/// `--observe=DIR`) flags. Every mapper routes with the one pruned, tree
-/// fan-out router; there is no mode to pick.
+/// The `--kernels` filter behind [`BenchArgs::plan`]. A name must match a
+/// kernel of at least one experiment; one that matches nothing panics, so
+/// a typo'd filter fails loudly instead of silently running nothing.
+fn filter_workloads<E>(
+    keep: Option<&[String]>,
+    planned: Vec<(E, Vec<Workload>)>,
+) -> Vec<(E, Vec<Workload>)> {
+    let Some(keep) = keep else {
+        return planned;
+    };
+    let mut matched: BTreeSet<String> = BTreeSet::new();
+    let filtered = planned
+        .into_iter()
+        .filter_map(|(experiment, workloads)| {
+            let workloads: Vec<Workload> = workloads
+                .into_iter()
+                .filter_map(|mut w| {
+                    w.kernels.retain(|dfg| keep.iter().any(|k| k == dfg.name()));
+                    (!w.kernels.is_empty()).then_some(w)
+                })
+                .collect();
+            for dfg in workloads.iter().flat_map(|w| &w.kernels) {
+                matched.insert(dfg.name().to_string());
+            }
+            (!workloads.is_empty()).then_some((experiment, workloads))
+        })
+        .collect();
+    for k in keep {
+        assert!(
+            matched.contains(k),
+            "--kernels: `{k}` matches no kernel in the selected experiments"
+        );
+    }
+    filtered
+}
+
+/// Parses the `repro` command line: experiment names, an optional
+/// positional per-II budget in seconds, and optional `--jobs N` (or
+/// `--jobs=N`), `--kernels a,b` (or `--kernels=a,b`) and `--observe DIR`
+/// (or `--observe=DIR`) flags.
 ///
 /// With `--observe`, switches the flight recorder and Chrome collector on
 /// before returning.
-pub fn parse_cli(default_secs: f64) -> BenchArgs {
-    let parsed = parse_cli_from(std::env::args().skip(1), default_secs);
+pub fn parse_cli() -> BenchArgs {
+    let parsed = parse_cli_from(std::env::args().skip(1));
     if parsed.observe.is_some() {
         rewire_mappers::observe::enable_collectors();
     }
     parsed
 }
 
-fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> BenchArgs {
+fn parse_cli_from(args: impl IntoIterator<Item = String>) -> BenchArgs {
     let mut parsed = BenchArgs {
-        seconds_per_ii: default_secs,
+        experiments: Vec::new(),
+        seconds_per_ii: None,
         jobs: 1,
         kernels: None,
         observe: None,
@@ -315,12 +343,19 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>, default_secs: f64) -> 
         } else if let Some(v) = arg.strip_prefix("--kernels=") {
             parsed.kernels = Some(parse_kernels(v));
         } else if let Ok(v) = arg.parse::<f64>() {
-            parsed.seconds_per_ii = v;
+            parsed.seconds_per_ii = Some(v);
+        } else if let Some(e) = EXPERIMENTS.iter().find(|e| e.name == arg) {
+            parsed.experiments.push(e.name);
         } else {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
             panic!(
-                "unrecognised argument {arg:?} (expected [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR])"
+                "unrecognised argument {arg:?} (expected [{}]... [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR])",
+                names.join("|")
             );
         }
+    }
+    if parsed.experiments.is_empty() {
+        parsed.experiments = DEFAULT_EXPERIMENTS.to_vec();
     }
     parsed.jobs = parsed.jobs.max(1);
     parsed
@@ -333,16 +368,24 @@ mod tests {
     use rewire_arch::presets;
     use rewire_dfg::kernels;
 
-    #[test]
-    fn runner_produces_one_row_per_combination() {
-        let w = Workload {
-            label: "test",
+    fn pf() -> MapperKind {
+        MapperKind::PathFinder(PathFinderConfig::default())
+    }
+
+    fn workload(label: &'static str, names: &[&str]) -> Workload {
+        Workload {
+            label,
             budget_scale: 1.0,
             cgra: presets::paper_4x4_r4(),
-            kernels: vec![kernels::fir(), kernels::atax()],
-        };
+            kernels: names.iter().map(|n| kernels::by_name(n).unwrap()).collect(),
+        }
+    }
+
+    #[test]
+    fn runner_produces_one_row_per_combination() {
+        let w = workload("test", &["fir", "atax"]);
         let mut seen = 0;
-        let rows = run_workloads(&[w], &[MapperKind::PathFinder], 0.3, 1, |_| seen += 1);
+        let rows = run_workloads(&[w], &[pf()], Budget::Seconds(0.3), 1, |_| seen += 1);
         assert_eq!(rows.len(), 2);
         assert_eq!(seen, 2);
         for row in &rows {
@@ -365,18 +408,10 @@ mod tests {
         // §6b) for jobs-independent achieved IIs. Deadline-bound kernels
         // (e.g. fir/atax at a tight budget) are NOT stable under 4-way
         // contention on a small machine.
-        let mk = || Workload {
-            label: "test",
-            budget_scale: 1.0,
-            cgra: presets::paper_4x4_r4(),
-            kernels: vec![
-                kernels::by_name("bicg").unwrap(),
-                kernels::by_name("mvt").unwrap(),
-            ],
-        };
-        let serial = run_workloads(&[mk()], &[MapperKind::PathFinder], 60.0, 1, |_| {});
+        let mk = || workload("test", &["bicg", "mvt"]);
+        let serial = run_workloads(&[mk()], &[pf()], Budget::Seconds(60.0), 1, |_| {});
         let mut seen = 0;
-        let parallel = run_workloads(&[mk()], &[MapperKind::PathFinder], 60.0, 4, |_| seen += 1);
+        let parallel = run_workloads(&[mk()], &[pf()], Budget::Seconds(60.0), 4, |_| seen += 1);
         assert_eq!(seen, serial.len());
         assert_eq!(parallel.len(), serial.len());
         for (s, p) in serial.iter().zip(&parallel) {
@@ -401,94 +436,162 @@ mod tests {
     }
 
     #[test]
-    fn cli_parsing_accepts_secs_jobs_and_observe() {
+    fn cli_parsing_accepts_experiments_secs_jobs_and_observe() {
         let arg = |s: &str| s.to_string();
-        let base = parse_cli_from([], 2.0);
-        assert_eq!(base.seconds_per_ii, 2.0);
+        let base = parse_cli_from([]);
+        assert_eq!(base.experiments, DEFAULT_EXPERIMENTS);
+        assert_eq!(base.seconds_per_ii, None);
         assert_eq!(base.jobs, 1);
         assert_eq!(base.observe, None);
-        assert_eq!(parse_cli_from([arg("0.5")], 2.0).seconds_per_ii, 0.5);
-        assert_eq!(parse_cli_from([arg("--jobs"), arg("4")], 2.0).jobs, 4);
-        let combined = parse_cli_from([arg("--jobs=8"), arg("1.5")], 2.0);
-        assert_eq!(combined.jobs, 8);
-        assert_eq!(combined.seconds_per_ii, 1.5);
-        assert_eq!(parse_cli_from([arg("--jobs=0")], 2.0).jobs, 1, "clamped");
+        assert_eq!(parse_cli_from([arg("0.5")]).seconds_per_ii, Some(0.5));
+        assert_eq!(parse_cli_from([arg("--jobs"), arg("4")]).jobs, 4);
+        let combined = parse_cli_from([arg("table1"), arg("--jobs=8"), arg("1.5"), arg("fig5")]);
         assert_eq!(
-            parse_cli_from([arg("--observe"), arg("obs")], 2.0).observe,
+            combined.experiments,
+            ["table1", "fig5"],
+            "command-line order"
+        );
+        assert_eq!(combined.jobs, 8);
+        assert_eq!(combined.seconds_per_ii, Some(1.5));
+        assert_eq!(parse_cli_from([arg("--jobs=0")]).jobs, 1, "clamped");
+        assert_eq!(
+            parse_cli_from([arg("--observe"), arg("obs")]).observe,
             Some(PathBuf::from("obs"))
         );
         assert_eq!(
-            parse_cli_from([arg("--observe=out/obs")], 2.0).observe,
+            parse_cli_from([arg("--observe=out/obs")]).observe,
             Some(PathBuf::from("out/obs"))
         );
     }
 
     #[test]
+    fn command_line_seconds_replace_only_wall_clock_defaults() {
+        let arg = |s: &str| s.to_string();
+        let experiment = |name| EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
+        let defaults = parse_cli_from([]);
+        assert_eq!(defaults.budget(experiment("fig5")), Budget::Seconds(2.0));
+        assert_eq!(
+            defaults.budget(experiment("ablation")),
+            Budget::Seconds(1.5)
+        );
+        let fast = parse_cli_from([arg("0.1")]);
+        assert_eq!(fast.budget(experiment("ablation")), Budget::Seconds(0.1));
+        assert_eq!(fast.budget(experiment("mii_tightness")), Budget::Caps);
+    }
+
+    #[test]
     #[should_panic(expected = "unrecognised argument")]
     fn cli_parsing_rejects_junk() {
-        parse_cli_from(["--frobnicate".to_string()], 2.0);
+        parse_cli_from(["--frobnicate".to_string()]);
     }
 
     #[test]
     fn cli_parsing_accepts_kernels() {
         let arg = |s: &str| s.to_string();
-        assert_eq!(parse_cli_from([], 2.0).kernels, None);
+        assert_eq!(parse_cli_from([]).kernels, None);
         assert_eq!(
-            parse_cli_from([arg("--kernels"), arg("fir,atax")], 2.0).kernels,
+            parse_cli_from([arg("--kernels"), arg("fir,atax")]).kernels,
             Some(vec!["fir".to_string(), "atax".to_string()])
         );
         assert_eq!(
-            parse_cli_from([arg("--kernels=fir, atax,")], 2.0).kernels,
+            parse_cli_from([arg("--kernels=fir, atax,")]).kernels,
             Some(vec!["fir".to_string(), "atax".to_string()]),
             "whitespace and empty segments are dropped"
         );
     }
 
+    fn kernels_of(planned: &[(&str, Vec<Workload>)]) -> Vec<(String, Vec<String>)> {
+        planned
+            .iter()
+            .map(|(name, workloads)| {
+                let names = workloads
+                    .iter()
+                    .flat_map(|w| {
+                        w.kernels
+                            .iter()
+                            .map(|d| format!("{}:{}", w.label, d.name()))
+                    })
+                    .collect();
+                (name.to_string(), names)
+            })
+            .collect()
+    }
+
     #[test]
     fn kernel_filter_restricts_workloads() {
-        let args = parse_cli_from(["--kernels=fir".to_string()], 2.0);
-        let w = Workload {
-            label: "test",
-            budget_scale: 1.0,
-            cgra: presets::paper_4x4_r4(),
-            kernels: vec![kernels::fir(), kernels::atax()],
-        };
-        let only_atax = Workload {
-            label: "other",
-            budget_scale: 1.0,
-            cgra: presets::paper_4x4_r4(),
-            kernels: vec![kernels::atax()],
-        };
-        let filtered = args.filter_workloads(vec![w, only_atax]);
-        assert_eq!(filtered.len(), 1, "emptied workloads are dropped");
-        assert_eq!(filtered[0].kernels.len(), 1);
-        assert_eq!(filtered[0].kernels[0].name(), "fir");
+        let keep = ["fir".to_string()];
+        let planned = vec![(
+            "a",
+            vec![
+                workload("test", &["fir", "atax"]),
+                workload("other", &["atax"]),
+            ],
+        )];
+        let filtered = filter_workloads(Some(&keep), planned);
+        assert_eq!(
+            kernels_of(&filtered),
+            [("a".to_string(), vec!["test:fir".to_string()])],
+            "emptied workloads are dropped"
+        );
+    }
+
+    #[test]
+    fn kernel_filter_spans_experiments_and_skips_emptied_ones() {
+        // `fir` is in the first experiment only and `atax` in both: each
+        // name needs one match across the selection, and the experiment
+        // the filter empties is dropped rather than rejected.
+        let keep = ["fir".to_string(), "atax".to_string()];
+        let planned = vec![
+            ("fig5", vec![workload("4x4", &["fir", "atax", "mvt"])]),
+            ("table1", vec![workload("4x4", &["atax", "bicg"])]),
+            ("placement", vec![workload("4x4", &["bicg"])]),
+        ];
+        let filtered = filter_workloads(Some(&keep), planned);
+        assert_eq!(
+            kernels_of(&filtered),
+            [
+                (
+                    "fig5".to_string(),
+                    vec!["4x4:fir".to_string(), "4x4:atax".to_string()]
+                ),
+                ("table1".to_string(), vec!["4x4:atax".to_string()]),
+            ]
+        );
+        let unfiltered = filter_workloads(None, vec![("x", vec![workload("4x4", &["mvt"])])]);
+        assert_eq!(unfiltered.len(), 1, "no filter keeps everything");
     }
 
     #[test]
     #[should_panic(expected = "matches no kernel")]
     fn kernel_filter_rejects_typos() {
-        let args = parse_cli_from(["--kernels=not_a_kernel".to_string()], 2.0);
-        let w = Workload {
-            label: "test",
-            budget_scale: 1.0,
-            cgra: presets::paper_4x4_r4(),
-            kernels: vec![kernels::fir()],
-        };
-        args.filter_workloads(vec![w]);
+        let keep = ["fir".to_string(), "not_a_kernel".to_string()];
+        filter_workloads(Some(&keep), vec![("a", vec![workload("test", &["fir"])])]);
     }
 
     #[test]
     fn mapper_kinds_build_under_their_table_names() {
-        let names: Vec<&str> = [
-            MapperKind::Rewire,
-            MapperKind::PathFinder,
-            MapperKind::PathFinderFullBudget,
-            MapperKind::Annealing,
-        ]
-        .into_iter()
-        .map(|kind| kind.build().name())
-        .collect();
-        assert_eq!(names, ["Rewire", "PF*", "PF*", "SA"]);
+        let variant = MapperKind::Rewire {
+            name: "Rewire:alpha=5",
+            config: RewireConfig {
+                alpha: 5,
+                ..Default::default()
+            },
+        };
+        let kinds = [
+            MapperKind::rewire(),
+            variant,
+            pf(),
+            MapperKind::Annealing(SaConfig::default()),
+            MapperKind::Exact(1000),
+        ];
+        let rows = run_workloads(
+            &[workload("test", &["fir"])],
+            &kinds,
+            Budget::Seconds(0.01),
+            1,
+            |_| {},
+        );
+        let names: Vec<&str> = rows[0].results.iter().map(|r| r.mapper.as_str()).collect();
+        assert_eq!(names, ["Rewire", "Rewire:alpha=5", "PF*", "SA", "Exact"]);
     }
 }

@@ -122,7 +122,7 @@ pub fn fig6_workloads() -> Vec<Workload> {
         .collect()
 }
 
-/// The fabric-scaling ladder (`scaling` binary, EXPERIMENTS.md §scaling):
+/// The fabric-scaling ladder (`repro scaling`, EXPERIMENTS.md §scaling):
 /// every fabric from 4×4 to 64×64 runs a fixed small kernel (`fir`, so the
 /// fabric is the only axis that moves) plus unrolled variants sized to the
 /// fabric, produced through `Dfg::unroll` via the `"<name>(uN)"` lookup.
@@ -176,6 +176,28 @@ pub fn table1_workloads() -> Vec<Workload> {
             kernels: by_names(&names),
         },
     ]
+}
+
+/// §IV-D's verification-rate pass: the whole suite on the paper's 4×4
+/// fabric with four registers per PE.
+pub fn placement_workloads() -> Vec<Workload> {
+    vec![Workload {
+        label: "4x4 4reg",
+        budget_scale: 1.0,
+        cgra: presets::paper_4x4_r4(),
+        kernels: kernels::all().into_iter().map(|(_, dfg)| dfg).collect(),
+    }]
+}
+
+/// The ablation's six kernels (DESIGN.md §7) on the paper's 4×4 fabric
+/// with four registers per PE.
+pub fn ablation_workloads() -> Vec<Workload> {
+    vec![Workload {
+        label: "4x4 4reg",
+        budget_scale: 1.0,
+        cgra: presets::paper_4x4_r4(),
+        kernels: by_names(&["gesummv", "atax", "bicg", "mvt", "fir", "viterbi"]),
+    }]
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! the resource bound counts operation slots per II cycles, the recurrence
 //! bound comes from loop-carried dependency cycles.
 
-use crate::{Dfg, NodeId};
+use crate::Dfg;
 use rewire_arch::Cgra;
 
 impl Dfg {
@@ -138,16 +138,6 @@ impl Dfg {
             .map(|(a, l)| l.saturating_sub(a))
             .collect()
     }
-
-    /// The maximum ASAP-cycle spread between two node sets — Rewire's
-    /// propagation-round heuristic input ("maximum cycle difference between
-    /// Parents(U) and Children(U)").
-    pub fn max_cycle_spread(&self, a: &[NodeId], b: &[NodeId]) -> u32 {
-        let t = self.asap_times();
-        let hi = |s: &[NodeId]| s.iter().map(|v| t[v.index()]).max().unwrap_or(0);
-        let lo = |s: &[NodeId]| s.iter().map(|v| t[v.index()]).min().unwrap_or(0);
-        hi(a).abs_diff(lo(b)).max(hi(b).abs_diff(lo(a)))
-    }
 }
 
 #[cfg(test)]
@@ -274,17 +264,5 @@ mod tests {
         g.add_edge(c, d, 0).unwrap();
         g.add_edge(a, d, 0).unwrap();
         assert_eq!(g.slack(), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn cycle_spread() {
-        let mut g = Dfg::new("d");
-        let a = g.add_node("a", OpKind::Load);
-        let b = g.add_node("b", OpKind::Add);
-        let c = g.add_node("c", OpKind::Store);
-        g.add_edge(a, b, 0).unwrap();
-        g.add_edge(b, c, 0).unwrap();
-        assert_eq!(g.max_cycle_spread(&[a], &[c]), 2);
-        assert_eq!(g.max_cycle_spread(&[a], &[a]), 0);
     }
 }

@@ -312,6 +312,11 @@ mod tests {
             assert!(dfg.is_connected(), "{name}");
             let mii = dfg.mii(&cgra).unwrap_or_else(|| panic!("{name}: no MII"));
             assert!((1..=12).contains(&mii), "{name}: MII {mii}");
+            let memory = dfg.num_memory_ops() as f64 / dfg.num_nodes() as f64;
+            assert!(
+                (0.05..=0.5).contains(&memory),
+                "{name}: memory share {memory}"
+            );
         }
     }
 
@@ -374,16 +379,6 @@ mod tests {
             assert!(u.validate().is_ok(), "{name}(u)");
             assert!(u.is_connected(), "{name}(u)");
             assert_eq!(u.num_memory_ops(), 2 * dfg.num_memory_ops(), "{name}(u)");
-        }
-    }
-
-    #[test]
-    fn suite_statistics_are_printable() {
-        for (_, dfg) in all() {
-            let s = dfg.stats();
-            assert!(s.max_fanout >= 1);
-            assert!(s.mean_fanout >= 1.0);
-            assert!(!format!("{s}").is_empty());
         }
     }
 

@@ -49,12 +49,10 @@ pub mod generate;
 mod graph;
 pub mod kernels;
 mod node;
-pub mod stats;
 mod text;
 mod transform;
 
 pub use edge::{DfgEdge, EdgeId};
 pub use graph::{Dfg, GraphError};
 pub use node::{DfgNode, NodeId};
-pub use stats::{suite_stats, DfgStats, SuiteStats};
 pub use text::ParseDfgError;

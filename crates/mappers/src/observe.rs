@@ -1,7 +1,7 @@
 //! The observe directory: one layout for every artifact a set of runs
 //! leaves behind.
 //!
-//! `--observe DIR` on the experiment binaries, `rewire-map` and
+//! `--observe DIR` on `repro`, `rewire-map` and
 //! `rewire-fuzz` switches the flight recorder and the Chrome span
 //! collector on before mapping starts ([`enable_collectors`]) and writes
 //! DIR once the runs are done ([`write()`]). DIR always holds four files:

@@ -284,8 +284,11 @@ impl PathFinderMapper {
     /// repair can finish an II earlier, but never later.
     ///
     /// Deterministic (node-id order) and a no-op when the mapping has no
-    /// overuse. Returns the number of branches re-routed and kept, also
-    /// published on the `router.subtree_reroutes` counter.
+    /// overuse, or has an unplaced node or an unrouted edge: the pass
+    /// re-routes only routed edges, so it could not finish the II and
+    /// would roll back whatever it did. Returns the number of branches
+    /// re-routed and kept, also published on the `router.subtree_reroutes`
+    /// counter.
     fn subtree_delta_reroute(
         &self,
         dfg: &Dfg,
@@ -293,7 +296,10 @@ impl PathFinderMapper {
         mapping: &mut Mapping,
         cost: &NegotiatedCost,
     ) -> u64 {
-        if mapping.total_overuse() == 0 {
+        if mapping.total_overuse() == 0
+            || dfg.node_ids().any(|n| !mapping.is_placed(n))
+            || dfg.edges().any(|e| mapping.route(e.id()).is_none())
+        {
             return 0;
         }
         // Undo log of every tentatively committed signal: (edge, original

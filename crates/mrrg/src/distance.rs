@@ -562,6 +562,11 @@ mod tests {
         assert!(oracle.matches(&big));
         assert!(!oracle.matches(&small));
         assert!(oracle.heap_bytes() < 17 * 16 * 17 * 16 * 4, "sub-quadratic");
+        // The 1024-PE mesh stays tiered and far under 2 MB; its dense
+        // table alone would be 4.2 MB.
+        let mesh32 = DistanceOracle::build(&presets::mesh32());
+        assert!(!mesh32.is_exact());
+        assert!(mesh32.heap_bytes() < 2_000_000, "{}", mesh32.heap_bytes());
     }
 
     #[test]

@@ -214,23 +214,6 @@ impl Occupancy {
             .sum()
     }
 
-    /// The signals involved in overused cells, deduplicated.
-    pub fn overused_signals(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for chunk in self.cells.iter().flatten() {
-            for owners in chunk.iter() {
-                if owners.len() > 1 {
-                    for ((s, _), _) in owners {
-                        if !out.contains(s) {
-                            out.push(*s);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Number of cells carrying at least one signal.
     pub fn used_cells(&self) -> usize {
         self.cells
@@ -347,8 +330,6 @@ mod tests {
         o.claim(c, NodeId::new(1), 0);
         o.claim(c, NodeId::new(2), 0);
         assert_eq!(o.total_overuse(), 2);
-        let signals = o.overused_signals();
-        assert_eq!(signals.len(), 3);
         o.release(c, NodeId::new(1), 0);
         o.release(c, NodeId::new(2), 0);
         assert_eq!(o.total_overuse(), 0);

@@ -64,7 +64,7 @@ impl CostModel for UnitCost {
 ///
 /// `cost = 1 + present_factor·(#foreign signals) + history[cell]`.
 /// After each routing iteration the mapper calls
-/// [`accumulate_history`](NegotiatedCost::accumulate_history) so that
+/// [`accumulate_history_everywhere`](NegotiatedCost::accumulate_history_everywhere) so that
 /// persistently congested cells become expensive and losers move elsewhere.
 #[derive(Clone, Debug)]
 pub struct NegotiatedCost {
@@ -83,17 +83,8 @@ impl NegotiatedCost {
         }
     }
 
-    /// Bumps the history cost of every currently overused cell; call once
-    /// per negotiation iteration.
-    pub fn accumulate_history(&mut self, occ: &Occupancy, mrrg: &Mrrg, cells: &[Resource]) {
-        for &cell in cells {
-            if occ.is_overused(cell) {
-                self.history[mrrg.index_of(cell)] += self.history_increment;
-            }
-        }
-    }
-
-    /// Bumps history on every overused cell in the table (full sweep).
+    /// Bumps history on every overused cell in the table (full sweep);
+    /// call once per negotiation iteration.
     pub fn accumulate_history_everywhere(&mut self, occ: &Occupancy) {
         // Only occupied chunks can hold overuse, so the walk is bounded by
         // the touched fabric, not its full time-extended size.
@@ -1516,22 +1507,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.hops(), 1);
         assert!(r.cost() > 10.0, "congestion penalty applies: {}", r.cost());
-    }
-
-    #[test]
-    fn targeted_history_accumulation() {
-        let (cgra, mrrg) = setup(2);
-        let mut occ = Occupancy::new(&mrrg);
-        let l0 = cgra.links().next().unwrap().id();
-        let cell = Resource::Link { link: l0, slot: 0 };
-        let other = Resource::Link { link: l0, slot: 1 };
-        occ.claim(cell, NodeId::new(1), 0);
-        occ.claim(cell, NodeId::new(2), 0);
-        let mut nc = NegotiatedCost::new(&mrrg, 1.0, 0.25);
-        // The targeted variant only touches the listed cells.
-        nc.accumulate_history(&occ, &mrrg, &[cell, other]);
-        assert_eq!(nc.history(&mrrg, cell), 0.25);
-        assert_eq!(nc.history(&mrrg, other), 0.0, "not overused: untouched");
     }
 
     #[test]

@@ -132,13 +132,6 @@ impl HistogramSnapshot {
     }
 }
 
-impl SpanSnapshot {
-    /// Total time in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.total_ns as f64 / 1e6
-    }
-}
-
 impl Snapshot {
     /// The (created-if-absent) scope entry for `name`.
     pub fn scope_mut(&mut self, name: &str) -> &mut ScopeSnapshot {

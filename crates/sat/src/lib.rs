@@ -41,12 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dimacs;
 mod dpll;
 mod lit;
 mod solver;
 
-pub use dimacs::{parse_dimacs, render_dimacs, Dimacs};
 pub use dpll::dpll_satisfiable;
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

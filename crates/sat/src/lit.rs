@@ -11,8 +11,7 @@ pub struct Var(u32);
 
 impl Var {
     /// Builds a variable from its dense index. Only meaningful for indices
-    /// previously handed out by a solver or a [`Dimacs`](crate::Dimacs)
-    /// instance.
+    /// previously handed out by a solver.
     pub fn from_index(index: usize) -> Var {
         Var(u32::try_from(index).expect("variable index fits in u32"))
     }

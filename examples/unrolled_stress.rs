@@ -11,7 +11,7 @@ fn main() {
     let cgra = presets::paper_8x8_r4();
     println!("architecture: {cgra}");
     // Keep the demo snappy: short budgets and a tight II ceiling (the
-    // full-scale sweep lives in `rewire-bench --bin fig5`).
+    // full-scale sweep is `repro fig5` in rewire-bench).
     let limits = MapLimits::fast().with_ii_time_budget(Duration::from_secs(2));
 
     let names = ["fir", "atax", "mvt"];

@@ -7,12 +7,13 @@
 //!
 //! ```text
 //! rewire-map --kernel gesummv --arch 4x4r4 --mapper rewire --show-grid --verify 8
-//! rewire-map --dfg my_kernel.dfg --rows 6 --cols 6 --regs 2 --mem-cols 0 --banks 4
+//! rewire-map --dfg my_kernel.dfg --arch "6x6 regs=2 banks=4 memcols=0"
 //! rewire-map --artifact fuzz/corpus/seed0004-pass.dfg --observe obs
 //! ```
 //!
 //! Exit status: 0 = mapped, 1 = no mapping within budget, 2 = usage error.
 
+use rewire::arch::random::CgraSpec;
 use rewire::mappers::observe;
 use rewire::prelude::*;
 use rewire::sim::config::Configuration;
@@ -25,12 +26,6 @@ struct Args {
     dfg_path: Option<String>,
     artifact: Option<String>,
     arch: Option<String>,
-    rows: u16,
-    cols: u16,
-    regs: u8,
-    banks: u16,
-    mem_cols: Vec<u16>,
-    torus: bool,
     mapper: String,
     budget_ms: u64,
     max_ii: Option<u32>,
@@ -49,12 +44,6 @@ impl Args {
             dfg_path: None,
             artifact: None,
             arch: None,
-            rows: 4,
-            cols: 4,
-            regs: 4,
-            banks: 2,
-            mem_cols: vec![0],
-            torus: false,
             mapper: "rewire".into(),
             budget_ms: 2000,
             max_ii: None,
@@ -73,21 +62,6 @@ impl Args {
                 "--dfg" => a.dfg_path = Some(val("--dfg")?),
                 "--artifact" => a.artifact = Some(val("--artifact")?),
                 "--arch" => a.arch = Some(val("--arch")?),
-                "--rows" => a.rows = val("--rows")?.parse().map_err(|e| format!("--rows: {e}"))?,
-                "--cols" => a.cols = val("--cols")?.parse().map_err(|e| format!("--cols: {e}"))?,
-                "--regs" => a.regs = val("--regs")?.parse().map_err(|e| format!("--regs: {e}"))?,
-                "--banks" => {
-                    a.banks = val("--banks")?
-                        .parse()
-                        .map_err(|e| format!("--banks: {e}"))?
-                }
-                "--mem-cols" => {
-                    a.mem_cols = val("--mem-cols")?
-                        .split(',')
-                        .map(|s| s.parse().map_err(|e| format!("--mem-cols: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--torus" => a.torus = true,
                 "--mapper" => a.mapper = val("--mapper")?,
                 "--budget-ms" => {
                     a.budget_ms = val("--budget-ms")?
@@ -130,11 +104,10 @@ const USAGE: &str = "\
 usage: rewire-map (--kernel <name> | --dfg <file> | --artifact <file>) [options]
   --artifact <file>                load a rewire-fuzz corpus artifact (fabric, kernel,
                                    seed and II ceiling all come from the file; --seed,
-                                   --max-ii and fabric flags still override)
-  --arch 4x4r4|4x4r2|4x4r1|8x8r4   preset fabric (default: custom/4x4r4)
-  --rows R --cols C --regs N       custom fabric dimensions
-  --banks B --mem-cols 0,3         memory banks and memory columns
-  --torus                          wrap-around links
+                                   --max-ii and --arch still override)
+  --arch <fabric>                  4x4r4|4x4r2|4x4r1|8x8r4 (default 4x4r4), or a spec
+                                   \"RxC [regs=N] [banks=B] [memcols=0,3] [torus] [diag]
+                                   [cut=R]\" (regs 4 and no memory unless given)
   --mapper rewire|pf|sa|exact      mapper (default rewire; exact = SAT backend with
                                    per-II optimality/infeasibility proofs)
   --budget-ms N                    per-II wall-clock budget (default 2000)
@@ -149,23 +122,20 @@ usage: rewire-map (--kernel <name> | --dfg <file> | --artifact <file>) [options]
 Every mapper routes with one router: a distance-pruned DP sweep, with each
 multi-sink signal routed as a shared route tree.";
 
-fn build_cgra(a: &Args) -> Result<Cgra, String> {
-    if let Some(arch) = &a.arch {
-        return match arch.as_str() {
-            "4x4r4" => Ok(presets::paper_4x4_r4()),
-            "4x4r2" => Ok(presets::paper_4x4_r2()),
-            "4x4r1" => Ok(presets::paper_4x4_r1()),
-            "8x8r4" => Ok(presets::paper_8x8_r4()),
-            other => Err(format!("unknown --arch `{other}`")),
-        };
+/// The `--arch` fabric: a paper preset by name, or a [`CgraSpec`]
+/// string (the fuzz corpus's fabric form).
+fn build_cgra(arch: &str) -> Result<Cgra, String> {
+    match arch {
+        "4x4r4" => Ok(presets::paper_4x4_r4()),
+        "4x4r2" => Ok(presets::paper_4x4_r2()),
+        "4x4r1" => Ok(presets::paper_4x4_r1()),
+        "8x8r4" => Ok(presets::paper_8x8_r4()),
+        spec => spec
+            .parse::<CgraSpec>()
+            .map_err(|e| format!("--arch `{spec}`: {e}"))?
+            .build()
+            .map_err(|e| format!("--arch `{spec}`: {e}")),
     }
-    CgraBuilder::new(a.rows, a.cols)
-        .regs_per_pe(a.regs)
-        .memory_banks(a.banks)
-        .memory_columns(a.mem_cols.iter().copied())
-        .torus(a.torus)
-        .build()
-        .map_err(|e| e.to_string())
 }
 
 fn load_dfg(a: &Args) -> Result<Dfg, String> {
@@ -178,9 +148,9 @@ fn load_dfg(a: &Args) -> Result<Dfg, String> {
 }
 
 /// Loads a fuzz-corpus artifact: the fabric, kernel, seed, and II ceiling
-/// all come from the file unless overridden on the command line. Fabric
-/// flags (`--arch`/`--rows`/...) win over the artifact's spec so a hard
-/// case can be replayed on a different fabric.
+/// all come from the file unless overridden on the command line. `--arch`
+/// wins over the artifact's spec so a hard case can be replayed on a
+/// different fabric.
 fn load_artifact(a: &mut Args) -> Result<Option<(Cgra, Dfg)>, String> {
     let Some(path) = a.artifact.clone() else {
         return Ok(None);
@@ -196,10 +166,9 @@ fn load_artifact(a: &mut Args) -> Result<Option<(Cgra, Dfg)>, String> {
     if !artifact.note.is_empty() {
         println!("artifact: {} ({})", path, artifact.note);
     }
-    let cgra = if a.arch.is_some() {
-        build_cgra(a)?
-    } else {
-        artifact.spec.build().map_err(|e| format!("{path}: {e}"))?
+    let cgra = match &a.arch {
+        Some(arch) => build_cgra(arch)?,
+        None => artifact.spec.build().map_err(|e| format!("{path}: {e}"))?,
     };
     Ok(Some((cgra, artifact.dfg)))
 }
@@ -222,7 +191,10 @@ fn main() -> ExitCode {
     let args = args;
     let (cgra, dfg) = match loaded {
         Some(pair) => pair,
-        None => match (build_cgra(&args), load_dfg(&args)) {
+        None => match (
+            build_cgra(args.arch.as_deref().unwrap_or("4x4r4")),
+            load_dfg(&args),
+        ) {
             (Ok(c), Ok(d)) => (c, d),
             (Err(e), _) | (_, Err(e)) => {
                 eprintln!("{e}");

@@ -31,6 +31,14 @@ fn unknown_kernel_is_a_usage_error() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
+    // An `--arch` that is neither a preset nor a fabric spec, likewise.
+    let out = rewire_map()
+        .args(["--kernel", "fir", "--arch", "3x3 regs=2 frob"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown token 'frob'"), "{stderr}");
 }
 
 #[test]
@@ -55,16 +63,8 @@ fn maps_a_dfg_file_on_a_custom_fabric() {
         .args([
             "--dfg",
             path.to_str().unwrap(),
-            "--rows",
-            "3",
-            "--cols",
-            "3",
-            "--regs",
-            "2",
-            "--banks",
-            "1",
-            "--mem-cols",
-            "0",
+            "--arch",
+            "3x3 regs=2 banks=1 memcols=0",
             "--mapper",
             "pf",
             "--show-grid",

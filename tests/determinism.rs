@@ -6,7 +6,7 @@
 //! test uses small kernels with a budget far larger than they need.
 
 use rewire::prelude::*;
-use rewire_bench::{run_workloads, MapperKind, Workload};
+use rewire_bench::{run_workloads, Budget, MapperKind, Workload};
 
 fn workloads() -> Vec<Workload> {
     // bicg and mvt both map at their first feasible II on this fabric, so
@@ -37,12 +37,16 @@ fn achieved(rows: &[rewire_bench::Row]) -> Vec<(String, Vec<Option<u32>>)> {
 
 #[test]
 fn final_ii_is_independent_of_jobs() {
-    let mappers = [MapperKind::Rewire, MapperKind::PathFinder];
+    let mappers = [
+        MapperKind::rewire(),
+        MapperKind::PathFinder(rewire::mappers::PathFinderConfig::default()),
+    ];
     // 60 s per II dwarfs what these kernels need (< 1 s release, a few
     // seconds debug), so every mapper terminates on its deterministic
     // attempt caps, never the deadline.
-    let serial = run_workloads(&workloads(), &mappers, 60.0, 1, |_| {});
-    let parallel = run_workloads(&workloads(), &mappers, 60.0, 8, |_| {});
+    let budget = Budget::Seconds(60.0);
+    let serial = run_workloads(&workloads(), &mappers, budget, 1, |_| {});
+    let parallel = run_workloads(&workloads(), &mappers, budget, 8, |_| {});
     assert!(!serial.is_empty());
     assert_eq!(achieved(&serial), achieved(&parallel));
     for row in &serial {

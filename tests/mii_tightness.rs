@@ -17,7 +17,7 @@
 //! impractical under the debug profile, like the mapping-heavy release
 //! suites recorded in EXPERIMENTS.md.
 
-use rewire_bench::{mii_tightness_rows, render_snapshot};
+use rewire_bench::{render_snapshot, run_workloads, tightness_rows, EXPERIMENTS};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -31,7 +31,19 @@ fn snapshot_path() -> PathBuf {
     ignore = "release-only: the SAT sweep over three fabrics is impractical under the debug profile"
 )]
 fn study_matches_the_golden_snapshot() {
-    let rows = mii_tightness_rows(|_| {});
+    // The `repro mii_tightness` experiment on two threads: its caps bind,
+    // never the wall clock, so the rows do not depend on the job count.
+    let study = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == "mii_tightness")
+        .expect("the study is an experiment");
+    let rows = tightness_rows(&run_workloads(
+        &(study.workloads)(),
+        &(study.mappers)(),
+        study.budget,
+        2,
+        |_| {},
+    ));
 
     // Invariants the snapshot's shape must always satisfy, bless or not:
     // an optimality claim means every II from MII up to the achieved II
