@@ -57,15 +57,16 @@ pub fn mesh16() -> Cgra {
     big_mesh(16)
 }
 
-/// 32×32 mesh (1024 PEs): the first size past
-/// `DistanceOracle::DENSE_PE_LIMIT`, so mapping it exercises the tiered
-/// landmark oracle. Used by the large-fabric CI smoke.
+/// 32×32 mesh (1024 PEs): big enough that a quadratic structure shows,
+/// small enough to map in seconds. The benchmark's large-fabric workload
+/// and the amendment golden run on it.
 pub fn mesh32() -> Cgra {
     big_mesh(32)
 }
 
-/// 64×64 mesh (4096 PEs): the scaling suite's top end. A dense all-pairs
-/// distance table here would be 67 MB; the tiered oracle holds ~2 MB.
+/// 64×64 mesh (4096 PEs): the scaling suite's top end. An all-pairs
+/// distance table here would be 67 MB; the router's distance oracle holds
+/// only the rows of the destinations it routes to.
 pub fn mesh64() -> Cgra {
     big_mesh(64)
 }

@@ -216,10 +216,9 @@ impl Default for RandomCgraParams {
 }
 
 impl RandomCgraParams {
-    /// Parameters sampling big fabrics (12×12 up to 40×40, straddling
-    /// `DistanceOracle::DENSE_PE_LIMIT` from both sides) with occasional
-    /// cut rows, so fuzzing exercises the tiered landmark oracle and the
-    /// lazy occupancy paths, not just the paper-scale meshes.
+    /// Parameters sampling big fabrics (12×12 up to 40×40) with occasional
+    /// cut rows, so property tests exercise the lazy occupancy paths and
+    /// large topologies, not just the paper-scale meshes.
     pub fn large_fabric() -> Self {
         Self {
             rows: (12, 40),

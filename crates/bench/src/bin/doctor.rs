@@ -6,7 +6,7 @@
 //! prints the diagnosis: one row per run with II vs MII, failures first,
 //! joined with its scope's router counters; the most-failed DFG edges;
 //! the top contended resources with one ASCII fabric heatmap per run
-//! scope; the merged span tree; each scope's own span tree, gauges and
+//! scope; the merged span tree; each scope's own span tree and
 //! histogram tails; and the flight summary (ring drops, phase heartbeats,
 //! detected stalls).
 //!

@@ -19,8 +19,8 @@
 //!   congestion heatmap, then one ASCII fabric grid per run scope, shaped
 //!   by the fabric label the scope ends in;
 //! * `== span tree ==` — every scope's span timers merged into one tree;
-//! * `== per-scope breakdown ==` — each scope's own span tree, its gauges
-//!   and its histogram tails (p50/p90/p99);
+//! * `== per-scope breakdown ==` — each scope's own span tree and its
+//!   histogram tails (p50/p90/p99);
 //! * `== flight summary ==` — ring drops, phase heartbeats, stalls.
 //!
 //! Also hosts the Chrome `trace_event` validator the CI uses to prove
@@ -334,21 +334,18 @@ fn render_runs(out: &mut String, runs: &[MapStats], snap: &Snapshot) {
     }
 }
 
-/// Each scope's own span tree, gauges and histogram tails. Histogram
+/// Each scope's own span tree and histogram tails. Histogram
 /// quantiles are estimated from the log2 buckets: the p99 of route
 /// lengths or attempt times is where regressions show long before the
 /// mean moves.
 fn render_scopes(out: &mut String, snap: &Snapshot) {
     let start = out.len();
     for (name, scope) in &snap.scopes {
-        if scope.spans.is_empty() && scope.gauges.is_empty() && scope.histograms.is_empty() {
+        if scope.spans.is_empty() && scope.histograms.is_empty() {
             continue;
         }
         let _ = writeln!(out, "  {name}");
         render_span_tree(out, [scope], 4);
-        for (name, v) in &scope.gauges {
-            let _ = writeln!(out, "    {name:<28} {v:>18} (gauge)");
-        }
         for (name, h) in &scope.histograms {
             let q = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.1}"));
             let _ = writeln!(
@@ -364,7 +361,7 @@ fn render_scopes(out: &mut String, snap: &Snapshot) {
         }
     }
     if out.len() == start {
-        out.push_str("  no spans, gauges or histograms recorded\n");
+        out.push_str("  no spans or histograms recorded\n");
     }
 }
 
@@ -630,7 +627,7 @@ mod tests {
         // No span timers: the span sections say so instead of vanishing.
         assert!(report.contains("no span timers recorded"), "{report}");
         assert!(
-            report.contains("no spans, gauges or histograms recorded"),
+            report.contains("no spans or histograms recorded"),
             "{report}"
         );
     }
@@ -715,7 +712,7 @@ mod tests {
             record("2x2/r1", None),
             record("4x4/r4", Some(5)),
         ];
-        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":9,"router.expansions":432100,"router.route_ns":8642000},"gauges":{"router.distance_table_bytes":16384},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}},"PF*/fir@8x8/r4":{"counters":{"router.expansions":8765,"router.route_ns":131475},"gauges":{},"histograms":{},"spans":{}}}}"#;
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{"pf.rip_ups":9,"router.expansions":432100,"router.route_ns":8642000},"histograms":{},"spans":{"run":{"count":1,"total_ns":12300000}}},"PF*/fir@8x8/r4":{"counters":{"router.expansions":8765,"router.route_ns":131475},"histograms":{},"spans":{}}}}"#;
         let report = diagnose(
             &Evidence {
                 runs,
@@ -765,13 +762,9 @@ mod tests {
         assert_eq!(rows[1]["expansions"], "0", "{report}");
         assert_eq!(rows[1]["route_ms"], "-", "{report}");
         assert_eq!(rows[1]["ns/exp"], "-", "{report}");
-        // The scope's gauges and spans sit in its own breakdown block.
+        // The scope's spans sit in its own breakdown block.
         let block = &report[report.find("== per-scope breakdown ==").unwrap()..];
         assert!(block.contains("  PF*/fir@4x4/r4\n    run "), "{report}");
-        assert!(
-            block.contains("router.distance_table_bytes") && block.contains("16384"),
-            "{report}"
-        );
     }
 
     #[test]
@@ -779,7 +772,7 @@ mod tests {
         // Values {1, 2, 3, 900}: log2 buckets [(1,1),(2,2),(10,1)]. The
         // interpolated quantiles are pinned by the snapshot unit tests:
         // p50 = 2.25, p90 = p99 = 767.5.
-        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{},"gauges":{},"histograms":{"pf.route_len":{"count":4,"sum":906,"min":1,"max":900,"buckets":[[1,1],[2,2],[10,1]]}},"spans":{}}}}"#;
+        let snap_json = r#"{"version":1,"scopes":{"PF*/fir@4x4/r4":{"counters":{},"histograms":{"pf.route_len":{"count":4,"sum":906,"min":1,"max":900,"buckets":[[1,1],[2,2],[10,1]]}},"spans":{}}}}"#;
         let report = diagnose(
             &Evidence {
                 metrics: Snapshot::from_json(snap_json).unwrap(),
@@ -914,7 +907,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("rewire-doctor-join-{}", std::process::id()));
         let snap = |n: u64| {
             format!(
-                r#"{{"version":1,"scopes":{{"PF*/fir@4x4/r4":{{"counters":{{"router.expansions":{n}}},"gauges":{{}},"histograms":{{}},"spans":{{}}}}}}}}"#
+                r#"{{"version":1,"scopes":{{"PF*/fir@4x4/r4":{{"counters":{{"router.expansions":{n}}},"histograms":{{}},"spans":{{}}}}}}}}"#
             )
         };
         let dirs = [root.join("a"), root.join("b")];

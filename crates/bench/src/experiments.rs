@@ -12,7 +12,6 @@ use crate::workloads::{
 use rewire_core::RewireConfig;
 use rewire_dfg::Dfg;
 use rewire_mappers::{PathFinderConfig, SaConfig};
-use rewire_mrrg::DistanceOracle;
 
 /// One experiment of the study.
 pub struct Experiment {
@@ -152,7 +151,6 @@ fn ablation_variants() -> Vec<MapperKind> {
 fn alpha(alpha: usize) -> RewireConfig {
     RewireConfig {
         alpha,
-        initial_cluster_size: alpha.min(3),
         ..Default::default()
     }
 }
@@ -230,21 +228,14 @@ fn print_ablation(rows: &[Row]) {
 }
 
 /// Prints the fabric-scaling table: map time and achieved II per rung of
-/// the ladder, next to the distance-oracle tier and heap footprint, so
-/// the dense→tiered switch at 256 PEs is visible.
+/// the ladder.
 fn print_scaling(workloads: &[Workload], rows: &[Row]) {
-    // Fabric-level facts the rows don't carry.
-    let oracles: Vec<DistanceOracle> = workloads
-        .iter()
-        .map(|w| DistanceOracle::build(&w.cgra))
-        .collect();
-    println!("| Fabric | PEs | Oracle | Oracle heap | Kernel | Nodes | MII | II | Map time |");
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("| Fabric | PEs | Kernel | Nodes | MII | II | Map time |");
+    println!("|---|---|---|---|---|---|---|");
     for row in rows {
-        let (w, oracle) = workloads
+        let w = workloads
             .iter()
-            .zip(&oracles)
-            .find(|(w, _)| w.label == row.config)
+            .find(|w| w.label == row.config)
             .expect("every row comes from a ladder workload");
         let nodes = w
             .kernels
@@ -253,11 +244,9 @@ fn print_scaling(workloads: &[Workload], rows: &[Row]) {
             .map_or(0, Dfg::num_nodes);
         let r = &row.results[0];
         println!(
-            "| {} | {} | {} | {:.1} KB | {} | {} | {} | {} | {:.2} s |",
+            "| {} | {} | {} | {} | {} | {} | {:.2} s |",
             row.config,
             w.cgra.num_pes(),
-            if oracle.is_exact() { "dense" } else { "tiered" },
-            oracle.heap_bytes() as f64 / 1024.0,
             row.kernel,
             nodes,
             row.mii,
@@ -286,11 +275,9 @@ mod tests {
         for name in names {
             assert!(!name.contains([' ', '/', '@']), "{name}");
         }
-        let default = RewireConfig::default();
-        let alpha15 = alpha(15);
         assert_eq!(
-            (alpha15.alpha, alpha15.initial_cluster_size),
-            (default.alpha, default.initial_cluster_size),
+            alpha(15).alpha,
+            RewireConfig::default().alpha,
             "the α=15 cell is the default configuration"
         );
     }

@@ -7,10 +7,9 @@
 /// longest path when one side is empty) are fixed constants of the mapper.
 #[derive(Clone, Debug)]
 pub struct RewireConfig {
-    /// Maximum cluster size α (the paper limits |U| to 15).
+    /// Maximum cluster size α (the paper limits |U| to 15). The first
+    /// cluster of each amendment holds `min(α, 3)` nodes.
     pub alpha: usize,
-    /// Size of the initially selected connected cluster.
-    pub initial_cluster_size: usize,
     /// Hard cap on `Placement(U)` combinations verified per cluster
     /// attempt (the paper relies on its per-II time limit; this keeps unit
     /// tests bounded too).
@@ -31,7 +30,6 @@ impl Default for RewireConfig {
     fn default() -> Self {
         Self {
             alpha: 15,
-            initial_cluster_size: 3,
             max_verifications: 400,
             max_candidates_per_node: 256,
             max_cluster_attempts: 200,

@@ -117,7 +117,6 @@ fn alpha_one_still_maps_easy_kernels() {
     let dfg = rewire_dfg::kernels::fir();
     let config = RewireConfig {
         alpha: 1,
-        initial_cluster_size: 1,
         ..Default::default()
     };
     let limits = MapLimits::fast().with_ii_time_budget(Duration::from_secs(2));

@@ -25,6 +25,8 @@ const ROUND_SPREAD_FACTOR: u32 = 3;
 const ROUND_PATH_FACTOR: u32 = 5;
 /// Hard cap on propagation rounds (keeps the tuple store bounded).
 const MAX_ROUNDS: u32 = 48;
+/// Nodes in the first cluster of an amendment, when α allows that many.
+const FIRST_CLUSTER_SIZE: usize = 3;
 
 /// Mirrors the growth of [`RewireStats`] between two snapshots into the
 /// `rewire.*` metric counters of the current scope. Called once per II
@@ -174,11 +176,12 @@ impl RewireMapper {
                 return None;
             }
 
+            let first = self.config.alpha.min(FIRST_CLUSTER_SIZE);
             let size = if diversify {
                 use rand::Rng as _;
-                rng.random_range(1..=self.config.initial_cluster_size + 2)
+                rng.random_range(1..=first + 2)
             } else {
-                self.config.initial_cluster_size
+                first
             }
             .min(unmapped.len())
             .max(1);

@@ -40,47 +40,53 @@ pub use stencils::{jacobi2d, seidel2d, stencil3d};
 use crate::{Dfg, NodeId};
 use rewire_arch::OpKind;
 
+/// A base kernel's constructor.
+type Constructor = fn() -> Dfg;
+
+/// Every base kernel's canonical name and constructor, in suite order.
+const SUITE: [(&str, Constructor); 30] = [
+    ("gramschmidt", gramschmidt),
+    ("ludcmp", ludcmp),
+    ("lu", lu),
+    ("gemver", gemver),
+    ("cholesky", cholesky),
+    ("gesummv", gesummv),
+    ("atax", atax),
+    ("bicg", bicg),
+    ("mvt", mvt),
+    ("gemm", gemm),
+    ("syrk", syrk),
+    ("syr2k", syr2k),
+    ("trmm", trmm),
+    ("doitgen", doitgen),
+    ("jacobi2d", jacobi2d),
+    ("seidel2d", seidel2d),
+    ("stencil3d", stencil3d),
+    ("md-knn", md_knn),
+    ("spmv", spmv),
+    ("fft", fft),
+    ("viterbi", viterbi),
+    ("fir", fir),
+    ("susan", susan),
+    ("sha", sha),
+    ("conv2d", conv2d),
+    ("sobel", sobel),
+    ("dct8", dct8),
+    ("histogram", histogram),
+    ("kmeans", kmeans),
+    ("backprop", backprop),
+];
+
 /// Every base kernel in the suite, with its canonical name.
 pub fn all() -> Vec<(&'static str, Dfg)> {
-    vec![
-        ("gramschmidt", gramschmidt()),
-        ("ludcmp", ludcmp()),
-        ("lu", lu()),
-        ("gemver", gemver()),
-        ("cholesky", cholesky()),
-        ("gesummv", gesummv()),
-        ("atax", atax()),
-        ("bicg", bicg()),
-        ("mvt", mvt()),
-        ("gemm", gemm()),
-        ("syrk", syrk()),
-        ("syr2k", syr2k()),
-        ("trmm", trmm()),
-        ("doitgen", doitgen()),
-        ("jacobi2d", jacobi2d()),
-        ("seidel2d", seidel2d()),
-        ("stencil3d", stencil3d()),
-        ("md-knn", md_knn()),
-        ("spmv", spmv()),
-        ("fft", fft()),
-        ("viterbi", viterbi()),
-        ("fir", fir()),
-        ("susan", susan()),
-        ("sha", sha()),
-        ("conv2d", conv2d()),
-        ("sobel", sobel()),
-        ("dct8", dct8()),
-        ("histogram", histogram()),
-        ("kmeans", kmeans()),
-        ("backprop", backprop()),
-    ]
+    SUITE.iter().map(|&(name, build)| (name, build())).collect()
 }
 
-/// Looks a kernel up by name. `"<name>(u)"` resolves to the unroll-by-2
-/// variant, following the paper's notation, and `"<name>(uN)"` (e.g.
-/// `"fir(u4)"`) to the unroll-by-`N` variant used by the fabric-scaling
-/// suite — bigger fabrics need proportionally bigger kernels before the
-/// map-time curve measures anything but fixed overhead.
+/// Looks a kernel up by name, building only that kernel. `"<name>(u)"`
+/// resolves to the unroll-by-2 variant, following the paper's notation,
+/// and `"<name>(uN)"` (e.g. `"fir(u4)"`) to the unroll-by-`N` variant used
+/// by the fabric-scaling suite — bigger fabrics need proportionally bigger
+/// kernels before the map-time curve measures anything but fixed overhead.
 pub fn by_name(name: &str) -> Option<Dfg> {
     if let Some(base) = name.strip_suffix("(u)") {
         return by_name(base).map(|d| d.unroll(2));
@@ -92,7 +98,10 @@ pub fn by_name(name: &str) -> Option<Dfg> {
         }
         return None;
     }
-    all().into_iter().find(|(n, _)| *n == name).map(|(_, d)| d)
+    SUITE
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 /// Builder with loop-kernel idioms: auto-named nodes, address arithmetic,

@@ -13,7 +13,7 @@
 //!   events embedded as instants.
 //!
 //! A record's [`MapStats::scope`] (`mapper/kernel@fabric`) is also the
-//! scope of its counters, gauges, spans and flight events, so the files
+//! scope of its counters, histograms, spans and flight events, so the files
 //! join without a manifest: every record already names its mapper,
 //! kernel, fabric and seed. [`load`] reads a directory back;
 //! `rewire-doctor DIR...` is the reader that joins and prints it. Like

@@ -77,7 +77,7 @@ pub struct MapStats {
 
 impl MapStats {
     /// The run's identity, `mapper/kernel@fabric` — also the metric scope
-    /// the engine records the run's counters, gauges, spans and flight
+    /// the engine records the run's counters, histograms, spans and flight
     /// events under.
     pub fn scope(&self) -> String {
         format!("{}/{}@{}", self.mapper, self.kernel, self.fabric)

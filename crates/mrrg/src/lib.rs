@@ -70,7 +70,7 @@ mod route;
 mod route_tree;
 mod router;
 
-pub use distance::{DistanceBound, DistanceOracle, DistanceTable, TieredDistance};
+pub use distance::DistanceOracle;
 pub use graph::Mrrg;
 pub use occupancy::Occupancy;
 pub use resource::Resource;
@@ -78,5 +78,5 @@ pub use route::{Route, RouteError, RouteRequest};
 pub use route_tree::{RouteTree, RouteTreeError};
 pub use router::{
     install_thread_distance_table, CostModel, NegotiatedCost, RouteCertificate, Router, RouterMode,
-    RouterScratch, TreeCost, UnitCost,
+    TreeCost, UnitCost,
 };

@@ -14,7 +14,7 @@
 //! (the reuse lemma on [`RouteCertificate`]). Rewire's Algorithm 2 reuses
 //! its verification routes this way.
 
-use crate::distance::{DistanceBound, DistanceOracle};
+use crate::distance::DistanceOracle;
 use crate::{Mrrg, Occupancy, Resource, Route, RouteError, RouteRequest};
 use rewire_arch::{Cgra, LinkId, PeId};
 use rewire_dfg::NodeId;
@@ -166,8 +166,8 @@ impl<C: CostModel> CostModel for TreeCost<'_, C> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouterMode {
     /// Sweep a sorted sparse frontier of live states and skip any state
-    /// whose PE cannot reach the destination in the remaining steps, using
-    /// the [`DistanceOracle`] hop bound as an admissible lower bound. What
+    /// whose PE cannot reach the destination in the remaining steps, by
+    /// the exact hop distance from the [`DistanceOracle`]. What
     /// [`Router::new`] builds, and so what every mapper routes with.
     Pruned,
     /// The original dense `0..num_states` sweep: the reference the pruned
@@ -339,9 +339,8 @@ impl<'t> Transitions<'t> {
     }
 }
 
-/// Work counts of one [`Router::route_with`] call, flushed to the
-/// `router.*` metrics once at its end. Each DP attempt counts in locals
-/// and adds them here once.
+/// Work counts of one route call, flushed to the `router.*` metrics once
+/// at its end. Each DP attempt counts in locals and adds them here once.
 #[derive(Default)]
 struct RouteTally {
     expansions: u64,
@@ -537,12 +536,12 @@ const ORACLE_CACHE_CAP: usize = 4;
 /// and SA evaluation; a scratch instance keeps them alive across calls so
 /// repeated routing does zero steady-state allocation.
 ///
-/// [`Router::route`] maintains one instance per thread automatically;
-/// [`Router::route_with`] accepts an explicit instance for callers that
-/// manage their own pools. Buffers grow to the largest shape seen and are
-/// reused for any request of the same or smaller shape.
+/// [`Router::route`] keeps one instance per thread. Buffers grow to the
+/// largest shape seen and are reused for any request of the same or
+/// smaller shape; every call resets the overlay, so no call sees another's
+/// state.
 #[derive(Clone, Debug, Default)]
-pub struct RouterScratch {
+struct RouterScratch {
     /// Dense per-cell additive penalty (`Mrrg::index_of` indexed).
     overlay: Vec<f64>,
     /// Indices of nonzero overlay entries, for O(touched) clearing.
@@ -578,8 +577,8 @@ pub struct RouterScratch {
     /// Hop-distance oracles for recently routed fabrics, most recently
     /// used first, keyed by `Cgra::topology_fingerprint` and bounded at
     /// [`ORACLE_CACHE_CAP`] entries. A caller that already holds a
-    /// fabric's oracle seeds it via [`install_thread_distance_table`]
-    /// instead of re-running the BFS.
+    /// fabric's oracle seeds it via [`install_thread_distance_table`], so
+    /// the rows it builds are the caller's too.
     oracles: Vec<Arc<DistanceOracle>>,
     /// Cached `router.*` metric handles, re-resolved when the thread's
     /// metric scope changes (`rewire_obs::scope_epoch`). Keeping handles
@@ -624,7 +623,7 @@ impl RouteMetricHandles {
 
 impl RouterScratch {
     /// Creates an empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -650,11 +649,11 @@ impl RouterScratch {
     }
 
     /// The hop-distance oracle for `cgra`, served from the bounded MRU
-    /// cache (keyed by [`Cgra::topology_fingerprint`]) or built on miss.
+    /// cache (keyed by [`Cgra::topology_fingerprint`]) or created on miss.
     /// The cache holds at most [`ORACLE_CACHE_CAP`] fabrics: a process
     /// that maps many distinct fabrics (fuzzing, the scaling sweep)
     /// evicts the least recently used oracle instead of accreting one
-    /// table per fabric it ever saw.
+    /// per fabric it ever saw.
     fn distances_for(&mut self, cgra: &Cgra) -> Arc<DistanceOracle> {
         if let Some(pos) = self.oracles.iter().position(|o| o.matches(cgra)) {
             // MRU order: move the hit to the front.
@@ -662,44 +661,19 @@ impl RouterScratch {
             self.oracles.insert(0, Arc::clone(&hit));
             return hit;
         }
-        // Time the BFS sweep as a span: oracle construction is the one
-        // per-fabric quadratic-ish cost left, and the scaling suite reads
-        // this to show it stays sane as fabrics grow.
-        let _build = obs::span("distance_oracle_build");
         let oracle = DistanceOracle::shared(cgra);
-        self.oracles.insert(0, Arc::clone(&oracle));
-        self.oracles.truncate(ORACLE_CACHE_CAP);
-        self.publish_oracle_bytes();
+        self.install_distances(Arc::clone(&oracle));
         oracle
     }
 
-    /// Installs a prebuilt distance oracle at the front of the cache so
-    /// this scratch skips the BFS. An oracle for a fabric never routed is
-    /// simply evicted like any other cache entry.
-    pub fn install_distances(&mut self, oracle: Arc<DistanceOracle>) {
+    /// Installs a distance oracle at the front of the cache, so this
+    /// scratch reuses the rows it already holds. An oracle for a fabric
+    /// never routed is simply evicted like any other cache entry.
+    fn install_distances(&mut self, oracle: Arc<DistanceOracle>) {
         self.oracles
             .retain(|o| o.fingerprint() != oracle.fingerprint());
         self.oracles.insert(0, oracle);
         self.oracles.truncate(ORACLE_CACHE_CAP);
-        self.publish_oracle_bytes();
-    }
-
-    /// Heap bytes currently held by the scratch's cached distance oracles.
-    pub fn oracle_bytes(&self) -> usize {
-        self.oracles.iter().map(|o| o.heap_bytes()).sum()
-    }
-
-    /// Number of distinct fabrics the oracle cache currently holds.
-    pub fn cached_oracles(&self) -> usize {
-        self.oracles.len()
-    }
-
-    /// Updates the `router.distance_table_bytes` gauge with this thread's
-    /// oracle-cache footprint. Gauges sum across threads, so the reported
-    /// value is the process-wide distance-table memory — the number the
-    /// large-fabric CI smoke caps.
-    fn publish_oracle_bytes(&self) {
-        obs::gauge("router.distance_table_bytes").set(self.oracle_bytes() as i64);
     }
 
     /// Cells appearing more than once in `resources`, each reported once,
@@ -762,9 +736,9 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut RouterScratch) -> R) -> R {
     })
 }
 
-/// Seeds the calling thread's router scratch with a prebuilt distance
-/// oracle, so [`Router::route`] on this thread skips the BFS for that
-/// fabric.
+/// Seeds the calling thread's router scratch with a distance oracle, so
+/// [`Router::route`] on this thread reads that fabric's rows from it
+/// (building any it lacks there) instead of starting an oracle of its own.
 pub fn install_thread_distance_table(oracle: Arc<DistanceOracle>) {
     ROUTE_SCRATCH.with(|cell| {
         if let Ok(mut scratch) = cell.try_borrow_mut() {
@@ -844,19 +818,6 @@ impl<'a> Router<'a> {
         cells.sort_unstable();
         cells.dedup();
         (result, RouteCertificate { cells })
-    }
-
-    /// [`route`](Router::route) with an explicit scratch buffer, for
-    /// differential harnesses that give each router its own scratch (the
-    /// dense-versus-pruned checks).
-    pub fn route_with(
-        &self,
-        occ: &Occupancy,
-        req: &RouteRequest,
-        cost: &impl CostModel,
-        scratch: &mut RouterScratch,
-    ) -> Result<Route, RouteError> {
-        self.route_counted(occ, req, cost, scratch, None)
     }
 
     /// One route call with its `router.*` accounting, adding every DP
@@ -1036,14 +997,6 @@ impl<'a> Router<'a> {
     /// state order preserves the dense scan's strict-`<` tie-breaks.
     /// Routes are therefore byte-identical across [`RouterMode`]s.
     ///
-    /// The argument needs only an *admissible* bound, not the exact
-    /// distance: pruning on `lb(p, dst) > budget` with `lb ≤ dist` skips a
-    /// strict subset of the states the exact table would skip, all of them
-    /// provably infeasible. The tiered [`DistanceOracle`] used above
-    /// [`DistanceOracle::DENSE_PE_LIMIT`] PEs therefore preserves
-    /// byte-identical routes too — it just prunes less than the dense
-    /// tier would.
-    ///
     /// # Why index keying is route-identical
     ///
     /// Each transition names its cell by the dense index
@@ -1068,13 +1021,13 @@ impl<'a> Router<'a> {
 
         const INF: f64 = f64::INFINITY;
         // The hop oracle is resolved before the scratch is split into
-        // field borrows; the `Arc` keeps the bound view alive for the
-        // sweep.
+        // field borrows; the `Arc` keeps the destination's row alive for
+        // the sweep.
         let oracle = match self.mode {
             RouterMode::Pruned => Some(scratch.distances_for(self.cgra)),
             RouterMode::Dense => None,
         };
-        let bound: Option<DistanceBound<'_>> = oracle.as_deref().map(|o| o.bound_to(req.dst_pe));
+        let hops: Option<&[u32]> = oracle.as_deref().map(|o| o.hops_to(self.cgra, req.dst_pe));
         // Split the scratch into disjoint field borrows so the DP can hold
         // the overlay and move template immutably while writing the
         // value/parent rows.
@@ -1127,7 +1080,7 @@ impl<'a> Router<'a> {
             // the previous layer's compaction); dense mode scans every
             // state id. Ascending order either way keeps every strict-`<`
             // tie-break identical across modes.
-            let sweep_len = match bound {
+            let sweep_len = match hops {
                 Some(_) => frontier.len(),
                 None => num_states,
             };
@@ -1135,7 +1088,7 @@ impl<'a> Router<'a> {
             // IS the state id and the frontier is untouched.
             #[allow(clippy::needless_range_loop)]
             for i in 0..sweep_len {
-                let state = match bound {
+                let state = match hops {
                     Some(_) => frontier[i] as usize,
                     None => i,
                 };
@@ -1144,8 +1097,8 @@ impl<'a> Router<'a> {
                     continue; // dense mode only: frontier states are live
                 }
                 let (pe, carrier) = (state / stride, state % stride);
-                if let Some(b) = &bound {
-                    if b.get(pe) > hop_budget {
+                if let Some(hops) = hops {
+                    if hops[pe] > hop_budget {
                         pruned += 1;
                         continue;
                     }
@@ -1568,21 +1521,18 @@ mod tests {
         // Unique scope so parallel tests sharing the global registry
         // cannot interfere with the assertions.
         let _scope = obs::scope("test/router_metrics_accumulate");
-        let mut scratch = RouterScratch::new();
         router
-            .route_with(
+            .route(
                 &occ,
                 &req(0, pe(&cgra, 0, 0), 1, pe(&cgra, 0, 1), 2),
                 &UnitCost,
-                &mut scratch,
             )
             .unwrap();
         router
-            .route_with(
+            .route(
                 &occ,
                 &req(0, pe(&cgra, 0, 0), 3, pe(&cgra, 0, 1), 2),
                 &UnitCost,
-                &mut scratch,
             )
             .unwrap_err();
         let snap = obs::metrics().snapshot();
@@ -1662,8 +1612,6 @@ mod tests {
             let occ = Occupancy::new(&mrrg);
             let dense = Router::with_mode(cgra, &mrrg, RouterMode::Dense);
             let pruned = Router::with_mode(cgra, &mrrg, RouterMode::Pruned);
-            let mut ds = RouterScratch::new();
-            let mut ps = RouterScratch::new();
             let (mut pruned_states, mut frontiers) = (0, 0);
             for &(src, dst, depart, arrive) in requests {
                 let r = req(
@@ -1674,11 +1622,10 @@ mod tests {
                     arrive,
                 );
                 let at = format!("test/dense_vs_pruned_unit/{}/{r:?}", cgra.label());
-                let (a, dense_run) = recorded(&format!("{at}/dense"), || {
-                    dense.route_with(&occ, &r, &UnitCost, &mut ds)
-                });
+                let (a, dense_run) =
+                    recorded(&format!("{at}/dense"), || dense.route(&occ, &r, &UnitCost));
                 let (b, pruned_run) = recorded(&format!("{at}/pruned"), || {
-                    pruned.route_with(&occ, &r, &UnitCost, &mut ps)
+                    pruned.route(&occ, &r, &UnitCost)
                 });
                 assert_eq!(a, b, "{r:?}");
                 assert!(a.is_ok() || !must_route, "{r:?}: {a:?}");
@@ -1725,7 +1672,7 @@ mod tests {
         scratch.install_distances(Arc::clone(&oracle));
         assert!(Arc::ptr_eq(&scratch.distances_for(&cgra), &oracle));
         // An oracle for another fabric coexists in the cache; the first
-        // one is still served without a rebuild.
+        // one is still served as the same `Arc`.
         let other = rewire_arch::CgraBuilder::new(2, 2).build().unwrap();
         let rebuilt = scratch.distances_for(&other);
         assert!(!Arc::ptr_eq(&rebuilt, &oracle));
@@ -1748,7 +1695,7 @@ mod tests {
         for cgra in &fabrics {
             scratch.distances_for(cgra);
         }
-        assert_eq!(scratch.cached_oracles(), ORACLE_CACHE_CAP);
+        assert_eq!(scratch.oracles.len(), ORACLE_CACHE_CAP);
         // Most recently used fabrics survive; the earliest were evicted.
         let last = &fabrics[6];
         let first = &fabrics[0];
@@ -1759,8 +1706,7 @@ mod tests {
             rebuilt.matches(first),
             "evicted fabric is rebuilt on demand"
         );
-        assert!(scratch.oracle_bytes() > 0);
-        assert_eq!(scratch.cached_oracles(), ORACLE_CACHE_CAP);
+        assert_eq!(scratch.oracles.len(), ORACLE_CACHE_CAP);
         // Re-requesting the MRU entry returns the very same Arc.
         assert!(Arc::ptr_eq(&scratch.distances_for(first), &rebuilt));
     }

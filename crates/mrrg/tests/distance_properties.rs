@@ -1,20 +1,18 @@
 //! Property tests for the hop-distance oracle backing router pruning.
 //!
 //! The pruning proof in `router.rs` leans on three facts about
-//! [`DistanceTable`]: distances are exact metric values on the link graph
+//! [`DistanceOracle`]: distances are exact metric values on the link graph
 //! (symmetry on bidirectional fabrics, triangle inequality everywhere) and
 //! they never over-estimate the link hops of any route the router actually
 //! returns (admissibility). Disconnected fabrics must report
-//! [`DistanceTable::UNREACHABLE`] and route to a clean `NoPath`, never a
+//! [`DistanceOracle::UNREACHABLE`] and route to a clean `NoPath`, never a
 //! panic.
 
 use proptest::prelude::*;
 use rewire_arch::random::{random_cgra_spec, CgraSpec, RandomCgraParams};
 use rewire_arch::PeId;
 use rewire_dfg::NodeId;
-use rewire_mrrg::{
-    DistanceTable, Mrrg, Occupancy, RouteError, RouteRequest, Router, TieredDistance, UnitCost,
-};
+use rewire_mrrg::{DistanceOracle, Mrrg, Occupancy, RouteError, RouteRequest, Router, UnitCost};
 
 fn params(cut_prob: f64) -> RandomCgraParams {
     RandomCgraParams {
@@ -30,17 +28,17 @@ proptest! {
 
     /// Every builder fabric is bidirectional (links come in opposing
     /// pairs, and a row cut severs both directions at once), so the
-    /// distance table must be symmetric — including on cut fabrics, where
+    /// distances must be symmetric — including on cut fabrics, where
     /// unreachability itself is symmetric.
     #[test]
     fn distances_are_symmetric_on_bidirectional_fabrics(arch_seed in 0u64..192) {
         let cgra = random_cgra_spec(&params(0.25), arch_seed).build().unwrap();
-        let t = DistanceTable::build(&cgra);
+        let oracle = DistanceOracle::build(&cgra);
         for a in cgra.pes() {
             for b in cgra.pes() {
                 prop_assert_eq!(
-                    t.hops(a.id(), b.id()),
-                    t.hops(b.id(), a.id()),
+                    oracle.hops_to(&cgra, b.id())[a.id().index()],
+                    oracle.hops_to(&cgra, a.id())[b.id().index()],
                     "{} vs {}", a.id(), b.id()
                 );
             }
@@ -52,27 +50,27 @@ proptest! {
     #[test]
     fn distances_obey_the_triangle_inequality(arch_seed in 0u64..192) {
         let cgra = random_cgra_spec(&params(0.25), arch_seed).build().unwrap();
-        let t = DistanceTable::build(&cgra);
+        let oracle = DistanceOracle::build(&cgra);
+        let d = |a: usize, b: usize| oracle.hops_to(&cgra, PeId::new(b as u32))[a];
         let n = cgra.num_pes();
         for a in 0..n {
             for b in 0..n {
                 for c in 0..n {
-                    let (a, b, c) = (PeId::new(a as u32), PeId::new(b as u32), PeId::new(c as u32));
-                    let via = t.hops(a, b).saturating_add(t.hops(b, c));
+                    let via = d(a, b).saturating_add(d(b, c));
                     prop_assert!(
-                        t.hops(a, c) <= via,
+                        d(a, c) <= via,
                         "d({a},{c}) = {} > {} = d({a},{b}) + d({b},{c})",
-                        t.hops(a, c), via
+                        d(a, c), via
                     );
                 }
             }
         }
     }
 
-    /// Admissibility: the table never over-estimates — any route the
-    /// router returns crosses at least `hops(src, dst)` links.
+    /// Admissibility: the oracle never over-estimates — any route the
+    /// router returns crosses at least `d(src, dst)` links.
     #[test]
-    fn table_lower_bounds_every_returned_route(
+    fn oracle_lower_bounds_every_returned_route(
         arch_seed in 0u64..64,
         src in 0u32..64,
         dst in 0u32..64,
@@ -80,7 +78,7 @@ proptest! {
         ii in 1u32..5,
     ) {
         let cgra = random_cgra_spec(&params(0.0), arch_seed).build().unwrap();
-        let t = DistanceTable::build(&cgra);
+        let oracle = DistanceOracle::build(&cgra);
         let mrrg = Mrrg::new(&cgra, ii);
         let occ = Occupancy::new(&mrrg);
         let router = Router::new(&cgra, &mrrg);
@@ -94,49 +92,13 @@ proptest! {
             arrive_cycle: 1 + extra,
         };
         if let Ok(route) = router.route(&occ, &req, &UnitCost) {
-            let d = t.hops(src_pe, dst_pe);
-            prop_assert_ne!(d, DistanceTable::UNREACHABLE, "routed the unreachable");
+            let d = oracle.hops_to(&cgra, dst_pe)[src_pe.index()];
+            prop_assert_ne!(d, DistanceOracle::UNREACHABLE, "routed the unreachable");
             prop_assert!(
                 d as usize <= route.hops(),
                 "d({src_pe},{dst_pe}) = {} exceeds the {}-hop route",
                 d, route.hops()
             );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// Tiered admissibility on large random fabrics — the sizes the
-    /// landmark oracle actually serves, past the dense tier's 256-PE
-    /// limit, with torus/diagonal wraps and a fifth of fabrics cut into
-    /// islands. The bound must never exceed the exact BFS distance; since
-    /// `UNREACHABLE` is `u32::MAX`, the same inequality pins the
-    /// unreachability rules (a spurious `UNREACHABLE` verdict against a
-    /// finite true distance would violate it).
-    #[test]
-    fn tiered_bound_never_exceeds_the_true_distance(arch_seed in 0u64..64) {
-        let p = RandomCgraParams { cut_prob: 0.2, ..RandomCgraParams::large_fabric() };
-        let cgra = random_cgra_spec(&p, arch_seed).build().unwrap();
-        let exact = DistanceTable::build(&cgra);
-        let tiered = TieredDistance::build(&cgra);
-        let n = cgra.num_pes();
-        // All-pairs on 1000+ PEs is too slow unoptimised; stride the
-        // sources, keep full destination coverage.
-        let stride = (n / 48).max(1);
-        for a in (0..n).step_by(stride) {
-            let a = PeId::new(a as u32);
-            for b in 0..n {
-                let b = PeId::new(b as u32);
-                let d = exact.hops(a, b);
-                let lb = tiered.lower_bound(a, b);
-                prop_assert!(
-                    lb <= d,
-                    "lower_bound({a}, {b}) = {lb} exceeds the true distance {d} \
-                     on a {}x{} fabric", cgra.rows(), cgra.cols()
-                );
-            }
         }
     }
 }
@@ -149,10 +111,13 @@ fn disconnected_spec_routes_to_no_path() {
     let spec: CgraSpec = "4x4 regs=2 banks=1 memcols=0 cut=2".parse().unwrap();
     assert_eq!(spec.cut_row, Some(2));
     let cgra = spec.build().unwrap();
-    let t = DistanceTable::build(&cgra);
+    let oracle = DistanceOracle::build(&cgra);
     let top = PeId::new(0); // row 0
     let bottom = PeId::new(15); // row 3
-    assert_eq!(t.hops(top, bottom), DistanceTable::UNREACHABLE);
+    assert_eq!(
+        oracle.hops_to(&cgra, bottom)[top.index()],
+        DistanceOracle::UNREACHABLE
+    );
 
     let mrrg = Mrrg::new(&cgra, 2);
     let occ = Occupancy::new(&mrrg);

@@ -1,8 +1,8 @@
 //! Differential route-equivalence: the pruned sparse-frontier router must
 //! be byte-identical to the dense DP it replaced.
 //!
-//! Pruning uses the hop-distance oracle as an admissible lower bound, so
-//! it may only skip states that can never contribute to an arrival
+//! Pruning uses the exact hop distance from the distance oracle, so it
+//! may only skip states that can never contribute to an arrival
 //! candidate — costs, parents and every strict-`<` tie-break must come out
 //! exactly the same. These tests drive both [`RouterMode`]s over random
 //! fabrics (including torus, diagonal and deliberately disconnected
@@ -17,11 +17,7 @@ use rand::{Rng, SeedableRng};
 use rewire_arch::random::{random_cgra_spec, RandomCgraParams};
 use rewire_arch::{presets, PeId};
 use rewire_dfg::NodeId;
-use rewire_mrrg::{
-    DistanceOracle, Mrrg, NegotiatedCost, Occupancy, RouteRequest, Router, RouterMode,
-    RouterScratch, TieredDistance, UnitCost,
-};
-use std::sync::Arc;
+use rewire_mrrg::{Mrrg, NegotiatedCost, Occupancy, RouteRequest, Router, RouterMode, UnitCost};
 
 fn fuzz_params() -> RandomCgraParams {
     RandomCgraParams {
@@ -34,8 +30,8 @@ fn fuzz_params() -> RandomCgraParams {
     }
 }
 
-/// Routes `req` under both modes with fresh scratches and asserts the
-/// results (success or failure) are identical.
+/// Routes `req` under both modes and asserts the results (success or
+/// failure) are identical.
 fn assert_modes_agree(
     cgra: &rewire_arch::Cgra,
     mrrg: &Mrrg,
@@ -45,8 +41,8 @@ fn assert_modes_agree(
 ) -> Result<(), TestCaseError> {
     let dense = Router::with_mode(cgra, mrrg, RouterMode::Dense);
     let pruned = Router::with_mode(cgra, mrrg, RouterMode::Pruned);
-    let a = dense.route_with(occ, req, cost, &mut RouterScratch::new());
-    let b = pruned.route_with(occ, req, cost, &mut RouterScratch::new());
+    let a = dense.route(occ, req, cost);
+    let b = pruned.route(occ, req, cost);
     prop_assert_eq!(a, b, "modes diverged on {:?}", req);
     Ok(())
 }
@@ -131,51 +127,6 @@ proptest! {
         };
         assert_modes_agree(&cgra, &mrrg, &occ, &req, &nc)?;
     }
-
-    /// The byte-identical guarantee holds across oracle *tiers* too:
-    /// forcing the landmark oracle (what every past-the-limit fabric gets)
-    /// onto small fabrics, where the dense DP is still tractable to
-    /// compare against, must change nothing — the weaker-but-admissible
-    /// bound prunes fewer states, never different ones.
-    #[test]
-    fn tiered_oracle_routes_match_the_dense_dp(
-        arch_seed in 0u64..96,
-        occ_seed in 0u64..1024,
-        src in 0u32..64,
-        dst in 0u32..64,
-        extra in 0u32..10,
-        ii in 1u32..5,
-        claims in 0usize..48,
-    ) {
-        let spec = random_cgra_spec(&fuzz_params(), arch_seed);
-        let cgra = spec.build().expect("random specs build");
-        let mrrg = Mrrg::new(&cgra, ii);
-        let mut occ = Occupancy::new(&mrrg);
-        let mut rng = StdRng::seed_from_u64(occ_seed);
-        for _ in 0..claims {
-            let cell = mrrg.resource_of(rng.random_range(0..mrrg.num_cells()));
-            occ.claim(
-                cell,
-                NodeId::new(rng.random_range(0..6)),
-                rng.random_range(0..4),
-            );
-        }
-        let n = cgra.num_pes() as u32;
-        let req = RouteRequest {
-            signal: NodeId::new(0),
-            src_pe: PeId::new(src % n),
-            depart_cycle: 1,
-            dst_pe: PeId::new(dst % n),
-            arrive_cycle: 1 + extra,
-        };
-        let dense = Router::with_mode(&cgra, &mrrg, RouterMode::Dense);
-        let pruned = Router::with_mode(&cgra, &mrrg, RouterMode::Pruned);
-        let mut ps = RouterScratch::new();
-        ps.install_distances(Arc::new(DistanceOracle::Tiered(TieredDistance::build(&cgra))));
-        let a = dense.route_with(&occ, &req, &UnitCost, &mut RouterScratch::new());
-        let b = pruned.route_with(&occ, &req, &UnitCost, &mut ps);
-        prop_assert_eq!(a, b, "tiered-oracle pruning diverged on {:?}", req);
-    }
 }
 
 /// Exhaustive deterministic sweep on the paper's baseline fabric: every
@@ -189,14 +140,6 @@ fn all_pairs_sweep_on_the_paper_fabric() {
         let occ = Occupancy::new(&mrrg);
         let dense = Router::with_mode(&cgra, &mrrg, RouterMode::Dense);
         let pruned = Router::with_mode(&cgra, &mrrg, RouterMode::Pruned);
-        let mut ds = RouterScratch::new();
-        let mut ps = RouterScratch::new();
-        // A third router on the landmark tier, exercising the big-fabric
-        // configuration over the same exhaustive sweep.
-        let mut ts = RouterScratch::new();
-        ts.install_distances(Arc::new(DistanceOracle::Tiered(TieredDistance::build(
-            &cgra,
-        ))));
         for src in 0..cgra.num_pes() as u32 {
             for dst in 0..cgra.num_pes() as u32 {
                 for extra in [0u32, 1, 3, 6] {
@@ -207,11 +150,9 @@ fn all_pairs_sweep_on_the_paper_fabric() {
                         dst_pe: PeId::new(dst),
                         arrive_cycle: 1 + extra,
                     };
-                    let a = dense.route_with(&occ, &req, &UnitCost, &mut ds);
-                    let b = pruned.route_with(&occ, &req, &UnitCost, &mut ps);
-                    let c = pruned.route_with(&occ, &req, &UnitCost, &mut ts);
+                    let a = dense.route(&occ, &req, &UnitCost);
+                    let b = pruned.route(&occ, &req, &UnitCost);
                     assert_eq!(a, b, "ii {ii}, {req:?}");
-                    assert_eq!(a, c, "tiered tier, ii {ii}, {req:?}");
                 }
             }
         }

@@ -62,14 +62,6 @@ impl Json {
         }
     }
 
-    /// The number as `i64`, if this is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The number as `f64` (lossy for very large integers).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -439,7 +431,7 @@ mod tests {
         assert_eq!(parse("false").unwrap(), Json::Bool(false));
         assert_eq!(parse("\"hi\"").unwrap(), Json::Str("hi".into()));
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
-        assert_eq!(parse("-7").unwrap().as_i64(), Some(-7));
+        assert_eq!(parse("-7").unwrap().as_f64(), Some(-7.0));
         assert_eq!(parse("2.5e1").unwrap().as_f64(), Some(25.0));
     }
 

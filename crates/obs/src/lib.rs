@@ -1,7 +1,7 @@
 //! `rewire-obs` — the workspace's observability substrate.
 //!
 //! A zero-dependency, thread-aware metrics registry: monotonic (saturating)
-//! [`Counter`]s, [`Gauge`]s, fixed-bucket log2 [`Histogram`]s, and
+//! [`Counter`]s, fixed-bucket log2 [`Histogram`]s, and
 //! hierarchical span timers recorded through a [`ScopedTimer`] RAII guard.
 //! Everything is *observe-only by contract*: recording never feeds back into
 //! the code being measured, so mapping results are byte-identical with and
@@ -62,7 +62,7 @@ pub use flight::{
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use hist::{Histogram, NUM_BUCKETS};
-pub use registry::{Counter, Gauge, Registry, ScopeGuard, ScopedTimer};
+pub use registry::{Counter, Registry, ScopeGuard, ScopedTimer};
 pub use snapshot::{HistogramSnapshot, ScopeSnapshot, Snapshot, SpanSnapshot};
 pub use trace::{ChromeTrace, DEFAULT_TRACE_CAPACITY};
 
@@ -99,11 +99,6 @@ pub fn scope_epoch() -> u64 {
 /// A counter under the current thread scope of the global registry.
 pub fn counter(name: &str) -> Counter {
     metrics().counter(name)
-}
-
-/// A gauge under the current thread scope of the global registry.
-pub fn gauge(name: &str) -> Gauge {
-    metrics().gauge(name)
 }
 
 /// A histogram under the current thread scope of the global registry.

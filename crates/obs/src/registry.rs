@@ -4,7 +4,7 @@ use crate::hist::{saturating_fetch_add, HistCell, Histogram};
 use crate::snapshot::Snapshot;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -24,7 +24,6 @@ pub(crate) struct SpanCell {
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub(crate) counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
-    pub(crate) gauges: Mutex<BTreeMap<Key, Arc<AtomicI64>>>,
     pub(crate) hists: Mutex<BTreeMap<Key, Arc<HistCell>>>,
     pub(crate) spans: Mutex<BTreeMap<Key, Arc<SpanCell>>>,
 }
@@ -143,23 +142,6 @@ impl Registry {
         )
     }
 
-    /// A gauge handle under the calling thread's current scope.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let scope = self.current_scope();
-        self.gauge_in(&scope, name)
-    }
-
-    /// A gauge handle under an explicit scope.
-    pub fn gauge_in(&self, scope: &str, name: &str) -> Gauge {
-        let shard = self.shard();
-        let mut map = shard.gauges.lock().expect("gauge map poisoned");
-        Gauge(
-            map.entry((scope.to_string(), name.to_string()))
-                .or_default()
-                .clone(),
-        )
-    }
-
     /// A histogram handle under the calling thread's current scope.
     pub fn histogram(&self, name: &str) -> Histogram {
         let scope = self.current_scope();
@@ -230,9 +212,8 @@ impl Registry {
     /// Merges every thread's shard into one deterministic [`Snapshot`].
     ///
     /// Counters, histogram buckets and span totals merge by (saturating)
-    /// summation and gauges by summation of per-thread values — all
-    /// commutative, so the result does not depend on thread scheduling or
-    /// shard order. Keys come out sorted (`BTreeMap`), so
+    /// summation — commutative, so the result does not depend on thread
+    /// scheduling or shard order. Keys come out sorted (`BTreeMap`), so
     /// [`Snapshot::to_json`] is byte-stable for a given set of values.
     pub fn snapshot(&self) -> Snapshot {
         let shards: Vec<Arc<Shard>> = self
@@ -320,32 +301,6 @@ impl Counter {
     }
 }
 
-/// A cheap cloneable handle to one gauge cell (a signed instantaneous
-/// value; per-thread values are *summed* in the snapshot).
-#[derive(Clone, Debug)]
-pub struct Gauge(pub(crate) Arc<AtomicI64>);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the gauge by `delta` (saturating).
-    pub fn add(&self, delta: i64) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(delta))
-            });
-    }
-
-    /// Current value of this thread-local cell.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,7 +369,6 @@ mod tests {
                 scope.spawn(|| {
                     r.counter_in("s", "n").add(10);
                     r.histogram_in("s", "h").record(3);
-                    r.gauge_in("s", "g").set(2);
                 });
             }
         });
@@ -425,18 +379,5 @@ mod tests {
         assert_eq!(h.sum, 12);
         assert_eq!(h.min, Some(3));
         assert_eq!(h.max, Some(3));
-        assert_eq!(snap.scopes["s"].gauges["g"], 8, "gauges sum per thread");
-    }
-
-    #[test]
-    fn gauge_set_add_get() {
-        let r = Registry::new();
-        let g = r.gauge("depth");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-        g.add(i64::MIN);
-        g.add(-10);
-        assert_eq!(g.get(), i64::MIN, "saturating");
     }
 }

@@ -19,8 +19,6 @@ pub struct Snapshot {
 pub struct ScopeSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by name (per-thread values summed).
-    pub gauges: BTreeMap<String, i64>,
     /// Histograms by name (empty histograms are omitted).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Span timers by full hierarchical path.
@@ -148,14 +146,6 @@ impl Snapshot {
                 .or_insert(0);
             *slot = slot.saturating_add(cell.load(Ordering::Relaxed));
         }
-        for ((scope, name), cell) in shard.gauges.lock().expect("gauge map poisoned").iter() {
-            let slot = self
-                .scope_mut(scope)
-                .gauges
-                .entry(name.clone())
-                .or_insert(0);
-            *slot = slot.saturating_add(cell.load(Ordering::Relaxed));
-        }
         for ((scope, name), cell) in shard.hists.lock().expect("histogram map poisoned").iter() {
             let count = cell.count.load(Ordering::Relaxed);
             if count == 0 {
@@ -200,10 +190,6 @@ impl Snapshot {
                 let slot = ours.counters.entry(name.clone()).or_insert(0);
                 *slot = slot.saturating_add(*v);
             }
-            for (name, v) in &theirs.gauges {
-                let slot = ours.gauges.entry(name.clone()).or_insert(0);
-                *slot = slot.saturating_add(*v);
-            }
             for (name, h) in &theirs.histograms {
                 ours.histograms.entry(name.clone()).or_default().merge(h);
             }
@@ -228,19 +214,8 @@ impl Snapshot {
             json::write_str(&mut out, scope);
             out.push_str(":{\"counters\":{");
             push_u64_map(&mut out, &s.counters);
-            out.push_str("},\"gauges\":{");
-            let mut first = true;
-            for (name, v) in &s.gauges {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                json::write_str(&mut out, name);
-                out.push(':');
-                out.push_str(&v.to_string());
-            }
             out.push_str("},\"histograms\":{");
-            first = true;
+            let mut first = true;
             for (name, h) in &s.histograms {
                 if !first {
                     out.push(',');
@@ -303,10 +278,6 @@ impl Snapshot {
             for (name, v) in section(body, "counters")? {
                 let v = v.as_u64().ok_or_else(|| format!("bad counter {name}"))?;
                 entry.counters.insert(name.clone(), v);
-            }
-            for (name, v) in section(body, "gauges")? {
-                let v = v.as_i64().ok_or_else(|| format!("bad gauge {name}"))?;
-                entry.gauges.insert(name.clone(), v);
             }
             for (name, v) in section(body, "histograms")? {
                 let h = parse_histogram(name, v)?;
@@ -394,7 +365,6 @@ mod tests {
         {
             let _s = r.scope("PF*/fir");
             r.counter("router.expansions").add(321);
-            r.gauge("depth").set(-4);
             let h = r.histogram("router.route_len");
             h.record(0);
             h.record(3);
@@ -450,7 +420,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.scopes["PF*/fir"].counters["router.expansions"], 642);
         assert_eq!(a.scopes["SA/fir"].counters["sa.moves"], 14);
-        assert_eq!(a.scopes["PF*/fir"].gauges["depth"], -8);
         let h = &a.scopes["PF*/fir"].histograms["router.route_len"];
         assert_eq!(h.count, 8);
         assert_eq!(h.mean(), Some(1812.0 / 8.0));

@@ -78,16 +78,6 @@ impl Lit {
         let v = Var::from_index((n.unsigned_abs() - 1) as usize);
         Some(Lit::new(v, n > 0))
     }
-
-    /// The 1-based signed DIMACS form of this literal.
-    pub fn to_dimacs(self) -> i64 {
-        let n = self.var().index() as i64 + 1;
-        if self.is_positive() {
-            n
-        } else {
-            -n
-        }
-    }
 }
 
 impl Not for Lit {
@@ -135,11 +125,9 @@ mod tests {
         let p = Lit::from_dimacs(3).unwrap();
         assert_eq!(p.var().index(), 2);
         assert!(p.is_positive());
-        assert_eq!(p.to_dimacs(), 3);
         let n = Lit::from_dimacs(-1).unwrap();
         assert_eq!(n.var().index(), 0);
         assert!(!n.is_positive());
-        assert_eq!(n.to_dimacs(), -1);
     }
 
     #[test]
