@@ -52,10 +52,9 @@ use crate::schedule::{candidate_pes, default_horizon, schedule_asap};
 use crate::{GiveUpReason, MapLimits, MapOutcome, MapStats, Mapper, Mapping};
 use rewire_arch::{Cgra, LinkId, PeId};
 use rewire_dfg::Dfg;
-use rewire_mrrg::{Mrrg, Resource, Route};
+use rewire_mrrg::{DistanceOracle, Mrrg, Resource, Route};
 use rewire_obs as obs;
 use rewire_sat::{Lit, SolveResult, Solver, Var};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Deterministic per-II conflict budget: the primary truncation knob.
@@ -152,14 +151,15 @@ impl ExactSatMapper {
                 return IiResolution::Unknown { conflicts: 0 };
             }
         };
-        obs::counter("exact.vars").add(enc.solver.num_vars() as u64);
-        obs::counter("exact.clauses").add(enc.solver.num_clauses() as u64);
+        let solver = &mut enc.cnf.solver;
+        obs::counter("exact.vars").add(solver.num_vars() as u64);
+        obs::counter("exact.clauses").add(solver.num_clauses() as u64);
         let verdict = {
             let _span = obs::span("exact.solve");
             let mut stop = || Instant::now() >= deadline;
-            enc.solver.solve_limited(self.conflict_budget, &mut stop)
+            solver.solve_limited(self.conflict_budget, &mut stop)
         };
-        let stats = enc.solver.stats();
+        let stats = solver.stats();
         obs::counter("sat.decisions").add(stats.decisions);
         obs::counter("sat.conflicts").add(stats.conflicts);
         obs::counter("sat.propagations").add(stats.propagations);
@@ -303,8 +303,9 @@ struct Fabric {
     /// `(id, src PE index, dst PE index)` in [`Cgra::links`] order.
     links: Vec<(LinkId, usize, usize)>,
     links_into: Vec<Vec<usize>>,
-    /// All-pairs hop distance over the NoC (`u32::MAX` = unreachable).
-    hops: Vec<Vec<u32>>,
+    /// Exact hop distances for the reachability cones
+    /// ([`DistanceOracle::UNREACHABLE`] = no path).
+    oracle: DistanceOracle,
 }
 
 impl Fabric {
@@ -318,23 +319,6 @@ impl Fabric {
             links.push((l.id(), l.src().index(), l.dst().index()));
             links_into[l.dst().index()].push(li);
         }
-        let mut adj = vec![Vec::new(); num_pes];
-        for &(_, s, d) in &links {
-            adj[s].push(d);
-        }
-        let mut hops = vec![vec![u32::MAX; num_pes]; num_pes];
-        for (s, row) in hops.iter_mut().enumerate() {
-            row[s] = 0;
-            let mut queue = std::collections::VecDeque::from([s]);
-            while let Some(p) = queue.pop_front() {
-                for &q in &adj[p] {
-                    if row[q] == u32::MAX {
-                        row[q] = row[p] + 1;
-                        queue.push_back(q);
-                    }
-                }
-            }
-        }
         Self {
             num_pes,
             regs,
@@ -342,7 +326,7 @@ impl Fabric {
             num_locs: num_pes * (1 + regs),
             links,
             links_into,
-            hops,
+            oracle: DistanceOracle::build(cgra),
         }
     }
 
@@ -362,6 +346,85 @@ impl Fabric {
 
     fn reg_entity(&self, p: usize, r: usize) -> u32 {
         (self.links.len() + p * self.regs + r) as u32
+    }
+
+    /// Routing entities: every link, then every register.
+    fn num_entities(&self) -> usize {
+        self.links.len() + self.num_pes * self.regs
+    }
+}
+
+/// One node's placement variables, dense over `(PE, time)`: the var of
+/// `(p, t)` sits at `p · width + (t − asap)`, `None` off the candidates.
+struct Placements {
+    asap: u32,
+    width: usize,
+    vars: Vec<Option<Var>>,
+}
+
+impl Placements {
+    fn get(&self, p: usize, t: u32) -> Option<Var> {
+        let dt = t.checked_sub(self.asap)? as usize;
+        if dt >= self.width {
+            return None;
+        }
+        self.vars[p * self.width + dt]
+    }
+
+    /// `(pe index, time, var)` in PE-major, time-minor order.
+    fn iter(&self) -> impl Iterator<Item = (usize, u32, Var)> + '_ {
+        self.vars.iter().enumerate().filter_map(|(i, x)| {
+            x.map(|x| (i / self.width, self.asap + (i % self.width) as u32, x))
+        })
+    }
+}
+
+/// The clause sink: the solver, plus whether it is still consistent.
+struct Cnf {
+    solver: Solver,
+    /// `false` once a root-level conflict is known; clause adds stop.
+    consistent: bool,
+}
+
+impl Cnf {
+    fn var(&mut self) -> Var {
+        self.solver.new_var()
+    }
+
+    /// Adds a clause; the solver sorts its literals, so order is free.
+    fn clause(&mut self, lits: &[Lit]) {
+        if self.consistent {
+            self.consistent = self.solver.add_clause(lits);
+        }
+    }
+
+    /// At-most-one over `lits`: pairwise for short lists, a sequential
+    /// (Sinz) ladder otherwise.
+    fn at_most_one(&mut self, lits: &[Lit]) {
+        if lits.len() <= 1 {
+            return;
+        }
+        if lits.len() <= 5 {
+            for i in 0..lits.len() {
+                for j in i + 1..lits.len() {
+                    self.clause(&[!lits[i], !lits[j]]);
+                }
+            }
+            return;
+        }
+        let mut prev = self.var();
+        self.clause(&[!lits[0], Lit::positive(prev)]);
+        for (i, &l) in lits.iter().enumerate().skip(1) {
+            if i + 1 == lits.len() {
+                self.clause(&[!Lit::positive(prev), !l]);
+                break;
+            }
+            let s = self.var();
+            self.clause(&[!l, Lit::positive(s)]);
+            self.clause(&[!Lit::positive(prev), Lit::positive(s)]);
+            self.clause(&[!Lit::positive(prev), !l]);
+            prev = s;
+        }
     }
 }
 
@@ -398,20 +461,22 @@ struct Encoder<'a> {
     alap: Vec<u32>,
     /// Candidate PE indices per node, in PE-id order.
     cands: Vec<Vec<usize>>,
-    solver: Solver,
-    /// `false` once a root-level conflict is known; clause adds stop.
-    consistent: bool,
-    /// Per node: `(pe index, time, var)` in deterministic order.
-    place: Vec<Vec<(usize, u32, Var)>>,
+    cnf: Cnf,
+    /// Per node: its placement variables.
+    place: Vec<Placements>,
     /// Per node: time-indicator vars over the window (for timing clauses).
     time_ind: Vec<Vec<Var>>,
     edges: Vec<EdgeTables>,
-    /// `(producer node, cycle, entity) ->` aggregated usage var.
-    usage: BTreeMap<(u32, u32, u32), Var>,
-    /// `(entity, slot) ->` usage lits for the modulo exclusivity ladder.
-    route_buckets: BTreeMap<(u32, u32), Vec<Lit>>,
-    /// `(pe, slot) ->` placement lits for FU exclusivity.
-    fu_buckets: BTreeMap<(u32, u32), Vec<Lit>>,
+    /// Per producer node, allocated on its first use: the aggregated
+    /// usage var of `(cycle, entity)` at `cycle · entities + entity`.
+    usage: Vec<Vec<Option<Var>>>,
+    /// Cycles a usage row spans: one past the latest edge arrival.
+    usage_cycles: usize,
+    /// Usage lits for the modulo exclusivity ladder, per
+    /// `entity · II + slot` (the ladders are emitted in index order).
+    route_buckets: Vec<Vec<Lit>>,
+    /// Placement lits for FU exclusivity, per `pe · II + slot`.
+    fu_buckets: Vec<Vec<Lit>>,
     out_degree: Vec<usize>,
 }
 
@@ -463,23 +528,31 @@ impl<'a> Encoder<'a> {
         for e in dfg.edges() {
             out_degree[e.src().index()] += 1;
         }
+        let usage_cycles = dfg
+            .edges()
+            .map(|e| (alap[e.dst().index()] + e.distance() * ii) as usize + 1)
+            .max()
+            .unwrap_or(0);
 
         let mut enc = Self {
             dfg,
             cgra,
-            fab,
             ii,
             asap,
             alap,
             cands,
-            solver: Solver::new(),
-            consistent: true,
+            cnf: Cnf {
+                solver: Solver::new(),
+                consistent: true,
+            },
             place: Vec::new(),
             time_ind: Vec::new(),
             edges: Vec::new(),
-            usage: BTreeMap::new(),
-            route_buckets: BTreeMap::new(),
-            fu_buckets: BTreeMap::new(),
+            usage: vec![Vec::new(); dfg.num_nodes()],
+            usage_cycles,
+            route_buckets: vec![Vec::new(); fab.num_entities() * ii as usize],
+            fu_buckets: vec![Vec::new(); fab.num_pes * ii as usize],
+            fab,
             out_degree,
         };
         enc.encode_placement();
@@ -491,69 +564,35 @@ impl<'a> Encoder<'a> {
         Ok(enc)
     }
 
-    fn clause(&mut self, lits: &[Lit]) {
-        if self.consistent {
-            self.consistent = self.solver.add_clause(lits);
-        }
-    }
-
-    /// At-most-one over `lits`: pairwise for short lists, a sequential
-    /// (Sinz) ladder otherwise.
-    fn at_most_one(&mut self, lits: &[Lit]) {
-        if lits.len() <= 1 {
-            return;
-        }
-        if lits.len() <= 5 {
-            for i in 0..lits.len() {
-                for j in i + 1..lits.len() {
-                    self.clause(&[!lits[i], !lits[j]]);
-                }
-            }
-            return;
-        }
-        let mut prev = self.solver.new_var();
-        self.clause(&[!lits[0], Lit::positive(prev)]);
-        for (i, &l) in lits.iter().enumerate().skip(1) {
-            if i + 1 == lits.len() {
-                self.clause(&[!Lit::positive(prev), !l]);
-                break;
-            }
-            let s = self.solver.new_var();
-            self.clause(&[!l, Lit::positive(s)]);
-            self.clause(&[!Lit::positive(prev), Lit::positive(s)]);
-            self.clause(&[!Lit::positive(prev), !l]);
-            prev = s;
-        }
-    }
-
     /// Placement one-hots, FU exclusivity buckets, and time indicators.
     fn encode_placement(&mut self) {
+        let ii = self.ii as usize;
         for v in self.dfg.node_ids() {
             let vi = v.index();
             let (lo, hi) = (self.asap[vi], self.alap[vi]);
-            let mut xs = Vec::new();
-            let mut tvars = Vec::new();
-            for _ in lo..=hi {
-                tvars.push(self.solver.new_var());
-            }
-            for &p in &self.cands[vi].clone() {
+            let width = (hi - lo + 1) as usize;
+            let mut place = Placements {
+                asap: lo,
+                width,
+                vars: vec![None; self.fab.num_pes * width],
+            };
+            let mut alo = Vec::with_capacity(self.cands[vi].len() * width);
+            let tvars: Vec<Var> = (lo..=hi).map(|_| self.cnf.var()).collect();
+            for &p in &self.cands[vi] {
                 for t in lo..=hi {
-                    let x = self.solver.new_var();
-                    xs.push((p, t, x));
+                    let x = self.cnf.var();
+                    place.vars[p * width + (t - lo) as usize] = Some(x);
+                    alo.push(Lit::positive(x));
                     // x → T: time indicators back the pairwise timing
                     // clauses without a quadratic blowup over PEs.
                     let t_ind = tvars[(t - lo) as usize];
-                    self.clause(&[Lit::negative(x), Lit::positive(t_ind)]);
-                    self.fu_buckets
-                        .entry((p as u32, t % self.ii))
-                        .or_default()
-                        .push(Lit::positive(x));
+                    self.cnf.clause(&[Lit::negative(x), Lit::positive(t_ind)]);
+                    self.fu_buckets[p * ii + t as usize % ii].push(Lit::positive(x));
                 }
             }
-            let alo: Vec<Lit> = xs.iter().map(|&(_, _, x)| Lit::positive(x)).collect();
-            self.clause(&alo);
-            self.at_most_one(&alo);
-            self.place.push(xs);
+            self.cnf.clause(&alo);
+            self.cnf.at_most_one(&alo);
+            self.place.push(place);
             self.time_ind.push(tvars);
         }
     }
@@ -569,18 +608,14 @@ impl<'a> Encoder<'a> {
                 // whenever the ASAP schedule exists.
                 continue;
             }
-            let mut clauses = Vec::new();
             for tu in self.asap[u]..=self.alap[u] {
                 for tv in self.asap[v]..=self.alap[v] {
                     if i64::from(tv) + i64::from(dist * self.ii) < i64::from(tu) + 1 {
                         let lu = self.time_ind[u][(tu - self.asap[u]) as usize];
                         let lv = self.time_ind[v][(tv - self.asap[v]) as usize];
-                        clauses.push([Lit::negative(lu), Lit::negative(lv)]);
+                        self.cnf.clause(&[Lit::negative(lu), Lit::negative(lv)]);
                     }
                 }
-            }
-            for c in clauses {
-                self.clause(&c);
             }
         }
     }
@@ -590,46 +625,43 @@ impl<'a> Encoder<'a> {
     /// bucket) on first use. Producers with a single out-edge use their
     /// edge-level var directly — the caller handles that fast path.
     fn usage_lit(&mut self, producer: u32, cycle: u32, entity: u32) -> Lit {
-        if let Some(&u) = self.usage.get(&(producer, cycle, entity)) {
+        let entities = self.fab.num_entities();
+        let row = &mut self.usage[producer as usize];
+        if row.is_empty() {
+            row.resize(self.usage_cycles * entities, None);
+        }
+        let slot = &mut row[cycle as usize * entities + entity as usize];
+        if let Some(u) = *slot {
             return Lit::positive(u);
         }
-        let u = self.solver.new_var();
-        self.usage.insert((producer, cycle, entity), u);
-        self.route_buckets
-            .entry((entity, cycle % self.ii))
-            .or_default()
-            .push(Lit::positive(u));
+        let u = self.cnf.var();
+        *slot = Some(u);
+        let bucket = self.route_bucket(cycle, entity);
+        self.route_buckets[bucket].push(Lit::positive(u));
         Lit::positive(u)
+    }
+
+    /// The exclusivity bucket of `entity` at `cycle`'s modulo slot.
+    fn route_bucket(&self, cycle: u32, entity: u32) -> usize {
+        (entity * self.ii + cycle % self.ii) as usize
     }
 
     /// Registers one edge-level resource use in the exclusivity machinery.
     fn register_use(&mut self, producer: u32, cycle: u32, entity: u32, edge_var: Var) {
         if self.out_degree[producer as usize] == 1 {
             // Sole edge of this signal: the edge var *is* the usage var.
-            self.route_buckets
-                .entry((entity, cycle % self.ii))
-                .or_default()
-                .push(Lit::positive(edge_var));
+            let bucket = self.route_bucket(cycle, entity);
+            self.route_buckets[bucket].push(Lit::positive(edge_var));
         } else {
             let u = self.usage_lit(producer, cycle, entity);
-            self.clause(&[Lit::negative(edge_var), u]);
+            self.cnf.clause(&[Lit::negative(edge_var), u]);
         }
     }
 
     /// The ground literal for `At[e,c,Wire(p)]`: the producer departs from
     /// `p` at cycle `c` (i.e. is placed there at `c − 1`).
     fn ground_var(&self, u: usize, p: usize, c: u32) -> Option<Var> {
-        if c == 0 {
-            return None;
-        }
-        let t = c - 1;
-        if t < self.asap[u] || t > self.alap[u] {
-            return None;
-        }
-        self.place[u]
-            .iter()
-            .find(|&&(pp, tt, _)| pp == p && tt == t)
-            .map(|&(_, _, x)| x)
+        self.place[u].get(p, c.checked_sub(1)?)
     }
 
     /// Encodes one edge: location/use variables with reachability pruning,
@@ -661,25 +693,26 @@ impl<'a> Encoder<'a> {
         // argument: a location is live at cycle `c` only if reachable from
         // some producer candidate within `c − lo` hops and within
         // `(hi − c) + 1` hops of some consumer candidate (the `+1` is the
-        // delivery hop).
+        // delivery hop). An oracle row `hops_to(q)[p]` is the distance
+        // p → q.
+        let oracle = &self.fab.oracle;
+        let row = |q: usize| oracle.hops_to(self.cgra, PeId::new(q as u32));
         let hops_from: Vec<u32> = (0..self.fab.num_pes)
             .map(|p| {
+                let to_p = row(p);
                 self.cands[u]
                     .iter()
-                    .map(|&s| self.fab.hops[s][p])
+                    .map(|&s| to_p[s])
                     .min()
                     .unwrap_or(u32::MAX)
             })
             .collect();
-        let hops_to: Vec<u32> = (0..self.fab.num_pes)
-            .map(|p| {
-                self.cands[v]
-                    .iter()
-                    .map(|&q| self.fab.hops[p][q])
-                    .min()
-                    .unwrap_or(u32::MAX)
-            })
-            .collect();
+        let mut hops_to = vec![u32::MAX; self.fab.num_pes];
+        for &q in &self.cands[v] {
+            for (h, &d) in hops_to.iter_mut().zip(row(q)) {
+                *h = (*h).min(d);
+            }
+        }
         let reach = |p: usize, c: u32| -> bool {
             c >= lo
                 && c <= hi
@@ -705,6 +738,11 @@ impl<'a> Encoder<'a> {
         };
 
         let idx = |c: u32, unit: usize, width: usize| (c - lo) as usize * width + unit;
+        let stride = self.fab.stride;
+        // Every clause is built in `cl`, and the carriers a location's
+        // register uses share in `carriers`: two buffers per edge.
+        let mut cl: Vec<Lit> = Vec::new();
+        let mut carriers: Vec<Lit> = Vec::new();
         for c in lo..=hi {
             // Location variables and their support clauses.
             for p in 0..self.fab.num_pes {
@@ -712,24 +750,21 @@ impl<'a> Encoder<'a> {
                     continue;
                 }
                 // Wire: grounded at departure or fed by a link hop.
-                let ground = self.ground_var(u, p, c);
-                let mut support: Vec<Lit> = Vec::new();
-                if let Some(x) = ground {
-                    support.push(Lit::positive(x));
-                }
+                cl.clear();
+                cl.extend(self.ground_var(u, p, c).map(Lit::positive));
                 if c > lo {
-                    for &li in &self.fab.links_into[p] {
-                        if let Some(lv) = tab.lu[idx(c - 1, li, num_links)] {
-                            support.push(Lit::positive(lv));
-                        }
-                    }
+                    cl.extend(
+                        self.fab.links_into[p]
+                            .iter()
+                            .filter_map(|&li| tab.lu[idx(c - 1, li, num_links)])
+                            .map(Lit::positive),
+                    );
                 }
-                if !support.is_empty() {
-                    let at = self.solver.new_var();
+                if !cl.is_empty() {
+                    let at = self.cnf.var();
                     tab.at[idx(c, self.fab.wire(p), num_locs)] = Some(at);
-                    let mut cl = vec![Lit::negative(at)];
-                    cl.extend(support);
-                    self.clause(&cl);
+                    cl.push(Lit::negative(at));
+                    self.cnf.clause(&cl);
                 }
                 // Registers: fed only by a register use one cycle earlier.
                 for r in 0..self.fab.regs {
@@ -737,9 +772,9 @@ impl<'a> Encoder<'a> {
                         continue;
                     }
                     if let Some(rv) = tab.ru[idx(c - 1, p * self.fab.regs + r, regslots)] {
-                        let at = self.solver.new_var();
+                        let at = self.cnf.var();
                         tab.at[idx(c, self.fab.reg(p, r), num_locs)] = Some(at);
-                        self.clause(&[Lit::negative(at), Lit::positive(rv)]);
+                        self.cnf.clause(&[Lit::negative(at), Lit::positive(rv)]);
                     }
                 }
             }
@@ -748,11 +783,15 @@ impl<'a> Encoder<'a> {
             // possible delivery into a consumer candidate this cycle.
             for li in 0..num_links {
                 let (_, s, d) = self.fab.links[li];
-                let carriers: Vec<Lit> = (0..self.fab.stride)
-                    .filter_map(|off| tab.at[idx(c, s * self.fab.stride + off, num_locs)])
-                    .map(Lit::positive)
-                    .collect();
-                if carriers.is_empty() {
+                let at_s = idx(c, s * stride, num_locs);
+                cl.clear();
+                cl.extend(
+                    tab.at[at_s..at_s + stride]
+                        .iter()
+                        .flatten()
+                        .map(|&at| Lit::positive(at)),
+                );
+                if cl.is_empty() {
                     continue;
                 }
                 let step_ok = c < hi && reach(d, c + 1);
@@ -760,11 +799,10 @@ impl<'a> Encoder<'a> {
                 if !step_ok && !deliv_ok {
                     continue;
                 }
-                let lv = self.solver.new_var();
+                let lv = self.cnf.var();
                 tab.lu[idx(c, li, num_links)] = Some(lv);
-                let mut cl = vec![Lit::negative(lv)];
-                cl.extend(carriers);
-                self.clause(&cl);
+                cl.push(Lit::negative(lv));
+                self.cnf.clause(&cl);
                 self.register_use(u as u32, c, self.fab.link_entity(li), lv);
             }
             // Register-use variables at cycle c (entering, holding, or
@@ -774,19 +812,24 @@ impl<'a> Encoder<'a> {
                     if !reach(p, c + 1) {
                         continue;
                     }
-                    let carriers: Vec<Lit> = (0..self.fab.stride)
-                        .filter_map(|off| tab.at[idx(c, p * self.fab.stride + off, num_locs)])
-                        .map(Lit::positive)
-                        .collect();
+                    let at_p = idx(c, p * stride, num_locs);
+                    carriers.clear();
+                    carriers.extend(
+                        tab.at[at_p..at_p + stride]
+                            .iter()
+                            .flatten()
+                            .map(|&at| Lit::positive(at)),
+                    );
                     if carriers.is_empty() {
                         continue;
                     }
                     for r in 0..self.fab.regs {
-                        let rv = self.solver.new_var();
+                        let rv = self.cnf.var();
                         tab.ru[idx(c, p * self.fab.regs + r, regslots)] = Some(rv);
-                        let mut cl = vec![Lit::negative(rv)];
-                        cl.extend(carriers.iter().copied());
-                        self.clause(&cl);
+                        cl.clear();
+                        cl.extend_from_slice(&carriers);
+                        cl.push(Lit::negative(rv));
+                        self.cnf.clause(&cl);
                         self.register_use(u as u32, c, self.fab.reg_entity(p, r), rv);
                     }
                 }
@@ -796,22 +839,26 @@ impl<'a> Encoder<'a> {
         // Arrival clause per consumer placement var: the value must sit at
         // the consumer (any carrier) at the arrival cycle, or cross one
         // delivery link into it during that cycle.
-        for &(q, t, x) in &self.place[v].clone() {
+        for (q, t, x) in self.place[v].iter() {
             let a = t + dist * self.ii;
-            let mut cl = vec![Lit::negative(x)];
+            cl.clear();
+            cl.push(Lit::negative(x));
             if a >= lo && a <= hi {
-                for off in 0..self.fab.stride {
-                    if let Some(at) = tab.at[idx(a, q * self.fab.stride + off, num_locs)] {
-                        cl.push(Lit::positive(at));
-                    }
-                }
-                for &li in &self.fab.links_into[q] {
-                    if let Some(lv) = tab.lu[idx(a, li, num_links)] {
-                        cl.push(Lit::positive(lv));
-                    }
-                }
+                let at_q = idx(a, q * stride, num_locs);
+                cl.extend(
+                    tab.at[at_q..at_q + stride]
+                        .iter()
+                        .flatten()
+                        .map(|&at| Lit::positive(at)),
+                );
+                cl.extend(
+                    self.fab.links_into[q]
+                        .iter()
+                        .filter_map(|&li| tab.lu[idx(a, li, num_links)])
+                        .map(Lit::positive),
+                );
             }
-            self.clause(&cl);
+            self.cnf.clause(&cl);
         }
         self.edges.push(tab);
     }
@@ -821,18 +868,16 @@ impl<'a> Encoder<'a> {
     ///
     /// [`Occupancy`]: rewire_mrrg::Occupancy
     fn encode_exclusivity(&mut self) {
-        let route_buckets: Vec<Vec<Lit>> = self.route_buckets.values().cloned().collect();
-        for lits in route_buckets {
-            self.at_most_one(&lits);
+        for lits in std::mem::take(&mut self.route_buckets) {
+            self.cnf.at_most_one(&lits);
         }
-        let fu_buckets: Vec<Vec<Lit>> = self.fu_buckets.values().cloned().collect();
-        for lits in fu_buckets {
-            self.at_most_one(&lits);
+        for lits in std::mem::take(&mut self.fu_buckets) {
+            self.cnf.at_most_one(&lits);
         }
     }
 
     fn lit_true(&self, var: Option<Var>) -> bool {
-        var.is_some_and(|v| self.solver.value(v) == Some(true))
+        var.is_some_and(|v| self.cnf.solver.value(v) == Some(true))
     }
 
     /// Decodes the satisfying assignment into a complete [`Mapping`],
@@ -842,9 +887,9 @@ impl<'a> Encoder<'a> {
         let mrrg = Mrrg::new(self.cgra, self.ii);
         let mut mapping = Mapping::new(self.dfg, &mrrg);
         for v in self.dfg.node_ids() {
-            let &(p, t, _) = self.place[v.index()]
+            let (p, t, _) = self.place[v.index()]
                 .iter()
-                .find(|&&(_, _, x)| self.solver.value(x) == Some(true))?;
+                .find(|&(_, _, x)| self.cnf.solver.value(x) == Some(true))?;
             mapping.place(v, PeId::new(p as u32), t);
         }
         for e in self.dfg.edges() {

@@ -16,13 +16,43 @@
 //!    [`SolveResult::Unknown`] when the cap is hit, so callers can
 //!    distinguish "proved unsatisfiable" from "gave up".
 //! 3. **Checkable models.** After [`SolveResult::Sat`] every variable has a
-//!    value ([`Solver::value`]), and the model is re-verified against every
-//!    input clause before the solver returns.
+//!    value ([`Solver::value`]). Debug builds re-verify the model against
+//!    every input clause before the solver returns (a `debug_assert!`);
+//!    release builds skip that scan, so callers check models in their own
+//!    terms — the exact mapper's decoded mapping must pass
+//!    `Mapping::validate` or it is never reported.
 //!
 //! The implementation is the classic MiniSat recipe: two-literal watches
 //! with blockers, first-UIP conflict analysis, VSIDS variable activity with
 //! phase saving, Luby-sequence restarts, and activity-based learnt-clause
 //! reduction.
+//!
+//! # Storage
+//!
+//! The storage is laid out for the cache without changing the search:
+//!
+//! - **One clause arena.** Every clause is a header word (length, learnt,
+//!   deleted), then — for a learnt clause — one word indexing its `f64`
+//!   activity in a side table, then its literals, in one flat buffer. A
+//!   clause reference is the header's offset; offsets grow in creation
+//!   order, so learnt-clause reduction breaks activity ties by age.
+//! - **Binary watchers.** A two-literal clause's watchers are flagged, and
+//!   their blocker is the clause's other literal, so propagation reads the
+//!   arena only on a conflict. There it writes `[other, falsified]`, the
+//!   literal order the general path leaves, and conflict analysis skips a
+//!   reason clause's implied literal by its variable, not by position, so
+//!   both paths hand analysis the same literals in the same order.
+//! - **One watch buffer.** Every literal's watch list is a span of one
+//!   shared buffer; a full list moves to the buffer's end with twice the
+//!   room. Entries keep the order a `Vec` per literal would give them, and
+//!   building or dropping a solver is not one allocation per literal.
+//! - **Heap entries carry their activity.** The decision heap holds
+//!   `(activity, variable)` pairs, so sifting reads one array, and a sift
+//!   moves entries into a hole instead of swapping at every level, leaving
+//!   the same array. An activity rescale refreshes the entries in place
+//!   without re-sifting — the array an index heap reading a separate
+//!   activity table would hold, which matters because a rescale can turn
+//!   distinct activities into ties.
 //!
 //! # Example
 //!

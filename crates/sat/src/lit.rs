@@ -69,6 +69,16 @@ impl Lit {
         self.0 as usize
     }
 
+    /// The literal whose [`raw`](Lit::raw) code is `code`.
+    pub(crate) fn from_raw(code: u32) -> Lit {
+        Lit(code)
+    }
+
+    /// [`code`](Lit::code) as stored in the clause arena.
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
     /// Parses a DIMACS literal: `3` → `x2` positive, `-3` → `x2` negated
     /// (DIMACS variables are 1-based). Returns `None` for `0`.
     pub fn from_dimacs(n: i64) -> Option<Lit> {
