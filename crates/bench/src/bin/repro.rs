@@ -10,15 +10,31 @@
 //! none). `--kernels` narrows every selected experiment and skips those it
 //! empties. `--observe DIR` writes every run record, in run order, once
 //! the last experiment ends.
+//!
+//! Exit codes: 0 = the experiments ran, 2 = bad command line (an unknown
+//! experiment or flag, a flag without a valid value, or a `--kernels`
+//! name no selected experiment has; the usage is printed).
 
-use rewire_bench::{parse_cli, run_workloads};
+use rewire_bench::{parse_cli, run_workloads, EXPERIMENTS};
 use rewire_mappers::observe;
+use std::process::ExitCode;
 
-fn main() {
-    let args = parse_cli();
+fn main() -> ExitCode {
+    let planned = parse_cli().and_then(|args| Ok((args.plan()?, args)));
+    let (plan, args) = match planned {
+        Ok(planned) => planned,
+        Err(msg) => {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+            eprintln!(
+                "repro: {msg}\nusage: repro [{}]... [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR]",
+                names.join("|")
+            );
+            return ExitCode::from(2);
+        }
+    };
     eprintln!("repro: {} job(s)", args.jobs);
     let mut records = Vec::new();
-    for (experiment, workloads) in args.plan() {
+    for (experiment, workloads) in plan {
         let budget = args.budget(experiment);
         eprintln!("\n== running {} ({budget}) ==", experiment.title);
         let rows = run_workloads(
@@ -51,4 +67,5 @@ fn main() {
     if let Some(dir) = &args.observe {
         observe::write(dir, &records).unwrap_or_else(|e| panic!("--observe: {e}"));
     }
+    ExitCode::SUCCESS
 }

@@ -230,9 +230,14 @@ pub struct BenchArgs {
 impl BenchArgs {
     /// The selected experiments with their workloads narrowed by
     /// `--kernels`: every workload keeps only the named kernels, and
-    /// workloads and experiments left empty are dropped. Panics when a
-    /// name matches no kernel of any selected experiment.
-    pub fn plan(&self) -> Vec<(&'static Experiment, Vec<Workload>)> {
+    /// workloads and experiments left empty are dropped.
+    ///
+    /// # Errors
+    ///
+    /// A `--kernels` name that matches no kernel of any selected
+    /// experiment, so a typo'd filter fails loudly instead of silently
+    /// running nothing.
+    pub fn plan(&self) -> Result<Vec<(&'static Experiment, Vec<Workload>)>, String> {
         let planned = self
             .experiments
             .iter()
@@ -258,14 +263,13 @@ impl BenchArgs {
 }
 
 /// The `--kernels` filter behind [`BenchArgs::plan`]. A name must match a
-/// kernel of at least one experiment; one that matches nothing panics, so
-/// a typo'd filter fails loudly instead of silently running nothing.
+/// kernel of at least one experiment.
 fn filter_workloads<E>(
     keep: Option<&[String]>,
     planned: Vec<(E, Vec<Workload>)>,
-) -> Vec<(E, Vec<Workload>)> {
+) -> Result<Vec<(E, Vec<Workload>)>, String> {
     let Some(keep) = keep else {
-        return planned;
+        return Ok(planned);
     };
     let mut matched: BTreeSet<String> = BTreeSet::new();
     let filtered = planned
@@ -284,13 +288,12 @@ fn filter_workloads<E>(
             (!workloads.is_empty()).then_some((experiment, workloads))
         })
         .collect();
-    for k in keep {
-        assert!(
-            matched.contains(k),
+    match keep.iter().find(|k| !matched.contains(*k)) {
+        Some(k) => Err(format!(
             "--kernels: `{k}` matches no kernel in the selected experiments"
-        );
+        )),
+        None => Ok(filtered),
     }
-    filtered
 }
 
 /// Parses the `repro` command line: experiment names, an optional
@@ -300,15 +303,19 @@ fn filter_workloads<E>(
 ///
 /// With `--observe`, switches the flight recorder and Chrome collector on
 /// before returning.
-pub fn parse_cli() -> BenchArgs {
-    let parsed = parse_cli_from(std::env::args().skip(1));
+///
+/// # Errors
+///
+/// An unknown experiment or flag, or a flag without a valid value.
+pub fn parse_cli() -> Result<BenchArgs, String> {
+    let parsed = parse_cli_from(std::env::args().skip(1))?;
     if parsed.observe.is_some() {
         rewire_mappers::observe::enable_collectors();
     }
-    parsed
+    Ok(parsed)
 }
 
-fn parse_cli_from(args: impl IntoIterator<Item = String>) -> BenchArgs {
+fn parse_cli_from(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs {
         experiments: Vec::new(),
         seconds_per_ii: None,
@@ -323,23 +330,25 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>) -> BenchArgs {
             .map(str::to_string)
             .collect::<Vec<_>>()
     };
+    let parse_jobs = |v: Option<&str>| {
+        v.and_then(|v| v.parse().ok())
+            .ok_or("--jobs needs a positive integer")
+    };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         if arg == "--jobs" {
-            parsed.jobs = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--jobs needs a positive integer");
+            parsed.jobs = parse_jobs(args.next().as_deref())?;
         } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            parsed.jobs = v.parse().expect("--jobs needs a positive integer");
+            parsed.jobs = parse_jobs(Some(v))?;
         } else if arg == "--observe" {
-            parsed.observe = Some(args.next().expect("--observe needs a directory").into());
+            parsed.observe = Some(args.next().ok_or("--observe needs a directory")?.into());
         } else if let Some(v) = arg.strip_prefix("--observe=") {
             parsed.observe = Some(v.into());
         } else if arg == "--kernels" {
-            parsed.kernels = Some(parse_kernels(
-                &args.next().expect("--kernels needs a comma-separated list"),
-            ));
+            let list = args
+                .next()
+                .ok_or("--kernels needs a comma-separated list")?;
+            parsed.kernels = Some(parse_kernels(&list));
         } else if let Some(v) = arg.strip_prefix("--kernels=") {
             parsed.kernels = Some(parse_kernels(v));
         } else if let Ok(v) = arg.parse::<f64>() {
@@ -347,18 +356,14 @@ fn parse_cli_from(args: impl IntoIterator<Item = String>) -> BenchArgs {
         } else if let Some(e) = EXPERIMENTS.iter().find(|e| e.name == arg) {
             parsed.experiments.push(e.name);
         } else {
-            let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-            panic!(
-                "unrecognised argument {arg:?} (expected [{}]... [seconds_per_ii] [--jobs N] [--kernels a,b] [--observe DIR])",
-                names.join("|")
-            );
+            return Err(format!("unrecognised argument {arg:?}"));
         }
     }
     if parsed.experiments.is_empty() {
         parsed.experiments = DEFAULT_EXPERIMENTS.to_vec();
     }
     parsed.jobs = parsed.jobs.max(1);
-    parsed
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -379,6 +384,11 @@ mod tests {
             cgra: presets::paper_4x4_r4(),
             kernels: names.iter().map(|n| kernels::by_name(n).unwrap()).collect(),
         }
+    }
+
+    /// `repro`'s parse of `args`, which must be a valid command line.
+    fn parsed(args: &[&str]) -> BenchArgs {
+        parse_cli_from(args.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]
@@ -437,15 +447,14 @@ mod tests {
 
     #[test]
     fn cli_parsing_accepts_experiments_secs_jobs_and_observe() {
-        let arg = |s: &str| s.to_string();
-        let base = parse_cli_from([]);
+        let base = parsed(&[]);
         assert_eq!(base.experiments, DEFAULT_EXPERIMENTS);
         assert_eq!(base.seconds_per_ii, None);
         assert_eq!(base.jobs, 1);
         assert_eq!(base.observe, None);
-        assert_eq!(parse_cli_from([arg("0.5")]).seconds_per_ii, Some(0.5));
-        assert_eq!(parse_cli_from([arg("--jobs"), arg("4")]).jobs, 4);
-        let combined = parse_cli_from([arg("table1"), arg("--jobs=8"), arg("1.5"), arg("fig5")]);
+        assert_eq!(parsed(&["0.5"]).seconds_per_ii, Some(0.5));
+        assert_eq!(parsed(&["--jobs", "4"]).jobs, 4);
+        let combined = parsed(&["table1", "--jobs=8", "1.5", "fig5"]);
         assert_eq!(
             combined.experiments,
             ["table1", "fig5"],
@@ -453,48 +462,55 @@ mod tests {
         );
         assert_eq!(combined.jobs, 8);
         assert_eq!(combined.seconds_per_ii, Some(1.5));
-        assert_eq!(parse_cli_from([arg("--jobs=0")]).jobs, 1, "clamped");
+        assert_eq!(parsed(&["--jobs=0"]).jobs, 1, "clamped");
         assert_eq!(
-            parse_cli_from([arg("--observe"), arg("obs")]).observe,
+            parsed(&["--observe", "obs"]).observe,
             Some(PathBuf::from("obs"))
         );
         assert_eq!(
-            parse_cli_from([arg("--observe=out/obs")]).observe,
+            parsed(&["--observe=out/obs"]).observe,
             Some(PathBuf::from("out/obs"))
         );
     }
 
     #[test]
     fn command_line_seconds_replace_only_wall_clock_defaults() {
-        let arg = |s: &str| s.to_string();
         let experiment = |name| EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
-        let defaults = parse_cli_from([]);
+        let defaults = parsed(&[]);
         assert_eq!(defaults.budget(experiment("fig5")), Budget::Seconds(2.0));
         assert_eq!(
             defaults.budget(experiment("ablation")),
             Budget::Seconds(1.5)
         );
-        let fast = parse_cli_from([arg("0.1")]);
+        let fast = parsed(&["0.1"]);
         assert_eq!(fast.budget(experiment("ablation")), Budget::Seconds(0.1));
         assert_eq!(fast.budget(experiment("mii_tightness")), Budget::Caps);
     }
 
     #[test]
-    #[should_panic(expected = "unrecognised argument")]
     fn cli_parsing_rejects_junk() {
-        parse_cli_from(["--frobnicate".to_string()]);
+        let err = |args: &[&str]| parse_cli_from(args.iter().map(|s| s.to_string())).unwrap_err();
+        assert!(err(&["--frobnicate"]).contains("unrecognised argument"));
+        assert!(err(&["fig7"]).contains("unrecognised argument"));
+        for jobs in [&["--jobs", "x"][..], &["--jobs"], &["--jobs=-1"]] {
+            assert!(
+                err(jobs).contains("--jobs needs a positive integer"),
+                "{jobs:?}"
+            );
+        }
+        assert!(err(&["--observe"]).contains("--observe needs a directory"));
+        assert!(err(&["--kernels"]).contains("--kernels needs"));
     }
 
     #[test]
     fn cli_parsing_accepts_kernels() {
-        let arg = |s: &str| s.to_string();
-        assert_eq!(parse_cli_from([]).kernels, None);
+        assert_eq!(parsed(&[]).kernels, None);
         assert_eq!(
-            parse_cli_from([arg("--kernels"), arg("fir,atax")]).kernels,
+            parsed(&["--kernels", "fir,atax"]).kernels,
             Some(vec!["fir".to_string(), "atax".to_string()])
         );
         assert_eq!(
-            parse_cli_from([arg("--kernels=fir, atax,")]).kernels,
+            parsed(&["--kernels=fir, atax,"]).kernels,
             Some(vec!["fir".to_string(), "atax".to_string()]),
             "whitespace and empty segments are dropped"
         );
@@ -527,7 +543,7 @@ mod tests {
                 workload("other", &["atax"]),
             ],
         )];
-        let filtered = filter_workloads(Some(&keep), planned);
+        let filtered = filter_workloads(Some(&keep), planned).unwrap();
         assert_eq!(
             kernels_of(&filtered),
             [("a".to_string(), vec!["test:fir".to_string()])],
@@ -546,7 +562,7 @@ mod tests {
             ("table1", vec![workload("4x4", &["atax", "bicg"])]),
             ("placement", vec![workload("4x4", &["bicg"])]),
         ];
-        let filtered = filter_workloads(Some(&keep), planned);
+        let filtered = filter_workloads(Some(&keep), planned).unwrap();
         assert_eq!(
             kernels_of(&filtered),
             [
@@ -557,15 +573,19 @@ mod tests {
                 ("table1".to_string(), vec!["4x4:atax".to_string()]),
             ]
         );
-        let unfiltered = filter_workloads(None, vec![("x", vec![workload("4x4", &["mvt"])])]);
+        let unfiltered =
+            filter_workloads(None, vec![("x", vec![workload("4x4", &["mvt"])])]).unwrap();
         assert_eq!(unfiltered.len(), 1, "no filter keeps everything");
     }
 
     #[test]
-    #[should_panic(expected = "matches no kernel")]
     fn kernel_filter_rejects_typos() {
         let keep = ["fir".to_string(), "not_a_kernel".to_string()];
-        filter_workloads(Some(&keep), vec![("a", vec![workload("test", &["fir"])])]);
+        let planned = vec![("a", vec![workload("test", &["fir"])])];
+        let Err(err) = filter_workloads(Some(&keep), planned) else {
+            panic!("a name that matches no kernel is accepted");
+        };
+        assert!(err.contains("`not_a_kernel` matches no kernel"), "{err}");
     }
 
     #[test]

@@ -145,7 +145,8 @@ fn unknown_kernels_are_rejected() {
         env!("CARGO_BIN_EXE_repro"),
         &["ablation", "0.02", "--kernels", "fir,not_a_kernel"],
     );
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("matches no kernel"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
 }

@@ -167,7 +167,7 @@ pub struct PlacementCandidates {
 
 impl Requirement {
     /// The wave this requirement reads: `(source, direction, tag)`.
-    fn wave_key(&self) -> (NodeId, Direction, u32) {
+    pub(crate) fn wave_key(&self) -> (NodeId, Direction, u32) {
         match *self {
             Requirement::Direct {
                 source,

@@ -271,78 +271,29 @@ impl RewireMapper {
                 seeds.push(s);
             }
         };
-        for rs in &reqs {
-            for r in rs {
-                match *r {
-                    Requirement::Direct {
-                        source,
-                        direction: Direction::Forward,
-                        wave,
-                        ..
-                    }
-                    | Requirement::Transitive {
-                        source,
-                        direction: Direction::Forward,
-                        wave,
-                        ..
-                    } => {
-                        let (pe, _) = mapping.placement(source).expect("source is mapped");
-                        push_seed(
-                            PropagationSeed {
-                                source,
-                                direction: Direction::Forward,
-                                pe,
-                                cycle: wave,
-                                wave,
-                            },
-                            &mut seeds,
-                        );
-                    }
-                    Requirement::Direct {
-                        source,
-                        direction: Direction::Backward,
-                        wave,
-                        ..
-                    }
-                    | Requirement::Transitive {
-                        source,
-                        direction: Direction::Backward,
-                        wave,
-                        ..
-                    } => {
-                        let (pe, _) = mapping.placement(source).expect("source is mapped");
-                        push_seed(
-                            PropagationSeed {
-                                source,
-                                direction: Direction::Backward,
-                                pe,
-                                cycle: wave,
-                                wave,
-                            },
-                            &mut seeds,
-                        );
-                        // A value may also be *delivered* into the consumer
-                        // from an upstream neighbour during the arrival
-                        // cycle, if that link cell is free.
-                        let slot = mapping.mrrg().slot_of(wave);
-                        for link in cgra.links_to(pe) {
-                            let cell = rewire_mrrg::Resource::Link {
-                                link: link.id(),
-                                slot,
-                            };
-                            if mapping.occupancy().is_free(cell) {
-                                push_seed(
-                                    PropagationSeed {
-                                        source,
-                                        direction: Direction::Backward,
-                                        pe: link.src(),
-                                        cycle: wave,
-                                        wave,
-                                    },
-                                    &mut seeds,
-                                );
-                            }
-                        }
+        for r in reqs.iter().flatten() {
+            let (source, direction, wave) = r.wave_key();
+            let (pe, _) = mapping.placement(source).expect("source is mapped");
+            let seed = |pe| PropagationSeed {
+                source,
+                direction,
+                pe,
+                cycle: wave,
+                wave,
+            };
+            push_seed(seed(pe), &mut seeds);
+            if direction == Direction::Backward {
+                // A value may also be *delivered* into the consumer from
+                // an upstream neighbour during the arrival cycle, if that
+                // link cell is free.
+                let slot = mapping.mrrg().slot_of(wave);
+                for link in cgra.links_to(pe) {
+                    let cell = rewire_mrrg::Resource::Link {
+                        link: link.id(),
+                        slot,
+                    };
+                    if mapping.occupancy().is_free(cell) {
+                        push_seed(seed(link.src()), &mut seeds);
                     }
                 }
             }
@@ -362,10 +313,7 @@ impl RewireMapper {
                 // The requirement sources are the binding anchors.
                 let sources: Vec<NodeId> = rs
                     .iter()
-                    .map(|r| match *r {
-                        Requirement::Direct { source, .. }
-                        | Requirement::Transitive { source, .. } => source,
-                    })
+                    .map(|r| r.wave_key().0)
                     .filter(|s| !cluster.contains(*s))
                     .collect();
                 return Err(sources);

@@ -1,4 +1,4 @@
-//! Minimum-initiation-interval analysis and scheduling bounds.
+//! Minimum-initiation-interval analysis.
 //!
 //! `MII = max(ResMII, RecMII)` following Rau's iterative modulo scheduling:
 //! the resource bound counts operation slots per II cycles, the recurrence
@@ -98,46 +98,6 @@ impl Dfg {
         }
         false
     }
-
-    /// As-soon-as-possible schedule times over intra-iteration edges
-    /// (sources at time 0, each edge adds one cycle).
-    pub fn asap_times(&self) -> Vec<u32> {
-        let order = self.topo_order();
-        let mut t = vec![0u32; self.num_nodes()];
-        for v in order {
-            for e in self.out_edges(v) {
-                if e.distance() == 0 {
-                    t[e.dst().index()] = t[e.dst().index()].max(t[v.index()] + 1);
-                }
-            }
-        }
-        t
-    }
-
-    /// As-late-as-possible schedule times over intra-iteration edges, with
-    /// sinks pinned to the critical-path depth.
-    pub fn alap_times(&self) -> Vec<u32> {
-        let depth = self.longest_path();
-        let order = self.topo_order();
-        let mut t = vec![depth; self.num_nodes()];
-        for &v in order.iter().rev() {
-            for e in self.out_edges(v) {
-                if e.distance() == 0 {
-                    t[v.index()] = t[v.index()].min(t[e.dst().index()].saturating_sub(1));
-                }
-            }
-        }
-        t
-    }
-
-    /// Scheduling slack (`alap − asap`) per node; 0 means critical-path.
-    pub fn slack(&self) -> Vec<u32> {
-        self.asap_times()
-            .into_iter()
-            .zip(self.alap_times())
-            .map(|(a, l)| l.saturating_sub(a))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -230,39 +190,5 @@ mod tests {
         assert_eq!(g.rec_mii(), 3);
         assert_eq!(g.res_mii(&cgra), Some(1));
         assert_eq!(g.mii(&cgra), Some(3));
-    }
-
-    #[test]
-    fn asap_alap_and_slack() {
-        let mut g = Dfg::new("d");
-        let a = g.add_node("a", OpKind::Load);
-        let b = g.add_node("b", OpKind::Add);
-        let c = g.add_node("c", OpKind::Mul);
-        let d = g.add_node("d", OpKind::Store);
-        g.add_edge(a, b, 0).unwrap();
-        g.add_edge(b, d, 0).unwrap();
-        g.add_edge(a, c, 0).unwrap();
-        g.add_edge(c, d, 0).unwrap();
-        let asap = g.asap_times();
-        assert_eq!(asap, vec![0, 1, 1, 2]);
-        let alap = g.alap_times();
-        assert_eq!(alap, vec![0, 1, 1, 2]);
-        assert!(g.slack().iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn slack_of_short_branch() {
-        let mut g = Dfg::new("d");
-        let a = g.add_node("a", OpKind::Load);
-        let b = g.add_node("b", OpKind::Add);
-        let c = g.add_node("c", OpKind::Mul);
-        let d = g.add_node("d", OpKind::Store);
-        // a -> b -> c -> d (critical) plus a -> d (slack 2 on nothing; `a`
-        // and `d` stay critical, the short edge itself is slack).
-        g.add_edge(a, b, 0).unwrap();
-        g.add_edge(b, c, 0).unwrap();
-        g.add_edge(c, d, 0).unwrap();
-        g.add_edge(a, d, 0).unwrap();
-        assert_eq!(g.slack(), vec![0, 0, 0, 0]);
     }
 }

@@ -19,6 +19,13 @@
 //!   signal's own routes. Signals are consolidated one at a time so each
 //!   decision sees all earlier commits.
 //!
+//! A signal's footprint is the number of distinct cells its routes hold.
+//! Whether the branches may share those cells is the occupancy's call
+//! alone (one `(signal, phase)` key per cell): on the valid mappings this
+//! pass takes, and for the routes [`Router::route_fanout`] returns under
+//! [`UnitCost`], no branch revisits a cell and branches share only at
+//! equal phase.
+//!
 //! The unit test below pins these guarantees against an explicitly
 //! per-edge-routed mapping; `tests/route_tree_mappers.rs` checks the
 //! consolidated output of every routable mapper end to end.
@@ -26,8 +33,9 @@
 use crate::Mapping;
 use rewire_arch::Cgra;
 use rewire_dfg::{Dfg, EdgeId, NodeId};
-use rewire_mrrg::{RouteRequest, RouteTree, Router, UnitCost};
+use rewire_mrrg::{Route, RouteRequest, Router, UnitCost};
 use rewire_obs as obs;
+use std::collections::HashSet;
 
 /// What one [`consolidate_fanout`] pass achieved.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -67,13 +75,7 @@ pub fn consolidate_fanout(dfg: &Dfg, cgra: &Cgra, mapping: &mut Mapping) -> Cons
             .iter()
             .map(|&e| mapping.route(e).expect("filtered to routed").clone())
             .collect();
-        // A valid mapping's per-signal routes always form a tree (they are
-        // overuse-free, hence phase-consistent); guard anyway so a
-        // mid-negotiation caller cannot panic the pass.
-        let Ok(old_tree) = RouteTree::from_branches(old.clone()) else {
-            continue;
-        };
-        let old_footprint = old_tree.footprint();
+        let old_footprint = footprint(&old);
         let reqs: Vec<RouteRequest> = old.iter().map(|r| *r.request()).collect();
 
         // Route against a snapshot with this signal's routes released —
@@ -85,10 +87,7 @@ pub fn consolidate_fanout(dfg: &Dfg, cgra: &Cgra, mapping: &mut Mapping) -> Cons
         let Ok(new) = router.route_fanout(&mut occ, &reqs, &UnitCost) else {
             continue; // originals stay committed
         };
-        let Ok(new_tree) = RouteTree::from_branches(new.clone()) else {
-            continue;
-        };
-        let new_footprint = new_tree.footprint();
+        let new_footprint = footprint(&new);
         if new_footprint >= old_footprint {
             continue; // strict improvement only
         }
@@ -103,6 +102,16 @@ pub fn consolidate_fanout(dfg: &Dfg, cgra: &Cgra, mapping: &mut Mapping) -> Cons
     obs::counter("fanout.consolidations").add(stats.signals_consolidated);
     obs::counter("fanout.cells_saved").add(stats.cells_saved);
     stats
+}
+
+/// The number of distinct MRRG cells `routes` hold: one signal's
+/// footprint, each trunk cell its branches share counted once.
+fn footprint(routes: &[Route]) -> usize {
+    routes
+        .iter()
+        .flat_map(Route::resources)
+        .collect::<HashSet<_>>()
+        .len()
 }
 
 #[cfg(test)]
@@ -199,8 +208,7 @@ mod tests {
                 if routes.is_empty() {
                     return None;
                 }
-                let tree = RouteTree::from_branches(routes).expect("valid mapping forms trees");
-                Some((u.index() as u64, tree.footprint()))
+                Some((u.index() as u64, footprint(&routes)))
             })
             .collect()
     }

@@ -26,11 +26,12 @@
 //! ## Sharing
 //!
 //! Routing cells (links/registers) are shareable between routes of the same
-//! *signal* (the producing DFG node) — that is how fan-out works — and
-//! exclusive across different signals. [`Occupancy`] tracks per-cell signal
-//! reference counts, and also tolerates transient *overuse* (multiple
-//! distinct signals on one cell) because PathFinder-style negotiation needs
-//! it; [`Occupancy::is_overused`] exposes the violations.
+//! *signal* (the producing DFG node) at the same phase — that is how
+//! fan-out works — and exclusive across different signals. [`Occupancy`]
+//! is the one place that rule lives: it tracks per-cell `(signal, phase)`
+//! reference counts, and also tolerates transient *overuse* (a second key
+//! on one cell) because PathFinder-style negotiation needs it;
+//! [`Occupancy::is_overused`] exposes the violations.
 //!
 //! # Examples
 //!
@@ -67,7 +68,6 @@ mod graph;
 mod occupancy;
 mod resource;
 mod route;
-mod route_tree;
 mod router;
 
 pub use distance::DistanceOracle;
@@ -75,7 +75,6 @@ pub use graph::Mrrg;
 pub use occupancy::Occupancy;
 pub use resource::Resource;
 pub use route::{Route, RouteError, RouteRequest};
-pub use route_tree::{RouteTree, RouteTreeError};
 pub use router::{
     install_thread_distance_table, CostModel, NegotiatedCost, RouteCertificate, Router, RouterMode,
     TreeCost, UnitCost,

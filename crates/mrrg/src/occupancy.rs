@@ -162,7 +162,7 @@ impl Occupancy {
         }
     }
 
-    /// Number of distinct signals on `cell`.
+    /// Number of distinct `(signal, phase)` keys on `cell`.
     pub fn num_signals(&self, cell: Resource) -> usize {
         self.owners(cell).len()
     }
@@ -197,13 +197,14 @@ impl Occupancy {
         owners.is_empty() || owners.iter().all(|((s, _), _)| *s == signal)
     }
 
-    /// Whether more than one distinct signal sits on `cell`.
+    /// Whether more than one `(signal, phase)` key sits on `cell`: two
+    /// signals, or one signal at two phases.
     pub fn is_overused(&self, cell: Resource) -> bool {
         self.num_signals(cell) > 1
     }
 
-    /// Sum over all cells of `(distinct signals − 1)` — zero iff the
-    /// current state is physically realisable. Walks allocated chunks
+    /// Sum over all cells of `(distinct keys − 1)` — zero iff the current
+    /// state is physically realisable. Walks allocated chunks
     /// only.
     pub fn total_overuse(&self) -> usize {
         self.cells
@@ -224,8 +225,8 @@ impl Occupancy {
             .count()
     }
 
-    /// Calls `f` with every overused cell and its excess signal count
-    /// (`distinct signals − 1`). Walks allocated chunks only, like
+    /// Calls `f` with every overused cell and its excess key count
+    /// (`distinct keys − 1`). Walks allocated chunks only, like
     /// [`Occupancy::total_overuse`]. This is the congestion-heatmap feed:
     /// forensic sampling needs the `Resource` identity of each hot cell,
     /// not just the total.

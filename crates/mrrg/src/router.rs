@@ -383,7 +383,9 @@ const MAX_ATTEMPTS: usize = 10;
 /// infeasible first attempt (no finite arrival) stays infeasible under
 /// `O′`, since values only rise; its certificate is empty, and penalties
 /// never make a feasible DP infeasible, so no later attempt can fail
-/// that way.
+/// that way. A request with more steps than the MRRG has link and
+/// register cells is `NoPath` before any attempt on every occupancy, so
+/// its empty certificate holds everywhere too.
 ///
 /// The lemma does not hold for [`NegotiatedCost`], whose prices move with
 /// foreign claims; the certified call is exclusive-cost only.
@@ -412,8 +414,11 @@ impl RouteCertificate {
             .map(|&(cell, phase)| (mrrg.resource_of(cell as usize), phase))
     }
 
-    /// Whether nothing is certified: the request was backwards in time or
-    /// its first DP attempt found no path.
+    /// Whether nothing is certified: the request was backwards in time,
+    /// asked for more steps than the MRRG has link and register cells (no
+    /// loop-free path exists under any occupancy), or its first DP attempt
+    /// found no path. The first two outcomes do not depend on the
+    /// occupancy, so an empty certificate holds everywhere.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
@@ -782,7 +787,9 @@ impl<'a> Router<'a> {
     /// carry the value at two different ages on one physical resource), so
     /// a returned path containing duplicates is retried with those cells
     /// penalised (8.0 per looped cell); after ten attempts the request is
-    /// declared unroutable.
+    /// declared unroutable. A request with more steps than the MRRG has
+    /// link and register cells would have to repeat one, so it is declared
+    /// unroutable before the first attempt.
     ///
     /// # Errors
     ///
@@ -947,6 +954,18 @@ impl<'a> Router<'a> {
         tally: &mut RouteTally,
         mut certificate: Option<&mut Vec<(u32, u32)>>,
     ) -> Result<Route, RouteError> {
+        // Each step holds one link or register cell and a returned path
+        // never repeats a cell, so a request with more steps than the MRRG
+        // has such cells has no path under any occupancy.
+        let m = self.mrrg;
+        let routing_cells =
+            (m.num_links() + m.num_pes() * m.regs_per_pe() as usize) * m.ii() as usize;
+        if req
+            .num_steps()
+            .is_some_and(|len| len as usize > routing_cells)
+        {
+            return Err(RouteError::NoPath { request: *req });
+        }
         scratch.reset_overlay(self.mrrg.num_cells());
         for attempt in 0..MAX_ATTEMPTS {
             let before = tally.expansions;
@@ -1238,6 +1257,14 @@ mod tests {
         scope.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// Distinct cells one signal's routes hold, as `consolidate_fanout`
+    /// counts a footprint.
+    fn footprint(routes: &[Route]) -> usize {
+        let cells: std::collections::HashSet<_> =
+            routes.iter().flat_map(Route::resources).collect();
+        cells.len()
+    }
+
     #[test]
     fn single_hop() {
         let (cgra, mrrg) = setup(2);
@@ -1362,6 +1389,26 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(e, RouteError::NoPath { .. }));
+    }
+
+    #[test]
+    fn over_long_request_is_no_path_before_any_attempt() {
+        // 4x4/r4 at II 1: 48 link and 16·4 register cells.
+        let (cgra, mrrg) = setup(1);
+        let occ = Occupancy::new(&mrrg);
+        let router = Router::new(&cgra, &mrrg);
+        let (src, dst) = (pe(&cgra, 0, 0), pe(&cgra, 3, 3));
+        let (longest, too_long) = (req(0, src, 1, dst, 1 + 112), req(0, src, 1, dst, 2 + 112));
+        let ((result, cert), run) =
+            recorded("test/over_long", || router.route_certified(&occ, &too_long));
+        assert_eq!(result, Err(RouteError::NoPath { request: too_long }));
+        assert!(cert.is_empty());
+        assert_eq!(count(&run, "router.expansions"), 0);
+        let (_, run) = recorded("test/longest", || router.route(&occ, &longest, &UnitCost));
+        assert!(
+            count(&run, "router.expansions") > 0,
+            "at the bound the DP runs"
+        );
     }
 
     #[test]
@@ -1863,13 +1910,15 @@ mod tests {
         assert_eq!(routes[1].request(), &reqs[1]);
         // The occupancy is exactly as found.
         assert_eq!(occ.used_cells(), 0);
-        // The branches form a valid tree with a genuinely shared trunk.
-        let tree = crate::RouteTree::from_branches(routes).unwrap();
+        // The branches claim without overuse (no revisits, equal-phase
+        // sharing only) and genuinely share a trunk.
+        routes.iter().for_each(|r| occ.claim_route(r));
+        assert_eq!(occ.total_overuse(), 0);
+        let total: usize = routes.iter().map(|r| r.resources().len()).sum();
         assert!(
-            tree.shared_cells() > 0,
-            "sibling branches converge on a trunk: {tree}"
+            footprint(&routes) < total,
+            "sibling branches converge on a trunk: {routes:?}"
         );
-        assert!(tree.footprint() < tree.total_cells());
         let snap = obs::metrics().snapshot();
         let s = &snap.scopes["test/route_fanout_trunk"];
         assert!(
@@ -1918,18 +1967,14 @@ mod tests {
                 };
                 reqs.iter().map(claim).collect::<Vec<_>>()
             });
-            let baseline_tree = crate::RouteTree::from_branches(baseline).unwrap();
             let mut occ = Occupancy::new(&mrrg);
             let (routes, tree_run) = recorded(&format!("{at}/tree"), || {
                 router.route_fanout(&mut occ, reqs, &UnitCost).unwrap()
             });
-            let tree = crate::RouteTree::from_branches(routes).unwrap();
-            assert!(
-                tree.footprint() <= baseline_tree.footprint(),
-                "{at}: tree {} vs per-edge {}",
-                tree.footprint(),
-                baseline_tree.footprint()
-            );
+            routes.iter().for_each(|r| occ.claim_route(r));
+            assert_eq!(per_edge.total_overuse() + occ.total_overuse(), 0, "{at}");
+            let (tree, edge) = (footprint(&routes), footprint(&baseline));
+            assert!(tree <= edge, "{at}: tree {tree} vs per-edge {edge}");
             // TreeCost re-prices cells but never widens the DP sweep.
             let (tree_exp, edge_exp) = (
                 count(&tree_run, "router.expansions"),

@@ -2,6 +2,7 @@
 
 use rewire::mappers::observe;
 use std::process::Command;
+use std::time::Instant;
 
 fn rewire_map() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rewire-map"))
@@ -78,6 +79,47 @@ fn maps_a_dfg_file_on_a_custom_fabric() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("slot 0"), "grid rendered: {stdout}");
+}
+
+#[test]
+fn an_unroutably_long_back_edge_fails_within_its_budget() {
+    // At II ≤ 3 the 3x3/r2 fabric has at most 126 link and register
+    // cells, far fewer than the ~1000·II steps the back edge needs, so the
+    // router answers `NoPath` at once instead of running its DP.
+    let dir = std::env::temp_dir().join("rewire-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("long-back-edge.dfg");
+    std::fs::write(
+        &path,
+        "dfg long\nnode a add\nnode b add\nedge a b\nedge b a 1000\n",
+    )
+    .unwrap();
+    for mapper in ["rewire", "pf", "sa"] {
+        let start = Instant::now();
+        let out = rewire_map()
+            .args([
+                "--dfg",
+                path.to_str().unwrap(),
+                "--arch",
+                "3x3 regs=2",
+                "--budget-ms",
+                "300",
+                "--max-ii",
+                "3",
+                "--mapper",
+                mapper,
+            ])
+            .output()
+            .expect("binary runs");
+        let secs = start.elapsed().as_secs_f64();
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{mapper}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(secs < 20.0, "{mapper} took {secs:.1} s for 3 IIs of 0.3 s");
+    }
 }
 
 #[test]

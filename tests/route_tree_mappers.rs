@@ -8,13 +8,13 @@
 
 use rewire::prelude::*;
 use rewire_mappers::PathFinderConfig;
-use rewire_mrrg::RouteTree;
 use rewire_sim::{verify_semantics, Inputs};
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// Cells the shared route trees of `mapping` save over per-branch
-/// counting: Σ over multi-sink signals of
-/// [`RouteTree::total_cells`] − [`RouteTree::footprint`].
+/// counting: Σ over multi-sink signals of the branches' summed lengths
+/// minus their distinct cells (the footprint `consolidate_fanout` counts).
 fn trunk_cells_shared(dfg: &Dfg, mapping: &Mapping) -> usize {
     dfg.node_ids()
         .filter_map(|node| {
@@ -25,8 +25,9 @@ fn trunk_cells_shared(dfg: &Dfg, mapping: &Mapping) -> usize {
             if routes.len() < 2 {
                 return None;
             }
-            let tree = RouteTree::from_branches(routes).expect("valid mapping forms trees");
-            Some(tree.total_cells() - tree.footprint())
+            let total: usize = routes.iter().map(|r| r.resources().len()).sum();
+            let distinct: HashSet<_> = routes.iter().flat_map(|r| r.resources()).collect();
+            Some(total - distinct.len())
         })
         .sum()
 }
@@ -88,6 +89,9 @@ fn routable_kernels_tree_mode_strictly_saves() {
             let Some(m) = mapper.map(&dfg, &cgra, &limits).mapping else {
                 continue;
             };
+            // Valid means overuse-free: no branch revisits a cell and a
+            // signal's branches share cells only at equal phase.
+            assert!(m.is_valid(&dfg, &cgra), "{} on {name}", mapper.name());
             verify_semantics(&dfg, &cgra, &m, &Inputs::new(0x5EED ^ i as u64), 4)
                 .unwrap_or_else(|e| panic!("{} on {name}: {e}", mapper.name()));
             mapped += 1;
